@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Budget sweep for the recognition engine.
 
-For each presentation in the bundled ground-truth corpus, run
+For each row of the bundled ground-truth corpus (`limitforge.cli.CORPUS`,
+the table `limitforge corpus` runs, genus two included), run
 recognize_limit at a ladder of budgets and print the verdict and the
-steps actually spent.  Shows where each input flips from Unknown to a
-definite verdict, which is the number that matters when picking a
-default budget.
+steps actually spent.  A row with a budget cap runs at the smaller of
+the cap and the ladder budget, as `limitforge corpus` does.  Shows where
+each input flips from Unknown to a definite verdict, which is the number
+that matters when picking a default budget.
 
     python3 scripts/recognition_budgets.py [--ladder 1000,10000,...]
 """
@@ -16,26 +18,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from limitforge.ice import tower_from_json
-from limitforge.oracles import oracle_from
-from limitforge.presentation import parse
-from limitforge.recognize import recognize_limit
-
-CORPUS = (
-    ("F1", "< a | >", "builtin:free", None),
-    ("F2", "< a, b | >", "builtin:free", None),
-    ("Z^2", "< a, b | [a,b] >", "builtin:abelian", None),
-    ("Z^3", "< a, b, c | [a,b], [a,c], [b,c] >", "builtin:abelian", None),
-    (
-        "F2 ext. along a",
-        "< a, b, t | [a,t] >",
-        "builtin:ice",
-        {"base_rank": 2, "steps": [{"g": "a", "n": 1}]},
-    ),
-    ("Z/2", "< a | a^2 >", "builtin:finite", None),
-    ("F2 x Z", "< a, b, z | [a,z], [b,z] >", "builtin:product", None),
-    ("Klein bottle", "< a, b | b*a*b^-1*a >", "builtin:klein", None),
-)
+from limitforge.cli import CORPUS, corpus_verdict
 
 DEFAULT_LADDER = (1_000, 10_000, 100_000, 1_000_000)
 
@@ -50,18 +33,16 @@ def main():
     args = ap.parse_args()
     ladder = [int(x) for x in args.ladder.split(",")]
 
-    header = f"{'group':<16}" + "".join(f"{b:>16}" for b in ladder)
+    width = max(len(row[0]) for row in CORPUS) + 2
+    header = f"{'group':<{width}}" + "".join(f"{b:>16}" for b in ladder)
     print(header)
     print("-" * len(header))
-    for name, text, strategy, tower_doc in CORPUS:
-        p = parse(text)
-        tower = tower_from_json(tower_doc) if tower_doc else None
+    for row in CORPUS:
         cells = []
         for budget in ladder:
-            wp = oracle_from(p, strategy, tower=tower)
-            v = recognize_limit(p, wp, budget)
+            v = corpus_verdict(row, budget)
             cells.append(f"{type(v).__name__}/{v.report['used']}")
-        print(f"{name:<16}" + "".join(f"{c:>16}" for c in cells))
+        print(f"{row[0]:<{width}}" + "".join(f"{c:>16}" for c in cells))
 
 
 if __name__ == "__main__":

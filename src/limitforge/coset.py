@@ -149,7 +149,7 @@ class _Enumerator:
                     self._set(x, s, self.find(row[s]))
             self.dirty.append(x)
 
-    def scan(self, alpha: int, slots, fill: bool):
+    def scan(self, alpha: int, slots):
         """Trace one relator from alpha, deducing or defining as needed."""
         while True:
             alpha = self.find(alpha)
@@ -179,18 +179,11 @@ class _Enumerator:
                 self.dirty.append(f)
                 self.dirty.append(b)
                 return
-            if not fill:
-                return
             self.define(f, slots[i])
             # loop: the forward scan can now continue
 
 
-def todd_coxeter(
-    p: Presentation,
-    subgens,
-    max_cosets: int = 100000,
-    lookahead: bool = False,
-):
+def todd_coxeter(p: Presentation, subgens, max_cosets: int = 100000):
     """Enumerate cosets of <subgens> in the presented group.
 
     Returns a complete standardized CosetTable, or Overflow when more than
@@ -204,45 +197,26 @@ def todd_coxeter(
     rel_slots = [r.slots() for r in p.relators]
     sub_slots = [w.slots() for w in subgens if w.ints]
 
-    def drain():
-        try:
-            for ws in sub_slots:
-                eng.scan(0, ws, fill=True)
+    try:
+        for ws in sub_slots:
+            eng.scan(0, ws)
+            eng.process_coincidences()
+        while eng.dirty:
+            c = eng.dirty.popleft()
+            if eng.find(c) != c:
+                continue
+            for ws in rel_slots:
+                eng.scan(c, ws)
                 eng.process_coincidences()
-            while eng.dirty:
-                c = eng.dirty.popleft()
                 if eng.find(c) != c:
-                    continue
-                for ws in rel_slots:
-                    eng.scan(c, ws, fill=True)
-                    eng.process_coincidences()
-                    if eng.find(c) != c:
-                        break
-                c = eng.find(c)
-                for s in range(eng.n2):
-                    if eng.get(c, s) is None:
-                        eng.define(c, s)
-                eng.process_coincidences()
-        except _OverflowSignal:
-            return False
-        return True
-
-    if not drain():
-        if lookahead:
-            # coincidence-only sweep, then one retry with the freed space
-            for c in range(len(eng.table)):
-                if eng.find(c) != c:
-                    continue
-                for ws in rel_slots:
-                    eng.scan(c, ws, fill=False)
-                    eng.process_coincidences()
-            eng.dirty.extend(
-                c for c in range(len(eng.table)) if eng.find(c) == c
-            )
-            if not drain():
-                return Overflow(len(eng.table))
-        else:
-            return Overflow(len(eng.table))
+                    break
+            c = eng.find(c)
+            for s in range(eng.n2):
+                if eng.get(c, s) is None:
+                    eng.define(c, s)
+            eng.process_coincidences()
+    except _OverflowSignal:
+        return Overflow(len(eng.table))
 
     live = [c for c in range(len(eng.table)) if eng.find(c) == c]
     renum = {c: i for i, c in enumerate(live)}

@@ -106,21 +106,6 @@ def is_power_of(w: Word, r: Word) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class FreeHom:
-    """Homomorphism from a free group, given by generator images."""
-
-    source_rank: int
-    images: tuple[Word, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source_rank:
-            raise ValueError("one image per generator required")
-
-    def __call__(self, w: Word) -> Word:
-        return eval_hom(self.images, w)
-
-
 def eval_hom(images, w: Word) -> Word:
     """Apply the substitution generator -> images[k] to w."""
     out: list[int] = []
@@ -145,7 +130,6 @@ __all__ = [
     "primitive_root",
     "centralizer_free",
     "is_power_of",
-    "FreeHom",
     "eval_hom",
     "validate_word",
 ]

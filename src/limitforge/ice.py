@@ -24,7 +24,6 @@ from .retracts import (
     RetractionSearch,
     SubgroupPresentationResult,
     present_from_retraction,
-    subgroup_presentation_lr,
 )
 from .words import (
     EMPTY,
@@ -320,14 +319,6 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
     return Classification("hyperbolic")
 
 
-def classify_element(t: IceTower, w: Word) -> Classification:
-    """Parabolic (conjugate into a noncyclic maximal abelian) or hyperbolic."""
-    validate_word(w, t.rank)
-    if _wp(t, w.ints):
-        raise ValueError("cannot classify the identity")
-    return _classify(t, w)
-
-
 def _edge_corrections(t: IceTower):
     """Small edge-group elements, identity first, for root candidates."""
     basis = t.steps[-1].basis[:3]
@@ -461,22 +452,6 @@ def _towers_rec(t: IceTower, rem: int):
                 if _wp(t, g.ints):
                     continue
                 yield from _towers_rec(extend_centralizer(t, g, n), rem - s)
-
-
-def subgroup_presentation_limit(
-    t: IceTower,
-    s_words,
-    budget: int = 200_000,
-    conformance_tietze: bool = False,
-):
-    """Presentation of the subgroup of a tower generated by S."""
-    return subgroup_presentation_lr(
-        presentation_of(t),
-        s_words,
-        budget,
-        oracle=ice_oracle(t),
-        conformance_tietze=conformance_tietze,
-    )
 
 
 def _subset_stream(rank: int):

@@ -8,17 +8,12 @@ finite-quotient actions.
 
 from __future__ import annotations
 
-import itertools
 import subprocess
 
+from .abelian import exponent_vector
 from .coset import Overflow, low_index, todd_coxeter
 from .freegroup import is_power_of
-from .presentation import (
-    UNKNOWN,
-    Presentation,
-    canonical_relator,
-    consequence_stream,
-)
+from .presentation import Presentation, canonical_relator, consequence_stream
 from .words import Word, commutator, format_word, invert_ints
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "dovetail_oracle",
     "subprocess_oracle",
     "pinched_oracle",
-    "UNKNOWN",
 ]
 
 
@@ -72,13 +66,6 @@ def free_oracle(p: Presentation | int) -> WordOracle:
     return WordOracle(lambda w: len(w.ints) == 0, True, "free")
 
 
-def _exponents(w: Word, rank: int) -> tuple[int, ...]:
-    v = [0] * rank
-    for x in w.ints:
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return tuple(v)
-
-
 def _is_standard_abelian(p: Presentation) -> bool:
     want = {
         canonical_relator(commutator(Word((i + 1,)), Word((j + 1,)))).ints
@@ -92,9 +79,7 @@ def free_abelian_oracle(p: Presentation) -> WordOracle:
     if not _is_standard_abelian(p):
         raise ValueError("not the standard free-abelian presentation")
     rank = p.rank
-    return WordOracle(
-        lambda w: all(e == 0 for e in _exponents(w, rank)), True, "abelian"
-    )
+    return WordOracle(lambda w: not any(exponent_vector(w, rank)), True, "abelian")
 
 
 def finite_oracle(p: Presentation, max_cosets: int = 100000) -> WordOracle:

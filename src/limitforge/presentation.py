@@ -1,15 +1,15 @@
 """Finitely presented groups as data.
 
-Parsing and printing, Tietze moves with validity certificates, a fair
+Parsing and printing, Tietze simplification with a trace, a fair
 enumeration of Tietze-equivalent presentations, canonicalization up to
-renaming, consequence enumeration, and homomorphism checks.
+renaming, and consequence enumeration.
 
 Relators are stored in a fixed normal form: each is cyclically reduced and
 replaced by the slot-lex least rotation of itself or its inverse; the relator
 list is sorted and deduplicated. Construction applies this normal form, so
 two presentations compare equal iff they have the same generator names and
 the same relator set up to rotation and inversion. Canonicalization across
-generator renamings is the separate normalize() pass.
+generator renamings is the separate normalize_key() pass.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .abelian import abelian_invariants as _abelian_invariants
-from .freegroup import FreeGroup, eval_hom
+from .freegroup import eval_hom
 from .words import (
     EMPTY,
     Word,
@@ -28,7 +28,6 @@ from .words import (
     invert_ints,
     parse_word,
     reduce_ints,
-    unslot,
     words_of_length,
     words_upto,
 )
@@ -46,39 +45,6 @@ class TietzeError(ValueError):
 
 class NormalizeCapError(ValueError):
     pass
-
-
-class _Unknown:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNKNOWN"
-
-    def __bool__(self):
-        raise TypeError("UNKNOWN has no truth value; compare with `is`")
-
-
-UNKNOWN = _Unknown()
-
-
-class _ConfirmedOnly:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CONFIRMED_ONLY"
-
-
-CONFIRMED_ONLY = _ConfirmedOnly()
 
 
 def canonical_relator(w: Word) -> Word:
@@ -191,45 +157,6 @@ def serialize(p: Presentation) -> str:
 # Tietze moves
 
 
-@dataclass(frozen=True)
-class AddRelator:
-    """Add a redundant relator, certified as a product of conjugated relators.
-
-    derivation: tuple of (relator index, conjugator Word, sign) triples whose
-    product conj * r^sign * conj^-1, left to right, freely reduces to word.
-    """
-
-    word: Word
-    derivation: tuple
-
-
-@dataclass(frozen=True)
-class RemoveRelator:
-    index: int
-    derivation: tuple  # certificate over the remaining relators
-
-
-@dataclass(frozen=True)
-class AddGenerator:
-    name: str
-    word: Word  # defining word over the existing generators
-
-
-@dataclass(frozen=True)
-class RemoveGenerator:
-    name: str
-
-
-def _derived_word(relators, derivation) -> Word:
-    out = EMPTY
-    for idx, conj, sign in derivation:
-        if not (0 <= idx < len(relators)):
-            raise TietzeError(f"derivation index {idx} out of range")
-        r = relators[idx] if sign > 0 else relators[idx].inv()
-        out = out * (conj * r * conj.inv())
-    return out
-
-
 def substitute(w: Word, images) -> Word:
     """Apply the letter substitution generator k -> images[k] to w."""
     return eval_hom(tuple(images), w)
@@ -285,44 +212,8 @@ def _remove_generator(p: Presentation, gidx: int):
     return q, tuple(images)
 
 
-def tietze_step(p: Presentation, move) -> Presentation:
-    """Apply one certified Tietze move."""
-    if isinstance(move, AddRelator):
-        if not canonical_relator(move.word).ints:
-            raise TietzeError("cannot add a trivial relator")
-        if _derived_word(p.relators, move.derivation) != move.word:
-            raise TietzeError("derivation does not produce the added relator")
-        return Presentation(p.names, p.relators + (move.word,))
-    if isinstance(move, RemoveRelator):
-        if not (0 <= move.index < len(p.relators)):
-            raise TietzeError(f"no relator at index {move.index}")
-        rest = p.relators[: move.index] + p.relators[move.index + 1 :]
-        for idx, _, _ in move.derivation:
-            if idx == move.index:
-                raise TietzeError("derivation may not use the removed relator")
-        # certificate indices refer to the original relator list
-        if _derived_word(p.relators, move.derivation) != p.relators[move.index]:
-            raise TietzeError("derivation does not produce the removed relator")
-        return Presentation(p.names, rest)
-    if isinstance(move, AddGenerator):
-        if move.name in p.names:
-            raise TietzeError(f"generator {move.name!r} already present")
-        if move.word.max_index() > p.rank:
-            raise TietzeError("defining word uses an unknown generator")
-        names = p.names + (move.name,)
-        rel = Word(reduce_ints((-len(names),) + move.word.ints))
-        return Presentation(names, p.relators + (rel,))
-    if isinstance(move, RemoveGenerator):
-        if move.name not in p.names:
-            raise TietzeError(f"no generator {move.name!r}")
-        q, _ = _remove_generator(p, p.names.index(move.name))
-        return q
-    raise TietzeError(f"unknown move {move!r}")
-
-
 @dataclass(frozen=True)
 class SimplifyTrace:
-    moves: tuple
     gen_images: tuple[Word, ...]  # original generator -> word over result gens
     kept: tuple[int, ...]  # result generator -> original generator index
 
@@ -334,7 +225,6 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, SimplifyTrace]:
     deterministic generator elimination, cheapest defining relator first.
     """
     cur = p
-    moves: list = []
     images = [Word((k,)) for k in range(1, p.rank + 1)]
     kept = list(range(p.rank))
     while True:
@@ -342,11 +232,10 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, SimplifyTrace]:
         if not pairs:
             break
         _, g = min(pairs, key=lambda ig: (len(cur.relators[ig[0]]), ig[0], ig[1]))
-        moves.append(RemoveGenerator(cur.names[g]))
         cur, subst = _remove_generator(cur, g)
         images = [substitute(w, subst) for w in images]
         kept.pop(g)
-    return cur, SimplifyTrace(tuple(moves), tuple(images), tuple(kept))
+    return cur, SimplifyTrace(tuple(images), tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +368,6 @@ def normalize_key(p: Presentation):
     return (p.rank, best)
 
 
-def normalize(p: Presentation) -> Presentation:
-    rank, rel_keys = normalize_key(p)
-    names = FreeGroup.standard(rank).names
-    rels = [Word(tuple(unslot(s) for s in slots)) for _, slots in rel_keys]
-    return Presentation(names, rels)
-
-
 # ---------------------------------------------------------------------------
 # Consequence enumeration
 
@@ -497,23 +379,6 @@ def _compositions(total: int, k: int):
     for first in range(1, total - k + 2):
         for rest in _compositions(total - first, k - 1):
             yield (first,) + rest
-
-
-def _rotation_certs(relators):
-    """All cyclic rotations of each relator and its inverse, with the
-    conjugation certificate: rotation = conj * r^sign * conj^-1."""
-    out = []
-    seen = set()
-    for j, r in enumerate(relators):
-        for sign in (1, -1):
-            base = r.ints if sign > 0 else invert_ints(r.ints)
-            for k in range(len(base)):
-                rot = base[k:] + base[:k]
-                if rot in seen:
-                    continue
-                seen.add(rot)
-                out.append((rot, j, Word(base[:k]).inv(), sign))
-    return out
 
 
 def consequence_stream(p: Presentation):
@@ -528,7 +393,15 @@ def consequence_stream(p: Presentation):
     if not p.relators:
         return
     seen: set[tuple[int, ...]] = {()}
-    rotations = [rot for rot, _, _, _ in _rotation_certs(p.relators)]
+    # distinct cyclic rotations of each relator and its inverse, in order
+    rotations = list(
+        dict.fromkeys(
+            base[k:] + base[:k]
+            for r in p.relators
+            for base in (r.ints, invert_ints(r.ints))
+            for k in range(len(base))
+        )
+    )
     factor_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def factors(cost: int):
@@ -557,164 +430,6 @@ def consequence_stream(p: Presentation):
                     if prod not in seen:
                         seen.add(prod)
                         yield Word(prod)
-
-
-def consequences_with_certificates(p: Presentation):
-    """Like consequence_stream but yields (word, derivation) pairs usable as
-    AddRelator / RemoveRelator certificates."""
-    if not p.relators:
-        return
-    seen: set[tuple[int, ...]] = {()}
-    rotations = _rotation_certs(p.relators)
-
-    def factors(cost: int):
-        for conj in words_of_length(p.rank, cost - 1):
-            for rot, j, rconj, s in rotations:
-                w = reduce_ints(conj.ints + rot + invert_ints(conj.ints))
-                yield w, (j, conj * rconj, s)
-
-    def products(comp):
-        if len(comp) == 1:
-            for w, cert in factors(comp[0]):
-                yield w, (cert,)
-            return
-        for head, hc in factors(comp[0]):
-            for tail, tc in products(comp[1:]):
-                yield reduce_ints(head + tail), (hc,) + tc
-
-    for total in itertools.count(1):
-        for k in range(1, total + 1):
-            for comp in _compositions(total, k):
-                for prod, cert in products(comp):
-                    if prod not in seen:
-                        seen.add(prod)
-                        yield Word(prod), cert
-
-
-# ---------------------------------------------------------------------------
-# Homomorphisms
-
-
-class HomError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class GroupHom:
-    """Map out of a finitely presented group, given by generator images.
-
-    target is duck-typed: anything whose alphabet the image words live over.
-    """
-
-    source: Presentation
-    target: object
-    images: tuple[Word, ...]
-
-    def __post_init__(self):
-        if len(self.images) != self.source.rank:
-            raise HomError("one image per source generator required")
-
-    def __call__(self, w: Word) -> Word:
-        return eval_hom(self.images, w)
-
-    @classmethod
-    def checked(cls, source, target, images, oracle) -> "GroupHom":
-        h = cls(source, target, tuple(images))
-        v = check_hom(h, oracle)
-        if v is UNKNOWN:
-            raise HomError("could not verify relator images (oracle unknown)")
-        if not v:
-            raise HomError("some relator image is nontrivial in the target")
-        return h
-
-
-def check_hom(h: GroupHom, oracle):
-    """True / False / UNKNOWN: does every source relator die in the target?"""
-    unknown = False
-    for r in h.source.relators:
-        v = oracle(h(r))
-        if v is None or v is UNKNOWN:
-            unknown = True
-        elif not v:
-            return False
-    return UNKNOWN if unknown else True
-
-
-@dataclass(frozen=True)
-class ImageExpressions:
-    """Generator correspondences for an image presentation.
-
-    gens_in_source: image generator j is f(gens_in_source[j]).
-    source_in_image: f(source generator i) written over the image generators;
-    derived by bounded search when omitted (free targets only).
-    """
-
-    gens_in_source: tuple[Word, ...]
-    source_in_image: tuple[Word, ...] | None = None
-
-
-def _derive_source_in_image(f: GroupHom, exprs: ImageExpressions, depth: int):
-    target = f.target
-    free_rank = None
-    if isinstance(target, FreeGroup):
-        free_rank = target.rank
-    elif isinstance(target, Presentation) and not target.relators:
-        free_rank = target.rank
-    if free_rank is None:
-        raise HomError("source_in_image required for non-free targets")
-    values = [eval_hom(f.images, e) for e in exprs.gens_in_source]
-    out = []
-    for i in range(f.source.rank):
-        goal = f.images[i]
-        found = None
-        for cand in words_upto(len(values), depth):
-            if eval_hom(values, cand) == goal:
-                found = cand
-                break
-        if found is None:
-            raise HomError(
-                f"no expression of image generator within search depth {depth}"
-            )
-        out.append(found)
-    return tuple(out)
-
-
-def is_injective(
-    f: GroupHom,
-    wp_source,
-    image_pres: Presentation,
-    exprs: ImageExpressions,
-    *,
-    derive_depth: int = 6,
-):
-    """Decide injectivity via the unique candidate inverse on the image.
-
-    Total source oracle: returns True or False. Semi-decision oracle:
-    returns CONFIRMED_ONLY when every required identity is confirmed, else
-    UNKNOWN; never False.
-    """
-    e = exprs.gens_in_source
-    if len(e) != image_pres.rank:
-        raise HomError("one source expression per image generator required")
-    checks = [eval_hom(e, rho) for rho in image_pres.relators]
-    sin = exprs.source_in_image
-    if sin is None:
-        sin = _derive_source_in_image(f, exprs, derive_depth)
-    for i in range(f.source.rank):
-        w = eval_hom(e, sin[i])
-        checks.append(w * Word((i + 1,)).inv())
-    if wp_source.total:
-        for w in checks:
-            v = wp_source(w)
-            if v is None:
-                return UNKNOWN
-            if not v:
-                return False
-        return True
-    for w in checks:
-        if wp_source(w) is not True:
-            return UNKNOWN
-    return CONFIRMED_ONLY
 
 
 def abelianization(p: Presentation) -> tuple[int, tuple[int, ...]]:

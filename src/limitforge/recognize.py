@@ -427,6 +427,25 @@ class _MatchBranch:
         return None
 
 
+class _TietzeBranch:
+    """Walks the Tietze expansion of the input hunting a relator-free
+    variant, charged like a _MatchBranch expander node."""
+
+    def __init__(self, start: Presentation):
+        self._stream = enumerate_presentations(start)
+
+    def run(self, allowance: int):
+        """Expand nodes until `allowance` is used; returns (units used,
+        relator-free presentation or None)."""
+        used = 0
+        while used < allowance:
+            v = next(self._stream)
+            used += _MatchBranch.EXPAND_WEIGHT
+            if not v.relators:
+                return used, v
+        return used, None
+
+
 def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict:
     out = {
         "budget": budget,
@@ -458,26 +477,19 @@ def _require_total(wp: WordOracle, caller: str) -> None:
         raise ValueError(f"{caller} requires a total word-problem oracle")
 
 
-def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7):
-    """Decide whether p presents a limit group, within a step budget.
+def _race(a, b: CertifySearch, budget: int | None):
+    """Alternate branch a and the witness search b under one step budget.
 
-    The enumeration branch and the witness branch alternate in strict
-    round-robin slices of matched size.  A match in the enumeration
-    yields Limit with its construction chain; a witness yields
-    NotLimit.  budget=None runs until one branch halts, which on a
-    group that is neither enumerable-early nor witnessed never happens.
+    Each round a takes a slice first; b then gets a slice as large as
+    a's, and never smaller than _QUANTUM.  Returns (a's hit, b's
+    witness, steps used); both are None when the budget ran out.
     """
-    _require_total(wp, "recognize_limit")
-    target, _ = tietze_simplify(p)
-    a = _MatchBranch(target)
-    b = CertifySearch(p, wp)
     used = 0
     while budget is None or used < budget:
         used_a, hit = a.run(_QUANTUM)
         used += used_a
         if hit is not None:
-            em, matched = hit
-            return Limit(p, matched, em, _report(budget, used, a, b))
+            return hit, None, used
         if budget is not None and used >= budget:
             break
         quantum = max(used_a, _QUANTUM)
@@ -487,8 +499,31 @@ def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7)
         w = b.run(quantum)
         used += b.spent - before
         if w is not None:
-            return NotLimit(p, w, _report(budget, used, a, b))
-    return Unknown(p, _report(budget, used, a, b))
+            return None, w, used
+    return None, None, used
+
+
+def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7):
+    """Decide whether p presents a limit group, within a step budget.
+
+    The enumeration branch and the witness branch race under _race.  A
+    match in the enumeration yields Limit with its construction chain;
+    a witness yields NotLimit.  budget=None runs until one branch
+    halts, which on a group that is neither enumerable-early nor
+    witnessed never happens.
+    """
+    _require_total(wp, "recognize_limit")
+    target, _ = tietze_simplify(p)
+    a = _MatchBranch(target)
+    b = CertifySearch(p, wp)
+    hit, w, used = _race(a, b, budget)
+    report = _report(budget, used, a, b)
+    if hit is not None:
+        em, matched = hit
+        return Limit(p, matched, em, report)
+    if w is not None:
+        return NotLimit(p, w, report)
+    return Unknown(p, report)
 
 
 def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
@@ -511,27 +546,13 @@ def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
     if ab_rank >= 2 and _generators_commute(p, wp):
         report = {"budget": budget, "used": 0, "certificate": "abelian"}
         return NotFree(p, "abelian and noncyclic", None, report)
-    stream = enumerate_presentations(simplified)
     b = CertifySearch(p, wp)
-    weight = _MatchBranch.EXPAND_WEIGHT
-    used = 0
-    while budget is None or used < budget:
-        for _ in range(max(1, _QUANTUM // weight)):
-            v = next(stream)
-            used += weight
-            if not v.relators:
-                report = {"budget": budget, "used": used, "certificate": "tietze"}
-                return Free(p, v, report)
-        if budget is not None and used >= budget:
-            break
-        quantum = _QUANTUM
-        if budget is not None:
-            quantum = min(quantum, budget - used)
-        before = b.spent
-        w = b.run(quantum)
-        used += b.spent - before
-        if w is not None:
-            return NotFree(p, f"witness: {w.kind}", w, _report(budget, used, None, b))
+    free, w, used = _race(_TietzeBranch(simplified), b, budget)
+    if free is not None:
+        report = {"budget": budget, "used": used, "certificate": "tietze"}
+        return Free(p, free, report)
+    if w is not None:
+        return NotFree(p, f"witness: {w.kind}", w, _report(budget, used, None, b))
     return Unknown(p, _report(budget, used, None, b))
 
 

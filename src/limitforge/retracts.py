@@ -19,14 +19,7 @@ from .abelian import exponent_vector, solve
 from .coset import CosetTable, RSResult, low_index, rs_presentation
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
-from .presentation import (
-    Presentation,
-    TietzeError,
-    enumerate_presentations,
-    normalize_key,
-    substitute,
-    tietze_simplify,
-)
+from .presentation import Presentation, substitute, tietze_simplify
 from .words import EMPTY, Word, words_of_length
 
 
@@ -265,12 +258,7 @@ class IncompleteResult:
     reason: str
 
 
-def retract_presentation(
-    p: Presentation,
-    images,
-    wp: WordOracle,
-    conformance_tietze: bool = False,
-):
+def retract_presentation(p: Presentation, images, wp: WordOracle):
     """Presentation of the image of an idempotent endomorphism.
 
     The image of a retraction is the quotient of p by the relators
@@ -292,24 +280,7 @@ def retract_presentation(
     quotient = Presentation(p.names, list(p.relators) + extra)
     simplified, trace = tietze_simplify(quotient)
     out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
-    result = RetractResult(
-        out,
-        tuple(images[k] for k in trace.kept),
-        trace.kept,
-    )
-    if conformance_tietze:
-        _conformance_search(quotient, out)
-    return result
-
-
-def _conformance_search(start: Presentation, goal: Presentation, limit: int = 4000):
-    """Blind Tietze-move search that must rediscover the directed output."""
-    want = normalize_key(goal)
-    for i, q in enumerate(enumerate_presentations(start)):
-        if i >= limit:
-            raise TietzeError("conformance search budget exhausted")
-        if q.rank <= 6 and normalize_key(q) == want:
-            return
+    return RetractResult(out, tuple(images[k] for k in trace.kept), trace.kept)
 
 
 @dataclass(frozen=True)
@@ -331,7 +302,6 @@ def subgroup_presentation_lr(
     s_words,
     budget: int = 200_000,
     oracle: WordOracle | None = None,
-    conformance_tietze: bool = False,
 ):
     """Presentation of the subgroup generated by S via local retractions.
 
@@ -346,27 +316,17 @@ def subgroup_presentation_lr(
     found = find_retraction(p, s_words, budget, oracle)
     if isinstance(found, SearchExhausted):
         return found
-    return present_from_retraction(s_words, found, oracle, conformance_tietze)
+    return present_from_retraction(s_words, found, oracle)
 
 
-def present_from_retraction(
-    s_words,
-    found: RetractionFound,
-    oracle: WordOracle,
-    conformance_tietze: bool = False,
-):
+def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle):
     """Turn a verified retraction into a presentation of the span of S."""
     s_words = tuple(s_words)
     rs = found.rs
     wp_sub = WordOracle(
         lambda w: oracle(rs.embed(w)), oracle.total, f"{oracle.name}|subgroup"
     )
-    rr = retract_presentation(
-        rs.presentation,
-        found.retraction.rho_images(),
-        wp_sub,
-        conformance_tietze=conformance_tietze,
-    )
+    rr = retract_presentation(rs.presentation, found.retraction.rho_images(), wp_sub)
     if isinstance(rr, IncompleteResult):
         return rr
     gens_in_s = tuple(found.retraction.y_words[k] for k in rr.kept)

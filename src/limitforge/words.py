@@ -82,11 +82,6 @@ class Word:
         """c * self * c^-1."""
         return c * self * c.inv()
 
-    @property
-    def letters(self) -> tuple[tuple[int, int], ...]:
-        """(generator-index, sign) pairs."""
-        return tuple((abs(x) - 1, 1 if x > 0 else -1) for x in self.ints)
-
     def slots(self) -> tuple[int, ...]:
         return tuple(slot(x) for x in self.ints)
 
