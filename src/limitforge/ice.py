@@ -14,6 +14,7 @@ tower groups.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -506,7 +507,8 @@ class LimitEnumeration:
         self._oracles: list[WordOracle] = []
         self._streams: list = []
         self._subsets: list[list] = []
-        self._pairs: list[dict] = []
+        self._todo: deque[dict] = deque()  # pairs yet to run this round
+        self._kept: list[dict] = []  # pairs of this round still searching
         self.round = 0
         self.steps = 0
         self.fresh_steps = fresh_steps
@@ -527,8 +529,12 @@ class LimitEnumeration:
             subs.append(next(self._streams[i - 1]))
         return subs[j]
 
-    def next_round(self) -> list[LimitGroupEmission]:
+    def _open_round(self) -> None:
         self.round += 1
+        for pair in self._kept:
+            pair["owed"] = self.round_steps
+        self._todo.extend(self._kept)
+        self._kept = []
         for i in range(1, self.round + 1):
             q = self.round - i
             if q == 0:
@@ -539,7 +545,7 @@ class LimitEnumeration:
             for j in js:
                 tower = self._tower(i)
                 s = self._subset(i, j)
-                self._pairs.append(
+                self._todo.append(
                     {
                         "tower": tower,
                         "oracle": self._oracles[i - 1],
@@ -547,19 +553,38 @@ class LimitEnumeration:
                         "search": RetractionSearch(
                             presentation_of(tower), s, self._oracles[i - 1]
                         ),
-                        "fresh": True,
+                        "owed": self.fresh_steps,
                     }
                 )
+
+    def next_round(self, limit: int | None = None) -> list[LimitGroupEmission]:
+        """Run a round of retraction searches; returns its emissions.
+
+        With `limit`, the call stops once it has spent `limit` steps, in
+        the middle of a pair if need be; the rest of the round stays
+        pending, and the next call finishes it before opening another.
+        """
+        if limit is not None and limit <= 0:
+            return []
+        if not self._todo:
+            self._open_round()
         out: list[LimitGroupEmission] = []
-        keep: list[dict] = []
-        for pair in self._pairs:
-            steps = self.fresh_steps if pair["fresh"] else self.round_steps
-            pair["fresh"] = False
-            before = pair["search"].steps
-            found = pair["search"].run(steps)
-            self.steps += pair["search"].steps - before
+        spent = 0
+        while self._todo:
+            pair = self._todo[0]
+            search = pair["search"]
+            steps = pair["owed"] if limit is None else min(pair["owed"], limit - spent)
+            before = search.steps
+            found = search.run(steps)
+            used = search.steps - before
+            spent += used
+            self.steps += used
+            pair["owed"] -= used
+            if found is None and pair["owed"] > 0:
+                break  # out of limit: the pair resumes in the next call
+            self._todo.popleft()
             if found is None:
-                keep.append(pair)
+                self._kept.append(pair)
                 continue
             res = present_from_retraction(pair["s"], found, pair["oracle"])
             if isinstance(res, SubgroupPresentationResult):
@@ -568,7 +593,6 @@ class LimitEnumeration:
                         res.presentation, pair["tower"], tuple(pair["s"]), res
                     )
                 )
-        self._pairs = keep
         return out
 
 

@@ -30,6 +30,7 @@ from .presentation import (
 from .words import Word, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
+_TIER = object()  # CertifySearch stream marker: a new cost tier starts
 _CROSSCHECK_BOUND = 2
 
 
@@ -192,27 +193,39 @@ class CertifySearch:
         self.candidates = 0
         self.max_cost = 0
         self.found: Witness | None = None
+        self._tier = 0  # cost of the next candidate the stream charges
         self._gen = self._stream()
 
     def run(self, units: int) -> Witness | None:
-        """Spend up to `units` cost units; returns the witness if found."""
+        """Spend at most `units` cost units; returns the witness if found.
+
+        A candidate that does not fit in what is left waits for the next
+        call.
+        """
         if self.found is not None:
             return self.found
         stop = self.spent + units
-        while self.spent < stop:
+        while self.spent + self._tier <= stop:
             w = next(self._gen)
-            if w is not None:
+            if w is not None and w is not _TIER:
                 self.found = w
                 return w
         return None
 
     def _stream(self):
+        # Every candidate of a tier costs the same; the stream announces
+        # each tier with _TIER so that run() can check the next cost
+        # before the candidate is charged.
         rank = self.p.rank
         if rank == 0:
+            self._tier = 1
+            yield _TIER
             while True:
                 self.spent += 1
                 yield None
         for cost in itertools.count(2):
+            self._tier = cost
+            yield _TIER
             self.max_cost = cost
             for lg in range(1, cost):
                 n = cost - lg + 1
@@ -384,19 +397,25 @@ class _MatchBranch:
     def matchable(self) -> bool:
         return self._key is not None
 
-    def run(self, allowance: int):
-        """One enumeration round plus expander work; returns
-        (units used, hit or None) where a hit is (emission, matched)."""
+    def run(self, allowance: int, limit: int | None):
+        """One enumeration round plus expander work up to `allowance`,
+        never past `limit` units (None: no limit); returns (units used,
+        hit or None) where a hit is (emission, matched)."""
         if self._key is None:
             return 0, None
         before = self.enum.steps
-        for em in self.enum.next_round():
+        for em in self.enum.next_round(limit):
             self.emissions += 1
             hit = self._admit(em)
             if hit is not None:
                 return self.enum.steps - before, hit
         used = self.enum.steps - before
-        while used < allowance and self._expanders:
+        weight = self.EXPAND_WEIGHT
+        while (
+            used < allowance
+            and self._expanders
+            and (limit is None or used + weight <= limit)
+        ):
             used += self.EXPAND_WEIGHT
             hit = self._advance_one()
             if hit is not None:
@@ -434,13 +453,15 @@ class _TietzeBranch:
     def __init__(self, start: Presentation):
         self._stream = enumerate_presentations(start)
 
-    def run(self, allowance: int):
-        """Expand nodes until `allowance` is used; returns (units used,
-        relator-free presentation or None)."""
+    def run(self, allowance: int, limit: int | None):
+        """Expand nodes until `allowance` is used, never past `limit`
+        units (None: no limit); returns (units used, relator-free
+        presentation or None)."""
         used = 0
-        while used < allowance:
+        weight = _MatchBranch.EXPAND_WEIGHT
+        while used < allowance and (limit is None or used + weight <= limit):
             v = next(self._stream)
-            used += _MatchBranch.EXPAND_WEIGHT
+            used += weight
             if not v.relators:
                 return used, v
         return used, None
@@ -481,12 +502,14 @@ def _race(a, b: CertifySearch, budget: int | None):
     """Alternate branch a and the witness search b under one step budget.
 
     Each round a takes a slice first; b then gets a slice as large as
-    a's, and never smaller than _QUANTUM.  Returns (a's hit, b's
-    witness, steps used); both are None when the budget ran out.
+    a's, and never smaller than _QUANTUM.  The budget is a hard ceiling:
+    neither branch is handed more than what is left of it.  Returns
+    (a's hit, b's witness, steps used); both are None when the budget
+    ran out.
     """
     used = 0
     while budget is None or used < budget:
-        used_a, hit = a.run(_QUANTUM)
+        used_a, hit = a.run(_QUANTUM, None if budget is None else budget - used)
         used += used_a
         if hit is not None:
             return hit, None, used
@@ -497,9 +520,12 @@ def _race(a, b: CertifySearch, budget: int | None):
             quantum = min(quantum, budget - used)
         before = b.spent
         w = b.run(quantum)
-        used += b.spent - before
+        used_b = b.spent - before
+        used += used_b
         if w is not None:
             return None, w, used
+        if used_a == used_b == 0:
+            break  # neither branch has a step that fits in what is left
     return None, None, used
 
 

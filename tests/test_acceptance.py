@@ -307,6 +307,7 @@ def test_criterion_09(recognition_runs):
             # limit group, but the witness search does not reach it at desk
             # budgets, so Unknown is the accepted verdict here
             assert isinstance(v, (Limit, Unknown)), name
+            assert v.report["used"] <= v.report["budget"], name
             continue
         assert isinstance(v, expected), (name, v)
         assert v.report["used"] <= v.report["budget"], name

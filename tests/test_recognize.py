@@ -217,7 +217,7 @@ def test_recognize_klein_is_not_limit():
 def test_recognize_unknown_under_tiny_budget():
     v = recognize_limit(Z2, free_abelian_oracle(Z2), budget=60)
     assert isinstance(v, Unknown)
-    assert v.report["used"] <= 60 + 2  # round granularity may overshoot a hair
+    assert v.report["used"] <= 60
 
 
 def test_recognize_requires_total_oracle():
