@@ -564,8 +564,6 @@ class LimitEnumeration:
         the middle of a pair if need be; the rest of the round stays
         pending, and the next call finishes it before opening another.
         """
-        if limit is not None and limit <= 0:
-            return []
         if not self._todo:
             self._open_round()
         out: list[LimitGroupEmission] = []

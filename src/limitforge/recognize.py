@@ -397,10 +397,10 @@ class _MatchBranch:
     def matchable(self) -> bool:
         return self._key is not None
 
-    def run(self, allowance: int, limit: int | None):
-        """One enumeration round plus expander work up to `allowance`,
-        never past `limit` units (None: no limit); returns (units used,
-        hit or None) where a hit is (emission, matched)."""
+    def run(self, limit: int | None):
+        """One enumeration round plus expander work up to _QUANTUM, never
+        past `limit` units (None: no limit); returns (units used, hit or
+        None) where a hit is (emission, matched)."""
         if self._key is None:
             return 0, None
         before = self.enum.steps
@@ -412,11 +412,11 @@ class _MatchBranch:
         used = self.enum.steps - before
         weight = self.EXPAND_WEIGHT
         while (
-            used < allowance
+            used < _QUANTUM
             and self._expanders
             and (limit is None or used + weight <= limit)
         ):
-            used += self.EXPAND_WEIGHT
+            used += weight
             hit = self._advance_one()
             if hit is not None:
                 return used, hit
@@ -453,13 +453,13 @@ class _TietzeBranch:
     def __init__(self, start: Presentation):
         self._stream = enumerate_presentations(start)
 
-    def run(self, allowance: int, limit: int | None):
-        """Expand nodes until `allowance` is used, never past `limit`
-        units (None: no limit); returns (units used, relator-free
-        presentation or None)."""
+    def run(self, limit: int | None):
+        """Expand nodes until _QUANTUM units are used, never past `limit`
+        (None: no limit); returns (units used, relator-free presentation
+        or None)."""
         used = 0
         weight = _MatchBranch.EXPAND_WEIGHT
-        while used < allowance and (limit is None or used + weight <= limit):
+        while used < _QUANTUM and (limit is None or used + weight <= limit):
             v = next(self._stream)
             used += weight
             if not v.relators:
@@ -509,7 +509,7 @@ def _race(a, b: CertifySearch, budget: int | None):
     """
     used = 0
     while budget is None or used < budget:
-        used_a, hit = a.run(_QUANTUM, None if budget is None else budget - used)
+        used_a, hit = a.run(None if budget is None else budget - used)
         used += used_a
         if hit is not None:
             return hit, None, used

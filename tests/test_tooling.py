@@ -1,0 +1,36 @@
+"""Guards on the package surface and the shipped scripts."""
+
+import importlib
+import pathlib
+import pkgutil
+import subprocess
+import sys
+
+import limitforge
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(limitforge.__path__):
+        module = importlib.import_module(f"limitforge.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ names {name}"
+
+
+def test_recognition_budgets_script_runs():
+    script = ROOT / "scripts" / "recognition_budgets.py"
+    out = subprocess.run(
+        [sys.executable, str(script), "--ladder", "200"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout
+    lines = out.splitlines()
+    assert len(lines) == 2 + 9  # header, rule, one line per corpus row
+    assert lines[-1].startswith("genus two surface")
+    for line in lines[2:]:
+        verdict, used = line.split()[-1].split("/")
+        assert verdict in ("Limit", "NotLimit", "Unknown")
+        assert int(used) <= 200
