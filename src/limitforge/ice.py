@@ -23,6 +23,7 @@ from .oracles import WordOracle
 from .presentation import Presentation
 from .retracts import (
     RetractionSearch,
+    SubgroupAtlas,
     SubgroupPresentationResult,
     present_from_retraction,
 )
@@ -273,7 +274,6 @@ class Classification:
     conjugator: Word | None = None  # h with h^-1 g h inside that subgroup
 
 
-@lru_cache(maxsize=None)
 def _edge_class(t: IceTower) -> Classification:
     return _classify(t.lower(), t.steps[-1].g)
 
@@ -507,6 +507,8 @@ class LimitEnumeration:
         self._oracles: list[WordOracle] = []
         self._streams: list = []
         self._subsets: list[list] = []
+        # equal presentations (towers over g and g^-1, say) share one atlas
+        self._atlases: dict[Presentation, SubgroupAtlas] = {}
         self._todo: deque[dict] = deque()  # pairs yet to run this round
         self._kept: list[dict] = []  # pairs of this round still searching
         self.round = 0
@@ -545,14 +547,16 @@ class LimitEnumeration:
             for j in js:
                 tower = self._tower(i)
                 s = self._subset(i, j)
+                p = presentation_of(tower)
+                atlas = self._atlases.get(p)
+                if atlas is None:
+                    atlas = self._atlases[p] = SubgroupAtlas(p)
                 self._todo.append(
                     {
                         "tower": tower,
                         "oracle": self._oracles[i - 1],
                         "s": s,
-                        "search": RetractionSearch(
-                            presentation_of(tower), s, self._oracles[i - 1]
-                        ),
+                        "search": RetractionSearch(p, s, self._oracles[i - 1], atlas),
                         "owed": self.fresh_steps,
                     }
                 )

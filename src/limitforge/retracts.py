@@ -101,18 +101,21 @@ def _weak_compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-class _Branch:
-    """One finite-index subgroup admitted into the dovetail."""
+class _Subgroup:
+    """What one finite-index subgroup gives every search on its presentation.
 
-    def __init__(self, rs: RSResult, s_exprs: tuple[Word, ...]):
+    The Reidemeister-Schreier result, the relator exponent rows and the
+    lattice memo depend on the coset table alone, not on S.
+    """
+
+    def __init__(self, rs: RSResult):
         self.rs = rs
-        self.s_exprs = s_exprs
         self.index = rs.table.index
         pres = rs.presentation
         self.rank = pres.rank
-        self._rel_rows = [exponent_vector(r, pres.rank) for r in pres.relators]
+        self.rel_rows = [exponent_vector(r, pres.rank) for r in pres.relators]
         # columns of the transposed relator matrix, for lattice membership
-        self._cols = [[row[i] for row in self._rel_rows] for i in range(pres.rank)]
+        self._cols = [[row[i] for row in self.rel_rows] for i in range(pres.rank)]
         self._lat_memo: dict[tuple[int, ...], bool] = {}
 
     def lattice_contains(self, vec) -> bool:
@@ -120,12 +123,85 @@ class _Branch:
         key = tuple(vec)
         got = self._lat_memo.get(key)
         if got is None:
-            if not self._rel_rows:
+            if not self.rel_rows:
                 got = not any(vec)
             else:
-                got = solve(self._cols, list(vec), ncols=len(self._rel_rows)) is not None
+                got = solve(self._cols, list(vec), ncols=len(self.rel_rows)) is not None
             self._lat_memo[key] = got
         return got
+
+
+class SubgroupAtlas:
+    """Exact-index coset tables and their subgroups, for one presentation.
+
+    Searches on the same presentation with different S share one atlas,
+    so each low-index stream and each Reidemeister-Schreier presentation
+    is computed once.
+    """
+
+    def __init__(self, p: Presentation):
+        self.p = p
+        self._tables: dict[int, list[CosetTable]] = {}
+        self._subgroups: dict[CosetTable, _Subgroup] = {}
+
+    def tables(self, index: int) -> list[CosetTable]:
+        """Tables of subgroups of exactly this index, in low_index order."""
+        got = self._tables.get(index)
+        if got is None:
+            got = [t for t in low_index(self.p, index) if t.index == index]
+            self._tables[index] = got
+        return got
+
+    def subgroup(self, t: CosetTable) -> _Subgroup:
+        got = self._subgroups.get(t)
+        if got is None:
+            got = self._subgroups[t] = _Subgroup(rs_presentation(self.p, t))
+        return got
+
+
+class _Branch:
+    """One finite-index subgroup admitted into the dovetail for one S."""
+
+    def __init__(self, sub: _Subgroup, s_exprs: tuple[Word, ...]):
+        self.sub = sub
+        self.rs = sub.rs
+        self.index = sub.index
+        self.rank = sub.rank
+        self.s_exprs = s_exprs
+        self.s_rows = [exponent_vector(e, sub.rank) for e in s_exprs]
+
+    def check_vectors(self, y: tuple[Word, ...]):
+        """Exponent vectors of Retraction.check_words(), in the same order.
+
+        Abelianization is a homomorphism, so each vector is an integer
+        combination of the exponent rows of the S expressions; no word is
+        built.
+        """
+        rank = self.rank
+        s_rows = self.s_rows
+        rho = []
+        for yj in y:
+            v = [0] * rank
+            for x in yj.ints:
+                sign, row = (1, s_rows[x - 1]) if x > 0 else (-1, s_rows[-x - 1])
+                for i in range(rank):
+                    v[i] += sign * row[i]
+            rho.append(v)
+        for row in self.sub.rel_rows:
+            yield _combine(row, rho, rank)
+        for e_row in s_rows:
+            v = _combine(e_row, rho, rank)
+            yield tuple(a - b for a, b in zip(v, e_row))
+
+
+def _combine(coeffs, vecs, rank: int) -> tuple[int, ...]:
+    """The integer combination sum_j coeffs[j] * vecs[j]."""
+    out = [0] * rank
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for i in range(rank):
+                out[i] += c * v[i]
+    return tuple(out)
 
 
 class RetractionSearch:
@@ -133,13 +209,23 @@ class RetractionSearch:
 
     Candidates are ordered by total cost, the subgroup index plus the
     total length of the image tuple Y over the abstract S alphabet.
-    Each run() step examines one coset table or one Y candidate.
+    Each run() step examines one coset table or one Y candidate.  Coset
+    tables and subgroup presentations come from `atlas`, which searches
+    on the same presentation may share; without one the search builds
+    its own.
     """
 
-    def __init__(self, p: Presentation, s_words, oracle: WordOracle | None = None):
+    def __init__(
+        self,
+        p: Presentation,
+        s_words,
+        oracle: WordOracle | None = None,
+        atlas: SubgroupAtlas | None = None,
+    ):
         self.p = p
         self.s_words = tuple(s_words)
         self.oracle = oracle if oracle is not None else dovetail_oracle(p)
+        self.atlas = atlas if atlas is not None else SubgroupAtlas(p)
         self.steps = 0
         self.cost = 0
         self.result: RetractionFound | None = None
@@ -158,18 +244,15 @@ class RetractionSearch:
 
     # -- dovetail internals
 
-    def _tables(self, index: int):
-        return [t for t in low_index(self.p, index) if t.index == index]
-
     def _make_branch(self, t: CosetTable) -> _Branch | None:
-        rs = rs_presentation(self.p, t)
+        sub = self.atlas.subgroup(t)
         exprs = []
         for s in self.s_words:
-            e = rs.rewrite(s)
+            e = sub.rs.rewrite(s)
             if e is None:
                 return None  # S is not inside this subgroup
             exprs.append(e)
-        return _Branch(rs, tuple(exprs))
+        return _Branch(sub, tuple(exprs))
 
     def _y_tuples(self, branch: _Branch, total: int):
         r = branch.rank
@@ -188,12 +271,13 @@ class RetractionSearch:
             yield from itertools.product(*pools)
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:
-        retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
-        checks = retraction.check_words()
-        for w in checks:
-            if not branch.lattice_contains(exponent_vector(w, branch.rank)):
+        # the abelian lattice test rejects almost every candidate, so it
+        # runs on integer vectors and words are built only for survivors
+        for vec in branch.check_vectors(y):
+            if not branch.sub.lattice_contains(vec):
                 return None
-        for w in checks:
+        retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
+        for w in retraction.check_words():
             if w.ints and self.oracle(branch.rs.embed(w)) is not True:
                 return None
         return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
@@ -210,7 +294,7 @@ class RetractionSearch:
                     if found is not None:
                         yield found
                     yield None
-            for t in self._tables(self.cost):
+            for t in self.atlas.tables(self.cost):
                 br = self._make_branch(t)
                 yield None
                 if br is None:

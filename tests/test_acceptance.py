@@ -318,6 +318,27 @@ def test_criterion_09(recognition_runs):
     assert elapsed < 600.0
 
 
+# exact steps each corpus row spends; a reordered table or candidate
+# stream shows here even when every verdict stays the same
+RECOGNITION_STEPS = {
+    "F1": 171,
+    "F2": 421,
+    "Z^2": 825,
+    "Z^3": 59_053,
+    "height-one tower": 158_498,
+    "Z/2": 4,
+    "F2 x Z": 441,
+    "Klein bottle": 16,
+    "genus 2 surface": 100_000,
+}
+
+
+def test_recognition_step_counts_are_pinned(recognition_runs):
+    runs, _ = recognition_runs
+    used = {name: v.report["used"] for name, p, wp, v, expected in runs}
+    assert used == RECOGNITION_STEPS
+
+
 @criterion(10, "all produced witnesses survive refutation at bound 3")
 def test_criterion_10(recognition_runs):
     runs, _ = recognition_runs

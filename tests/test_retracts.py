@@ -1,14 +1,24 @@
 """Retraction search and subgroup presentation via local retractions."""
 
 import random
+from collections import Counter
 
-from limitforge.oracles import free_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import limitforge.retracts as retracts
+from limitforge.abelian import exponent_vector
+from limitforge.ice import ice_oracle, presentation_of, tower_from_json
+from limitforge.oracles import free_abelian_oracle, free_oracle
 from limitforge.presentation import parse, substitute
 from limitforge.retracts import (
     Retraction,
     RetractionFound,
+    RetractionSearch,
     SearchExhausted,
+    SubgroupAtlas,
     SubgroupPresentationResult,
+    _Branch,
     find_retraction,
     subgroup_presentation_lr,
 )
@@ -17,6 +27,9 @@ from limitforge.words import EMPTY, Word
 from oracles import random_reduced_word
 
 F2 = parse("< a, b | >")
+Z2 = parse("< a, b | [a,b] >")
+TOWER1 = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 1}]})
+TOWER1_P = presentation_of(TOWER1)
 
 
 def W(*ints):
@@ -103,3 +116,114 @@ def test_random_small_sets_verify():
         for i, e in enumerate(got.retraction.s_exprs):
             assert got.rs.embed(e) == s_words[i]
     assert found_count >= 10
+
+
+# several generating sets on one presentation; some find a retraction at
+# index 1 or 2, one runs out of steps at a higher index
+SHARED_CASES = (
+    (Z2, free_abelian_oracle(Z2), ((1,),), ((1, 1),), ((1,), (2,)), ((1, 1), (2, 2))),
+    (
+        TOWER1_P,
+        ice_oracle(TOWER1),
+        ((1,),),
+        ((3,),),
+        ((1,), (3,)),
+        ((2,), (3,)),
+        ((1, 1), (2,)),
+        ((2, 2), (3,)),
+    ),
+)
+
+
+def _outcome(search: RetractionSearch, found):
+    if found is None:
+        return None, search.steps
+    r = found.retraction
+    return (found.table, r.y_words, r.s_exprs, found.cost), search.steps
+
+
+def test_shared_atlas_matches_private_atlases(monkeypatch):
+    rs_calls: Counter = Counter()
+    low_calls: Counter = Counter()
+    rs_presentation, low_index = retracts.rs_presentation, retracts.low_index
+
+    def counting_rs(p, t):
+        rs_calls[p, t] += 1
+        return rs_presentation(p, t)
+
+    def counting_low(p, n):
+        low_calls[p, n] += 1
+        return low_index(p, n)
+
+    monkeypatch.setattr(retracts, "rs_presentation", counting_rs)
+    monkeypatch.setattr(retracts, "low_index", counting_low)
+    for p, wp, *s_sets in SHARED_CASES:
+        s_sets = [tuple(Word.make(w) for w in s) for s in s_sets]
+        rs_calls.clear()
+        private = []
+        for s in s_sets:
+            search = RetractionSearch(p, s, wp)
+            private.append(_outcome(search, search.run(3000)))
+        private_rs = sum(rs_calls.values())
+        rs_calls.clear()
+        low_calls.clear()
+        atlas = SubgroupAtlas(p)
+        for s, expected in zip(s_sets, private):
+            search = RetractionSearch(p, s, wp, atlas)
+            assert _outcome(search, search.run(3000)) == expected
+        assert set(rs_calls.values()) == {1}
+        assert set(low_calls.values()) == {1}
+        assert sum(rs_calls.values()) < private_rs
+
+
+PREFILTER_CASES = (
+    (F2, free_oracle(F2)),
+    (Z2, free_abelian_oracle(Z2)),
+    (TOWER1_P, ice_oracle(TOWER1)),
+)
+PREFILTER_ATLASES = [SubgroupAtlas(p) for p, _ in PREFILTER_CASES]
+
+
+def _words(rank: int, max_len: int):
+    letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+    return st.lists(st.sampled_from(letters), max_size=max_len).map(Word.make)
+
+
+@st.composite
+def _branch_and_y(draw):
+    case = draw(st.integers(0, len(PREFILTER_CASES) - 1))
+    atlas = PREFILTER_ATLASES[case]
+    tables = [t for n in (1, 2, 3) for t in atlas.tables(n)]
+    sub = atlas.subgroup(draw(st.sampled_from(tables)))
+    # S often holds K's own generators, so some candidates pass
+    gens = st.sampled_from([Word((k,)) for k in range(1, sub.rank + 1)])
+    s_exprs = draw(st.lists(gens | _words(sub.rank, 3), min_size=1, max_size=3))
+    m = len(s_exprs)
+    letters = st.sampled_from([Word((k,)) for k in range(1, m + 1)])
+    y = draw(st.lists(letters | _words(m, 3), min_size=sub.rank, max_size=sub.rank))
+    return case, _Branch(sub, tuple(s_exprs)), tuple(y)
+
+
+def _admit_with_words(search: RetractionSearch, br: _Branch, y):
+    """The lattice test on exponent vectors of built words."""
+    retraction = Retraction(br.rs.presentation, y, br.s_exprs)
+    checks = retraction.check_words()
+    for w in checks:
+        if not br.sub.lattice_contains(exponent_vector(w, br.rank)):
+            return None
+    for w in checks:
+        if w.ints and search.oracle(br.rs.embed(w)) is not True:
+            return None
+    return RetractionFound(br.rs.table, br.rs, retraction, search.cost)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_and_y())
+def test_check_vectors_match_check_word_exponents(drawn):
+    case, br, y = drawn
+    words = Retraction(br.rs.presentation, y, br.s_exprs).check_words()
+    expected = [tuple(exponent_vector(w, br.rank)) for w in words]
+    assert list(br.check_vectors(y)) == expected
+    p, wp = PREFILTER_CASES[case]
+    search = RetractionSearch(p, (), wp, PREFILTER_ATLASES[case])
+    assert search._admit(br, y) == _admit_with_words(search, br, y)

@@ -34,3 +34,15 @@ def test_recognition_budgets_script_runs():
         verdict, used = line.split()[-1].split("/")
         assert verdict in ("Limit", "NotLimit", "Unknown")
         assert int(used) <= 200
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark tracer wraps entry points by name; a renamed one
+    makes install() raise."""
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
+        "import tracer\n"
+        "tracer.Tracer().install()\n"
+    )
+    subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
