@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .presentation import Presentation, SimplifyTrace, substitute, tietze_simplify
 from .words import Word, slot, unslot
@@ -50,6 +50,10 @@ class CosetTable:
     def is_complete(self) -> bool:
         return all(e is not None for row in self.rows for e in row)
 
+    @cached_property
+    def schreier(self) -> "SchreierTree":
+        return SchreierTree(self.rows, self.ngens)
+
     def to_json_dict(self, names) -> dict:
         return {
             "index": self.index,
@@ -58,6 +62,69 @@ class CosetTable:
                 for k in range(self.ngens)
             },
         }
+
+
+class SchreierTree:
+    """Breadth-first spanning tree of a Schreier graph and its basis.
+
+    trans[v][s] is the end of the edge at vertex v in slot s, or None: a
+    coset table, or a folded subgroup graph of a free group.  The tree
+    grows from vertex 0 scanning slots ascending, and reps[v] is the tree
+    word from 0 to v.  The non-tree positive edges, ordered by (slot,
+    vertex), number the Schreier basis: edge_index[(v, s)] = i, and
+    basis[i] is the ambient word reps[v] * s * reps[trans[v][s]]^-1.
+    """
+
+    def __init__(self, trans, rank: int):
+        self.trans = trans
+        n2 = 2 * rank
+        reps: list[Word | None] = [None] * len(trans)
+        reps[0] = Word()
+        tree: set[tuple[int, int]] = set()
+        bfs = deque([0])
+        while bfs:
+            v = bfs.popleft()
+            for s in range(n2):
+                d = trans[v][s]
+                if d is not None and reps[d] is None:
+                    reps[d] = reps[v] * Word((unslot(s),))
+                    tree.add((v, s))
+                    tree.add((d, _inv(s)))
+                    bfs.append(d)
+        self.reps = tuple(reps)
+        edges = [
+            (v, s)
+            for s in range(0, n2, 2)
+            for v in range(len(trans))
+            if trans[v][s] is not None and (v, s) not in tree
+        ]
+        self.edge_index = {e: i for i, e in enumerate(edges)}
+        self.basis = tuple(
+            reps[v] * Word((unslot(s),)) * reps[trans[v][s]].inv() for v, s in edges
+        )
+        # basis letter of each non-tree edge, read in either direction
+        self._letter: dict[tuple[int, int], int] = {}
+        for i, (v, s) in enumerate(edges):
+            self._letter[(v, s)] = i + 1
+            self._letter[(trans[v][s], _inv(s))] = -(i + 1)
+
+    def walk(self, v: int, w: Word):
+        """Follow w from vertex v.
+
+        Returns (end vertex, the path as a word over the basis), or
+        (None, None) when w runs off a missing edge.
+        """
+        trans, letter = self.trans, self._letter
+        out: list[int] = []
+        for x in w.ints:
+            s = slot(x)
+            e = letter.get((v, s))
+            if e is not None:
+                out.append(e)
+            v = trans[v][s]
+            if v is None:
+                return None, None
+        return v, Word.make(out)
 
 
 def _standardize(ngens: int, rows) -> tuple[tuple[int, ...], ...]:
@@ -322,66 +389,13 @@ def low_index(p: Presentation, n: int):
 # Reidemeister-Schreier
 
 
-@lru_cache(maxsize=None)
-def _schreier_data(t: CosetTable):
-    """BFS transversal and raw Schreier generators of a complete table.
-
-    Returns (reps, tree, raw_pairs, raw_words, pair_index) where raw pairs
-    are the non-tree (coset, positive slot) edges ordered by (slot, coset).
-    """
-    n2 = 2 * t.ngens
-    reps: list[tuple[int, ...] | None] = [None] * t.index
-    reps[0] = ()
-    tree: set[tuple[int, int]] = set()
-    bfs = deque([0])
-    while bfs:
-        c = bfs.popleft()
-        for s in range(n2):
-            d = t.rows[c][s]
-            if reps[d] is None:
-                reps[d] = reps[c] + (unslot(s),)
-                tree.add((c, s))
-                tree.add((d, _inv(s)))
-                bfs.append(d)
-    raw_pairs = []
-    for s in range(0, n2, 2):
-        for c in range(t.index):
-            if (c, s) not in tree:
-                raw_pairs.append((c, s))
-    raw_words = []
-    for c, s in raw_pairs:
-        d = t.rows[c][s]
-        raw_words.append(Word.make(reps[c] + (unslot(s),)) * Word(reps[d]).inv())
-    pair_index = {pair: i for i, pair in enumerate(raw_pairs)}
-    return (
-        tuple(Word(r) for r in reps),
-        frozenset(tree),
-        tuple(raw_pairs),
-        tuple(raw_words),
-        pair_index,
-    )
-
-
 def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
     """Express w over the raw Schreier generators, or None if w moves the
     base coset."""
     if not t.is_complete():
         raise ValueError("rewriting needs a complete table")
-    _, tree, _, _, pair_index = _schreier_data(t)
-    c = 0
-    out: list[int] = []
-    for x in w.ints:
-        s = slot(x)
-        d = t.rows[c][s]
-        if (c, s) not in tree:
-            if s % 2 == 0:
-                out.append(pair_index[(c, s)] + 1)
-            else:
-                out.append(-(pair_index[(d, _inv(s))] + 1))
-        c = d
-    if c != 0:
-        return None
-    return Word.make(out)
+    end, expr = t.schreier.walk(0, w)
+    return expr if end == 0 else None
 
 
 @dataclass(frozen=True)
@@ -390,14 +404,13 @@ class RSResult:
 
     presentation: simplified presentation of the subgroup;
     gens_ambient[j]: the ambient word presenting generator j;
-    raw_gens_ambient[i]: ambient word of raw Schreier generator i;
     trace: the Tietze cleanup trace (raw generators -> final words).
+    The raw Schreier generators are table.schreier.basis.
     """
 
     table: CosetTable
     presentation: Presentation
     gens_ambient: tuple[Word, ...]
-    raw_gens_ambient: tuple[Word, ...]
     trace: SimplifyTrace
 
     def embed(self, w: Word) -> Word:
@@ -406,8 +419,8 @@ class RSResult:
 
     def rewrite(self, w: Word) -> Word | None:
         """Subgroup expression of an ambient word, or None outside."""
-        raw = rewrite_in_subgroup(self.table, w)
-        if raw is None:
+        end, raw = self.table.schreier.walk(0, w)
+        if end != 0:
             return None
         return substitute(raw, self.trace.gen_images)
 
@@ -418,24 +431,9 @@ def rs_presentation(p: Presentation, t: CosetTable) -> RSResult:
         raise ValueError("table and presentation have different ranks")
     if not t.is_complete():
         raise ValueError("rs_presentation needs a complete table")
-    _, tree, raw_pairs, raw_words, pair_index = _schreier_data(t)
-    names = tuple(f"s{i + 1}" for i in range(len(raw_pairs)))
-    relators = []
-    for c in range(t.index):
-        for r in p.relators:
-            cur = c
-            out: list[int] = []
-            for x in r.ints:
-                s = slot(x)
-                d = t.rows[cur][s]
-                if (cur, s) not in tree:
-                    if s % 2 == 0:
-                        out.append(pair_index[(cur, s)] + 1)
-                    else:
-                        out.append(-(pair_index[(d, _inv(s))] + 1))
-                cur = d
-            relators.append(Word.make(out))
-    raw_pres = Presentation(names, relators)
-    simplified, trace = tietze_simplify(raw_pres)
-    gens_ambient = tuple(raw_words[trace.kept[j]] for j in range(simplified.rank))
-    return RSResult(t, simplified, gens_ambient, raw_words, trace)
+    tree = t.schreier
+    names = tuple(f"s{i + 1}" for i in range(len(tree.basis)))
+    relators = [tree.walk(c, r)[1] for c in range(t.index) for r in p.relators]
+    simplified, trace = tietze_simplify(Presentation(names, relators))
+    gens_ambient = tuple(tree.basis[i] for i in trace.kept)
+    return RSResult(t, simplified, gens_ambient, trace)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .freegroup import FreeGroup, primitive_root
 from .oracles import WordOracle
@@ -72,7 +72,16 @@ class IceTower:
     def lower(self) -> "IceTower":
         if not self.steps:
             raise ValueError("the base tower has no lower level")
+        return self._lower
+
+    @cached_property
+    def _lower(self) -> "IceTower":
+        # one object per level, so the level's word-problem memo is shared
         return IceTower(self.base_rank, self.steps[:-1])
+
+    @cached_property
+    def _wp_memo(self) -> dict[tuple[int, ...], bool]:
+        return {}
 
 
 def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
@@ -87,7 +96,6 @@ def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def tower_names(t: IceTower) -> tuple[str, ...]:
     names = list(FreeGroup.standard(t.base_rank).names)
     for step in t.steps:
@@ -95,7 +103,6 @@ def tower_names(t: IceTower) -> tuple[str, ...]:
     return tuple(names)
 
 
-@lru_cache(maxsize=None)
 def presentation_of(t: IceTower) -> Presentation:
     """Amalgam presentation: new generators commute with the step basis."""
     relators = []
@@ -234,8 +241,15 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     return syls, conj
 
 
-@lru_cache(maxsize=None)
 def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
+    memo = t._wp_memo
+    got = memo.get(ints)
+    if got is None:
+        got = memo[ints] = _wp_uncached(t, ints)
+    return got
+
+
+def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool:
     if not t.steps:
         return not Word.make(ints).ints
     top = t.steps[-1]
@@ -492,18 +506,21 @@ class LimitGroupEmission:
 class LimitEnumeration:
     """Dovetail towers against generating sets, emitting presentations.
 
-    Pair (i, j) enters in the round numbered i + ceil(j / 8).  A fresh
-    pair's retraction search gets `fresh_steps`; unfinished pairs get
-    `round_steps` more each later round, so every pair eventually
+    Pair (i, j) enters in the round numbered i + ceil(j / S_PER_UNIT).
+    A fresh pair's retraction search gets FRESH_STEPS; unfinished pairs
+    get ROUND_STEPS more each later round, so every pair eventually
     receives an unbounded budget while rounds stay linear in the number
     of pending pairs.
     """
 
     S_PER_UNIT = 8
+    FRESH_STEPS = 256
+    ROUND_STEPS = 64
 
-    def __init__(self, fresh_steps: int = 256, round_steps: int = 64):
+    def __init__(self):
         self._ice = enumerate_ice()
         self._towers: list[IceTower] = []
+        self._presentations: list[Presentation] = []
         self._oracles: list[WordOracle] = []
         self._streams: list = []
         self._subsets: list[list] = []
@@ -513,13 +530,12 @@ class LimitEnumeration:
         self._kept: list[dict] = []  # pairs of this round still searching
         self.round = 0
         self.steps = 0
-        self.fresh_steps = fresh_steps
-        self.round_steps = round_steps
 
     def _tower(self, i: int) -> IceTower:
         while len(self._towers) < i:
-            t, _ = next(self._ice)
+            t, p = next(self._ice)
             self._towers.append(t)
+            self._presentations.append(p)
             self._oracles.append(ice_oracle(t))
             self._streams.append(_subset_stream(t.rank))
             self._subsets.append([])
@@ -534,7 +550,7 @@ class LimitEnumeration:
     def _open_round(self) -> None:
         self.round += 1
         for pair in self._kept:
-            pair["owed"] = self.round_steps
+            pair["owed"] = self.ROUND_STEPS
         self._todo.extend(self._kept)
         self._kept = []
         for i in range(1, self.round + 1):
@@ -547,7 +563,7 @@ class LimitEnumeration:
             for j in js:
                 tower = self._tower(i)
                 s = self._subset(i, j)
-                p = presentation_of(tower)
+                p = self._presentations[i - 1]
                 atlas = self._atlases.get(p)
                 if atlas is None:
                     atlas = self._atlases[p] = SubgroupAtlas(p)
@@ -557,7 +573,7 @@ class LimitEnumeration:
                         "oracle": self._oracles[i - 1],
                         "s": s,
                         "search": RetractionSearch(p, s, self._oracles[i - 1], atlas),
-                        "owed": self.fresh_steps,
+                        "owed": self.FRESH_STEPS,
                     }
                 )
 

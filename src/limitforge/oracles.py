@@ -483,9 +483,8 @@ def oracle_from(
             raise ValueError("builtin:ice needs a tower")
         from .ice import ice_oracle, presentation_of
 
-        if presentation_of(tower).relators != p.relators or presentation_of(
-            tower
-        ).rank != p.rank:
+        q = presentation_of(tower)
+        if q.relators != p.relators or q.rank != p.rank:
             raise ValueError("presentation does not match the tower")
         return ice_oracle(tower)
     raise ValueError(f"unknown oracle strategy {strategy!r}")

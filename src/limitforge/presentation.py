@@ -272,7 +272,7 @@ def _addable_relators(q: Presentation, bound: int):
             yield w1 * w2
 
 
-def _children(q: Presentation, images, bound: int):
+def _children(q: Presentation, bound: int):
     out = []
     # drop a relator derivable from the others within a bounded search
     for j in range(len(q.relators)):
@@ -283,11 +283,10 @@ def _children(q: Presentation, images, bound: int):
             w == target
             for w in itertools.islice(stream, _CONSEQ_CAP * bound)
         ):
-            out.append((rest, images))
+            out.append(rest)
     # eliminate a generator with a defining relator
     for g in sorted({g for _, g in _single_occurrence_pairs(q)}):
-        child, subst = _remove_generator(q, g)
-        out.append((child, tuple(substitute(w, subst) for w in images)))
+        out.append(_remove_generator(q, g)[0])
     # add a redundant relator
     added = 0
     for w in _addable_relators(q, bound):
@@ -296,7 +295,7 @@ def _children(q: Presentation, images, bound: int):
         c = canonical_relator(w)
         if not c.ints or c in q.relators:
             continue
-        out.append((Presentation(q.names, q.relators + (c,)), images))
+        out.append(Presentation(q.names, q.relators + (c,)))
         added += 1
     # define a fresh generator
     name = _fresh_name(q.names)
@@ -306,39 +305,36 @@ def _children(q: Presentation, images, bound: int):
             break
         names = q.names + (name,)
         rel = Word(reduce_ints((-len(names),) + w.ints))
-        out.append((Presentation(names, q.relators + (rel,)), images))
+        out.append(Presentation(names, q.relators + (rel,)))
         added += 1
     return out
 
 
-def enumerate_presentations(p: Presentation, with_trace: bool = False):
+def enumerate_presentations(p: Presentation):
     """Fair stream of presentations Tietze-equivalent to p, starting at p.
 
-    Never terminates; consume with a budget. With with_trace, yields
-    (presentation, images) where images express p's generators over the
-    emitted presentation's generators.
+    Never terminates; consume with a budget.
     """
     emitted: set[str] = set()
-    start_images = tuple(Word((k,)) for k in range(1, p.rank + 1))
     node_cap = _NODE_CAP
     for bound in itertools.count(1):
         seen = {serialize(p)}
-        queue = deque([(p, start_images, 0)])
+        queue = deque([(p, 0)])
         nodes = 0
         while queue and nodes < node_cap:
-            q, imgs, depth = queue.popleft()
+            q, depth = queue.popleft()
             nodes += 1
             key = serialize(q)
             if key not in emitted:
                 emitted.add(key)
-                yield (q, imgs) if with_trace else q
+                yield q
             if depth >= bound:
                 continue
-            for child, cimgs in _children(q, imgs, bound):
+            for child in _children(q, bound):
                 ck = serialize(child)
                 if ck not in seen:
                     seen.add(ck)
-                    queue.append((child, cimgs, depth + 1))
+                    queue.append((child, depth + 1))
         node_cap *= _NODE_GROWTH
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
-from .words import Word, invert_ints, slot, unslot
+from .coset import SchreierTree, _standardize
+from .words import Word, slot
 
 
 def inv_slot(s: int) -> int:
@@ -29,6 +30,10 @@ class SubgroupGraph:
     @property
     def nvertices(self) -> int:
         return len(self.trans)
+
+    @cached_property
+    def schreier(self) -> SchreierTree:
+        return SchreierTree(self.trans, self.rank)
 
 
 def fold(rank: int, words) -> SubgroupGraph:
@@ -110,61 +115,19 @@ def fold(rank: int, words) -> SubgroupGraph:
                 del live[t][inv_slot(s)]
         del live[victim]
 
-    # canonical BFS renumber from the base, slots ascending
-    order = {base: 0}
-    bfs = deque([base])
-    while bfs:
-        v = bfs.popleft()
-        for s in sorted(live[v]):
-            t = live[v][s]
-            if t not in order:
-                order[t] = len(order)
-                bfs.append(t)
-    table: list[list[int | None]] = [[None] * (2 * rank) for _ in order]
+    # renumber from 0 (the base point, which survives every merge) in
+    # canonical BFS order
+    ids = {v: i for i, v in enumerate(live)}
+    rows: list[list[int | None]] = [[None] * (2 * rank) for _ in ids]
     for v, row in live.items():
         for s, t in row.items():
-            table[order[v]][s] = order[t]
-
-    return SubgroupGraph(rank, tuple(tuple(r) for r in table), words)
-
-
-@lru_cache(maxsize=None)
-def _tree_data(g: SubgroupGraph):
-    """Spanning tree, vertex words, and the ordered free basis of the graph."""
-    nv = g.nvertices
-    treeword: list[tuple[int, ...] | None] = [None] * nv
-    treeword[0] = ()
-    bfs = deque([0])
-    tree_edges = set()
-    while bfs:
-        v = bfs.popleft()
-        for s in range(2 * g.rank):
-            t = g.trans[v][s]
-            if t is not None and treeword[t] is None:
-                treeword[t] = treeword[v] + (unslot(s),)
-                tree_edges.add((v, s, t))
-                tree_edges.add((t, inv_slot(s), v))
-                bfs.append(t)
-
-    basis = []
-    for v in range(nv):
-        for s in range(0, 2 * g.rank, 2):  # positive slots once each
-            t = g.trans[v][s]
-            if t is None or (v, s, t) in tree_edges:
-                continue
-            # tree words are geodesic paths, so this concatenation is reduced
-            w = Word(tuple(treeword[v]) + (unslot(s),) + invert_ints(tuple(treeword[t])))
-            basis.append(((v, s), w))
-    # non-tree edges ordered by (generator slot, origin vertex)
-    basis.sort(key=lambda pair: (pair[0][1], pair[0][0]))
-    edge_index = {edge: i for i, (edge, _) in enumerate(basis)}
-    words = tuple(w for _, w in basis)
-    return tuple(treeword), edge_index, words, tree_edges
+            rows[ids[v]][s] = ids[t]
+    return SubgroupGraph(rank, _standardize(rank, rows), words)
 
 
 def basis_of(g: SubgroupGraph) -> tuple[Word, ...]:
     """Free basis of the subgroup, as ambient words, in a fixed order."""
-    return _tree_data(g)[2]
+    return g.schreier.basis
 
 
 def member(g: SubgroupGraph, w: Word) -> Word | None:
@@ -173,23 +136,8 @@ def member(g: SubgroupGraph, w: Word) -> Word | None:
     The result is a word over a fresh alphabet with one generator per basis
     element, in basis_of order.
     """
-    _, edge_index, _, tree_edges = _tree_data(g)
-    v = 0
-    expr: list[int] = []
-    for x in w.ints:
-        s = slot(x)
-        t = g.trans[v][s]
-        if t is None:
-            return None
-        if (v, s, t) not in tree_edges:
-            if s % 2 == 0:
-                expr.append(edge_index[(v, s)] + 1)
-            else:
-                expr.append(-(edge_index[(t, inv_slot(s))] + 1))
-        v = t
-    if v != 0:
-        return None
-    return Word.make(expr)
+    end, expr = g.schreier.walk(0, w)
+    return expr if end == 0 else None
 
 
 def graph_rank_index(g: SubgroupGraph) -> tuple[int, float]:

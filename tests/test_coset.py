@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import abelian_invariants
 from limitforge.coset import (
@@ -14,6 +15,7 @@ from limitforge.coset import (
     todd_coxeter,
 )
 from limitforge.presentation import parse
+from limitforge.stallings import basis_of, fold, member
 from limitforge.words import Word
 
 from oracles import FINITE_CORPUS, hall_counts, perm_group_order
@@ -115,3 +117,28 @@ def test_embed_round_trips_generators():
         amb = rs.embed(g)
         back = rewrite_in_subgroup(t, amb)
         assert back == g
+
+
+@pytest.fixture(scope="module")
+def f2_tables_and_graphs():
+    """Each subgroup of index <= 4 in F2, as a coset table and as the
+    Stallings graph folded from its Reidemeister-Schreier generators."""
+    out = []
+    for t in low_index(F2, 4):
+        gens = rs_presentation(F2, t).gens_ambient
+        out.append((t, gens, fold(2, gens)))
+    return out
+
+
+def test_stallings_graphs_match_coset_tables(f2_tables_and_graphs):
+    assert len(f2_tables_and_graphs) == 88
+    for t, gens, g in f2_tables_and_graphs:
+        assert g.trans == t.rows
+        assert basis_of(g) == gens
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12).map(Word.make))
+def test_membership_matches_subgroup_rewriting(f2_tables_and_graphs, w):
+    for t, _, g in f2_tables_and_graphs:
+        assert member(g, w) == rewrite_in_subgroup(t, w)

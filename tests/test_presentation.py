@@ -112,17 +112,6 @@ def test_enumerate_presentations_starts_at_input_and_dedups():
         seen.append(serialize(q))
 
 
-def test_enumerate_presentations_trace_images_hold():
-    from limitforge.oracles import free_abelian_oracle
-
-    wp = free_abelian_oracle(Z2)
-    stream = enumerate_presentations(Z2, with_trace=True)
-    for q, images in itertools.islice(stream, 15):
-        assert len(images) == Z2.rank
-        for img in images:
-            assert img.max_index() <= q.rank
-
-
 def test_consequence_stream_yields_trivial_words():
     from oracles import t1_nontrivial_witness
 

@@ -18,6 +18,19 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{info.name}.__all__ names {name}"
 
 
+def test_no_module_global_caches():
+    """Caches live on the table, graph, tower or run they describe, so a
+    run frees them with its objects.  The one exception is the pool of
+    words of a given rank and length, which holds no run objects."""
+    found = set()
+    for info in pkgutil.iter_modules(limitforge.__path__):
+        module = importlib.import_module(f"limitforge.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found.add(f"{value.__module__}.{value.__qualname__}")
+    assert found == {"limitforge.retracts._word_pool"}
+
+
 def test_recognition_budgets_script_runs():
     script = ROOT / "scripts" / "recognition_budgets.py"
     out = subprocess.run(
