@@ -94,15 +94,15 @@ def is_power_of(w: Word, r: Word) -> int | None:
         return 0 if not w else None
     if not w:
         return 0
+    # r = c core c^-1 with core cyclically reduced, so |r^e| = |e||core| + 2|c|
+    # for e != 0 and only one |e| can match the length of w
+    core, c = cyclic_reduce(r)
+    e, rest = divmod(len(w) - 2 * len(c), len(core))
+    if e < 1 or rest:
+        return None
     for sign in (1, -1):
-        base = r if sign > 0 else r.inv()
-        acc = base
-        e = 1
-        while len(acc) <= len(w) + 2 * len(r):
-            if acc == w:
-                return sign * e
-            acc = acc * base
-            e += 1
+        if r ** (sign * e) == w:
+            return sign * e
     return None
 
 

@@ -135,18 +135,17 @@ class _Syl:
 
 
 def _split_syllables(ints, lo: int, n: int) -> list[_Syl]:
+    """Maximal runs of lower letters and of step letters; ints is reduced,
+    so each lower run is a reduced word as it stands."""
     syls: list[_Syl] = []
-    for x in ints:
-        if abs(x) <= lo:
-            if syls and syls[-1].kind == _LOW:
-                syls[-1].word = syls[-1].word * Word((x,))
-            else:
-                syls.append(_Syl(_LOW, Word((x,)), None))
+    for low, run in itertools.groupby(ints, lambda x: abs(x) <= lo):
+        if low:
+            syls.append(_Syl(_LOW, Word(tuple(run)), None))
         else:
-            if not syls or syls[-1].kind != _BEE:
-                syls.append(_Syl(_BEE, EMPTY, [0] * n))
-            i = abs(x) - lo - 1
-            syls[-1].vec[i] += 1 if x > 0 else -1
+            vec = [0] * n
+            for x in run:
+                vec[abs(x) - lo - 1] += 1 if x > 0 else -1
+            syls.append(_Syl(_BEE, EMPTY, vec))
     return syls
 
 

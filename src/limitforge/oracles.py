@@ -8,13 +8,18 @@ finite-quotient actions.
 
 from __future__ import annotations
 
+import atexit
+import itertools
+import os
+import select
 import subprocess
+import time
 
 from .abelian import exponent_vector
 from .coset import Overflow, low_index, todd_coxeter
 from .freegroup import is_power_of
 from .presentation import Presentation, canonical_relator, consequence_stream
-from .words import Word, commutator, format_word, invert_ints
+from .words import Word, commutator, format_word, invert_ints, reduce_ints
 
 __all__ = [
     "WordOracle",
@@ -258,42 +263,30 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
 
     sides = (u, v)
 
+    def merge(syllables):
+        # multiply adjacent same-block syllables; a product that cancels
+        # to 1 drops out and lets its two neighbours meet in turn
+        out: list[tuple[int, tuple[int, ...]]] = []
+        for b, body in syllables:
+            if out and out[-1][0] == b:
+                body = reduce_ints(out.pop()[1] + body)
+            if body:
+                out.append((b, body))
+        return out
+
     def fn(w: Word) -> bool:
-        syllables: list[tuple[int, tuple[int, ...]]] = []
-        for x in w.ints:
-            b = block(x)
-            if syllables and syllables[-1][0] == b:
-                prev = syllables[-1][1]
-                merged = Word.make(prev + (x,)).ints
-                syllables[-1] = (b, merged)
-            else:
-                syllables.append((b, (x,)))
-        syllables = [s for s in syllables if s[1]]
-        while True:
-            # re-merge adjacent same-block syllables after a pinch
-            merged: list[tuple[int, tuple[int, ...]]] = []
-            for b, body in syllables:
-                if merged and merged[-1][0] == b:
-                    merged[-1] = (b, Word.make(merged[-1][1] + body).ints)
-                else:
-                    merged.append((b, body))
-            syllables = [s for s in merged if s[1]]
-            if len(syllables) == 0:
-                return True
-            if len(syllables) == 1:
-                return False  # free factors embed
-            pinched = False
+        # w is reduced, so each maximal one-block run is a reduced syllable
+        syllables = [(b, tuple(run)) for b, run in itertools.groupby(w.ints, block)]
+        while len(syllables) >= 2:
             for idx, (b, body) in enumerate(syllables):
                 k = is_power_of(Word(body), sides[b])
                 if k is not None:
-                    other = sides[1 - b] ** k
-                    syllables[idx : idx + 1] = (
-                        [(1 - b, other.ints)] if other.ints else []
-                    )
-                    pinched = True
+                    syllables[idx] = (1 - b, (sides[1 - b] ** k).ints)
+                    syllables = merge(syllables)
                     break
-            if not pinched:
+            else:
                 return False  # amalgam normal form with >= 2 syllables
+        return not syllables  # free factors embed
 
     return WordOracle(fn, True, "pinched")
 
@@ -397,11 +390,24 @@ def dovetail_oracle(p: Presentation, budget: int = 10**6) -> WordOracle:
 # External subprocess protocol
 
 
+# seconds an external oracle gets to answer one query before it counts
+# as hung and is terminated
+QUERY_TIMEOUT_S = 10.0
+
+
 class _Subprocess:
+    """An external oracle process: one word per line in, one line with 1
+    (trivial) or 0 (nontrivial) out.  A query that gets no reply within
+    QUERY_TIMEOUT_S, a reply that is neither, or a child that exits ends
+    the child and raises OracleProtocolError.  The child's stderr is
+    discarded, and it is terminated and reaped on close(), on leaving a
+    with block, or at interpreter exit."""
+
     def __init__(self, path: str, names):
         self.path = path
         self.names = names
         self.proc = None
+        self._pending = b""
 
     def _ensure(self):
         if self.proc is None:
@@ -410,26 +416,77 @@ class _Subprocess:
                     [self.path],
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
+                    stderr=subprocess.DEVNULL,
+                    bufsize=0,
                 )
             except OSError as e:
                 raise OracleProtocolError(f"cannot start oracle: {e}") from e
+            os.set_blocking(self.proc.stdin.fileno(), False)
+            atexit.register(self.close)
+
+    @staticmethod
+    def _wait(fd: int, write: bool, deadline: float) -> None:
+        fds = ([], [fd]) if write else ([fd], [])
+        if not any(select.select(*fds, [], max(deadline - time.monotonic(), 0))):
+            raise OracleProtocolError(
+                f"oracle gave no reply within {QUERY_TIMEOUT_S:g} s"
+            )
+
+    def _query(self, line: bytes) -> bytes:
+        deadline = time.monotonic() + QUERY_TIMEOUT_S
+        fd_in, fd_out = self.proc.stdin.fileno(), self.proc.stdout.fileno()
+        while line:
+            self._wait(fd_in, True, deadline)
+            try:
+                line = line[os.write(fd_in, line) :]
+            except BlockingIOError:
+                pass
+        while b"\n" not in self._pending:
+            self._wait(fd_out, False, deadline)
+            chunk = os.read(fd_out, 4096)
+            if not chunk:
+                raise OracleProtocolError("oracle exited without a reply")
+            self._pending += chunk
+        reply, _, self._pending = self._pending.partition(b"\n")
+        return reply
 
     def __call__(self, w: Word) -> bool:
         self._ensure()
         try:
-            self.proc.stdin.write(format_word(w, self.names) + "\n")
-            self.proc.stdin.flush()
-            line = self.proc.stdout.readline()
-        except (BrokenPipeError, OSError) as e:
+            reply = self._query((format_word(w, self.names) + "\n").encode())
+        except OSError as e:
+            self.close()
             raise OracleProtocolError(f"oracle pipe failed: {e}") from e
-        reply = line.strip()
-        if reply == "1":
-            return True
-        if reply == "0":
-            return False
-        raise OracleProtocolError(f"bad oracle reply {line!r}")
+        except OracleProtocolError:
+            self.close()
+            raise
+        if reply.strip() in (b"0", b"1"):
+            return reply.strip() == b"1"
+        self.close()
+        raise OracleProtocolError(f"bad oracle reply {reply.decode(errors='replace')!r}")
+
+    def close(self) -> None:
+        """Terminate the child, if one is running, and reap it."""
+        proc, self.proc = self.proc, None
+        self._pending = b""
+        if proc is None:
+            return
+        atexit.unregister(self.close)
+        proc.stdin.close()
+        proc.stdout.close()
+        if proc.poll() is None:
+            proc.terminate()
+            try:
+                proc.wait(timeout=1)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def subprocess_oracle(path: str, p: Presentation) -> WordOracle:

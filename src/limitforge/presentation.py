@@ -28,6 +28,8 @@ from .words import (
     invert_ints,
     parse_word,
     reduce_ints,
+    slot,
+    unslot,
     words_of_length,
     words_upto,
 )
@@ -54,17 +56,13 @@ def canonical_relator(w: Word) -> Word:
     while j - i >= 2 and core[i] == -core[j - 1]:
         i += 1
         j -= 1
-    core = core[i:j]
-    if not core:
+    if i == j:
         return EMPTY
-    best = None
-    for seq in (core, invert_ints(core)):
-        for k in range(len(seq)):
-            rot = seq[k:] + seq[:k]
-            key = Word(rot).slots()
-            if best is None or key < best[0]:
-                best = (key, rot)
-    return Word(best[1])
+    # compare rotations as slot tuples; slot(-x) == slot(x) ^ 1
+    keys = tuple(slot(x) for x in core[i:j])
+    inv = tuple(s ^ 1 for s in reversed(keys))
+    best = min(seq[k:] + seq[:k] for seq in (keys, inv) for k in range(len(seq)))
+    return Word(tuple(unslot(s) for s in best))
 
 
 @dataclass(frozen=True)

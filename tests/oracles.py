@@ -3,7 +3,8 @@
 Everything here computes expected values by brute force over explicit
 finite objects (permutations, product closures, integer recursions,
 specializing homomorphisms).  None of it calls the algorithms under
-test, so agreement is evidence rather than tautology.
+test, so agreement is evidence rather than tautology.  The word-kernel
+references at the end use only Word arithmetic.
 """
 
 from __future__ import annotations
@@ -211,3 +212,105 @@ def t1_corpus(seed: int = 20260817, n_random: int = 250, n_consequence: int = 25
             acc = acc * f.conjugated_by(c)
         out.append((acc, True))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Letter-by-letter references for the word kernels.  They rebuild a Word
+# per rotation, per power or per letter, which is quadratic but plain;
+# the library computes the same results in linear time.
+
+
+def canonical_relator_reference(w: Word) -> Word:
+    core = w.ints
+    i, j = 0, len(core)
+    while j - i >= 2 and core[i] == -core[j - 1]:
+        i += 1
+        j -= 1
+    core = core[i:j]
+    if not core:
+        return Word(())
+    best = None
+    for seq in (core, Word(core).inv().ints):
+        for k in range(len(seq)):
+            rot = seq[k:] + seq[:k]
+            key = Word(rot).slots()
+            if best is None or key < best[0]:
+                best = (key, rot)
+    return Word(best[1])
+
+
+def is_power_of_reference(w: Word, r: Word):
+    """Exponent e with w = r^e, or None, by growing r^e one factor at a
+    time until it outgrows w."""
+    if not r:
+        return 0 if not w else None
+    if not w:
+        return 0
+    for sign in (1, -1):
+        base = r if sign > 0 else r.inv()
+        acc = base
+        e = 1
+        while len(acc) <= len(w) + 2 * len(r):
+            if acc == w:
+                return sign * e
+            acc = acc * base
+            e += 1
+    return None
+
+
+def pinched_reference(rank1: int, u: Word, v: Word, w: Word) -> bool:
+    """Triviality of w in < F(rank1) * F | u = v > by syllable pinching,
+    with syllables grown one letter at a time: rewrite a syllable that is
+    a power of its side's edge word into the other side, multiply out
+    neighbours of one block, and stop at the amalgam normal form."""
+    sides = (u, v)
+    syllables: list = []
+    for x in w.ints:
+        b = 0 if abs(x) <= rank1 else 1
+        if syllables and syllables[-1][0] == b:
+            syllables[-1] = (b, Word.make(syllables[-1][1] + (x,)).ints)
+        else:
+            syllables.append((b, (x,)))
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(syllables)):
+                if not syllables[i][1]:
+                    del syllables[i]
+                    changed = True
+                    break
+                if i + 1 < len(syllables) and syllables[i][0] == syllables[i + 1][0]:
+                    body = Word.make(syllables[i][1] + syllables[i + 1][1]).ints
+                    syllables[i : i + 2] = [(syllables[i][0], body)]
+                    changed = True
+                    break
+        if not syllables:
+            return True
+        if len(syllables) == 1:
+            return False
+        for idx, (b, body) in enumerate(syllables):
+            k = is_power_of_reference(Word(body), sides[b])
+            if k is not None:
+                syllables[idx] = (1 - b, (sides[1 - b] ** k).ints)
+                break
+        else:
+            return False
+
+
+def split_syllables_reference(ints, lo: int, n: int) -> list:
+    """(kind, word, vec) per syllable over the top amalgam of a tower:
+    kind 0 is a run of lower letters, kind 1 a run of step letters with
+    their exponent vector.  Lower runs grow one letter at a time."""
+    syls: list = []
+    for x in ints:
+        if abs(x) <= lo:
+            if syls and syls[-1][0] == 0:
+                syls[-1][1] = syls[-1][1] * Word((x,))
+            else:
+                syls.append([0, Word((x,)), None])
+        else:
+            if not syls or syls[-1][0] != 1:
+                syls.append([1, Word(()), [0] * n])
+            syls[-1][2][abs(x) - lo - 1] += 1 if x > 0 else -1
+    return [tuple(s) for s in syls]

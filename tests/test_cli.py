@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, reports, budget resolution."""
 
 import json
+import pathlib
+import sys
+import time
 
 import pytest
 
+from limitforge import oracles
 from limitforge.cli import main
+
+FAKE_ORACLE = pathlib.Path(__file__).resolve().parent / "fake_oracle.py"
 
 
 @pytest.fixture()
@@ -153,6 +159,23 @@ def test_recognize_pinched(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "Limit"
+
+
+@pytest.mark.parametrize("mode", ["hang", "garbage", "exit"])
+def test_misbehaving_oracle_is_exit_3(capfd, grp, tmp_path, monkeypatch, mode):
+    monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 1.0)
+    script = tmp_path / mode
+    script.write_text(f"#!/bin/sh\nexec {sys.executable} {FAKE_ORACLE} {mode}\n")
+    script.chmod(0o755)
+    path = grp("z2.grp", "< a, b | [a,b] >")
+    start = time.monotonic()
+    code, out, err = run(capfd, "recognize", "--pres", path, "--oracle", f"cmd:{script}")
+    assert time.monotonic() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert "chatter" not in err  # the child's stderr is discarded
 
 
 def test_missing_file_is_exit_3(capsys, tmp_path):

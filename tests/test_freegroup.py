@@ -14,6 +14,8 @@ from limitforge.freegroup import (
 )
 from limitforge.words import EMPTY, Word, commutator
 
+from oracles import is_power_of_reference
+
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
 raw_words = st.lists(letters, max_size=24)
 
@@ -55,6 +57,26 @@ def test_is_power_of():
     assert is_power_of(W(-1, -1), W(1)) == -2
     assert is_power_of(EMPTY, W(1)) == 0
     assert is_power_of(W(1, 2), W(1)) is None
+
+
+def test_is_power_of_edge_cases():
+    # r not cyclically reduced: powers keep the conjugator once
+    r = W(2, 1, 3, -2)
+    assert is_power_of(W(2, 1, 3, 1, 3, -2), r) == 2
+    assert is_power_of(W(2, -3, -1, -3, -1, -3, -1, -2), r) == -3
+    assert is_power_of(W(1, 3, 1, 3), r) is None
+    # imprimitive r: exponents count copies of r, not of its root
+    a2 = W(1, 1)
+    assert is_power_of(W(1, 1, 1, 1), a2) == 2
+    assert is_power_of(W(1, 1, 1), a2) is None
+    assert is_power_of(W(-1, -1, -1, -1, -1, -1), a2) == -3
+    # the right length but the wrong content
+    assert is_power_of(W(1, 2, 1, 3), W(1, 2)) is None
+    assert is_power_of(W(2, 1, 2, 1), W(1, 2)) is None
+    assert is_power_of(W(1), W(1, 2)) is None
+    assert is_power_of(W(2), W(1)) is None
+    assert is_power_of(W(1), EMPTY) is None
+    assert is_power_of(EMPTY, EMPTY) == 0
 
 
 def test_centralizer_of_identity_is_everything():
@@ -129,3 +151,11 @@ def test_centralizer_elements_commute(xs):
     assert commutator(z, w) == EMPTY
     # and w is a power of the generator
     assert is_power_of(w, z) is not None
+
+
+@settings(derandomize=True, max_examples=300)
+@given(raw_words, st.lists(letters, max_size=6), st.integers(min_value=-6, max_value=6))
+def test_is_power_of_matches_reference(xs, rs, n):
+    w, r = Word.make(xs), Word.make(rs)
+    assert is_power_of(w, r) == is_power_of_reference(w, r)
+    assert is_power_of(r ** n, r) == is_power_of_reference(r ** n, r)

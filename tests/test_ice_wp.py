@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.ice import (
+    _split_syllables,
     extend_centralizer,
     ice_oracle,
     presentation_of,
@@ -15,9 +16,24 @@ from limitforge.ice import (
 from limitforge.presentation import parse, serialize
 from limitforge.words import Word, commutator
 
-from oracles import t1_corpus, t1_nontrivial_witness, t1_relator
+from oracles import (
+    split_syllables_reference,
+    t1_corpus,
+    t1_nontrivial_witness,
+    t1_relator,
+)
 
 T1 = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 1}]})
+T3 = tower_from_json(
+    {
+        "base_rank": 2,
+        "steps": [
+            {"g": "a", "n": 1},
+            {"g": "b*t", "n": 2},
+            {"g": "[a,b]", "n": 1},
+        ],
+    }
+)
 
 
 def W(*ints):
@@ -125,3 +141,15 @@ def test_conjugation_preserves_triviality_verdict(ints):
     c = Word.make(ints)
     for w in (t1_relator(), Word((3, 2)), Word((1,))):
         assert wp_ice(T1, w.conjugated_by(c)) == wp_ice(T1, w)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0), max_size=30))
+def test_split_syllables_matches_reference(xs):
+    for t in (T1, T3):
+        while t.steps:
+            n = t.steps[-1].n
+            ints = Word.make(x for x in xs if abs(x) <= t.rank).ints
+            got = [(s.kind, s.word, s.vec) for s in _split_syllables(ints, t.rank - n, n)]
+            assert got == split_syllables_reference(ints, t.rank - n, n)
+            t = t.lower()

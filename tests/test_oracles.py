@@ -5,7 +5,9 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from limitforge import oracles
 from limitforge.ice import ice_oracle, tower_from_json
 from limitforge.oracles import (
     OracleProtocolError,
@@ -23,7 +25,7 @@ from limitforge.oracles import (
 from limitforge.presentation import parse
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import perm_eval, FINITE_CORPUS
+from oracles import perm_eval, pinched_reference, FINITE_CORPUS
 
 
 def w(text, p):
@@ -93,8 +95,47 @@ def test_pinched_oracle_trivialities():
     assert wp(Word((1, -3))) is True
     assert wp(Word((1, 2))) is False
     assert wp(Word((3, -1))) is True
+    # a conjugated relator whose pinch empties a middle syllable, so the
+    # outer syllables must then cancel against each other
+    genus2 = pinched_oracle(
+        2, 2, commutator(Word((1,)), Word((2,))), commutator(Word((3,)), Word((4,)))
+    )
+    assert genus2(Word((1, 3, -1, -2, 1, 2, -4, -3, 4, -1))) is True
+    assert genus2(Word((1, 3, -1, -2, 1, 2, -4, -3, 4))) is False
     with pytest.raises(ValueError):
         pinched_oracle(2, 2, u, Word((1,)))
+
+
+# (rank1, rank2, u, v): genus two, and an amalgam of F2 and F2 over
+# a^2 = (c d)^3, whose edge words are proper powers
+PINCHED = (
+    (2, 2, commutator(Word((1,)), Word((2,))), commutator(Word((3,)), Word((4,)))),
+    (2, 2, Word((1, 1)), Word((3, 4, 3, 4, 3, 4))),
+)
+pinched_parts = st.lists(
+    st.one_of(
+        st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=5),
+        st.tuples(st.integers(min_value=-3, max_value=3), st.booleans()),
+    ),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(pinched_parts)
+def test_pinched_oracle_matches_reference(parts):
+    for rank1, rank2, u, v in PINCHED:
+        # mix free letters with powers u^k and v^-k that pinch
+        acc = Word(())
+        for part in parts:
+            if isinstance(part, list):
+                acc = acc * Word.make(part)
+            else:
+                k, left = part
+                acc = acc * (u ** k if left else v ** -k)
+        fn = pinched_oracle(rank1, rank2, u, v).fn
+        assert fn(acc) == pinched_reference(rank1, u, v, acc)
+        assert fn(acc * u * v.inv() * acc.inv()) is True
 
 
 def test_ice_oracle_agrees_with_tower():
@@ -173,6 +214,14 @@ def test_subprocess_protocol(tmp_path):
     assert wp(Word(())) is True
     assert wp(Word((1, 2, -1, -2))) is True
     assert wp(Word((1,))) is False
+    with wp.fn as child:
+        proc = child.proc
+        assert proc.poll() is None
+    # leaving the block terminates and reaps the child; the next query
+    # starts a fresh one
+    assert proc.returncode is not None and child.proc is None
+    assert wp(Word((2,))) is False
+    child.close()
 
 
 def test_subprocess_bad_reply_raises(tmp_path):
@@ -190,3 +239,14 @@ def test_subprocess_missing_binary(tmp_path):
     wp = subprocess_oracle(str(tmp_path / "absent"), p)
     with pytest.raises(OracleProtocolError):
         wp(Word((1,)))
+
+
+def test_subprocess_hang_times_out_and_reaps(tmp_path, monkeypatch):
+    monkeypatch.setattr(oracles, "QUERY_TIMEOUT_S", 0.5)
+    script = tmp_path / "silent"
+    script.write_text("#!/bin/sh\nexec sleep 60\n")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    child = oracles._Subprocess(str(script), ("a",))
+    with pytest.raises(OracleProtocolError, match="no reply"):
+        child(Word((1,)))
+    assert child.proc is None

@@ -1,5 +1,6 @@
 """Presentations: parsing, canonical relators, Tietze moves, enumeration."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -20,6 +21,8 @@ from limitforge.presentation import (
     tietze_simplify,
 )
 from limitforge.words import EMPTY, Word, commutator
+
+from oracles import canonical_relator_reference
 
 
 def W(*ints):
@@ -112,6 +115,18 @@ def test_enumerate_presentations_starts_at_input_and_dedups():
         seen.append(serialize(q))
 
 
+def test_tietze_stream_order_is_pinned():
+    """canonical_relator fixes relator order and so the order of the
+    Tietze stream; the witness race walks that stream."""
+    genus2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
+    digest = hashlib.sha256()
+    for q in itertools.islice(enumerate_presentations(genus2), 100):
+        digest.update(serialize(q).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "343f80008888e18100914048a099addf65471303372b5518fcf3534fa5538d4c"
+    )
+
+
 def test_consequence_stream_yields_trivial_words():
     from oracles import t1_nontrivial_witness
 
@@ -143,3 +158,10 @@ def test_canonical_relator_fixed_point(xs):
         k = len(xs) // 2
         rot = Word.make(tuple(xs[k:]) + tuple(xs[:k]))
         assert canonical_relator(rot).ints  # rotation of a nontrivial core
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0), max_size=24))
+def test_canonical_relator_matches_reference(xs):
+    w = Word.make(xs)
+    assert canonical_relator(w) == canonical_relator_reference(w)

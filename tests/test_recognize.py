@@ -9,6 +9,7 @@ from limitforge.oracles import (
     free_abelian_oracle,
     free_oracle,
     klein_oracle,
+    oracle_from,
     product_oracle,
 )
 from limitforge.presentation import parse, serialize
@@ -249,6 +250,19 @@ def test_recognize_free_paths():
     assert isinstance(v, NotFree)
     assert "commutation-transitivity" in v.reason
     assert v.witness is not None
+
+
+def test_recognize_free_step_counts_are_pinned():
+    """The Tietze hunt walks enumerate_presentations, so these exact
+    counts pin the order of that stream as well as the race."""
+    genus2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
+    v = recognize_free(genus2, oracle_from(genus2, "builtin:pinched"), 3500)
+    assert isinstance(v, Unknown)
+    assert v.report["used"] == 3499
+    f2xz = parse("< a, b, z | [a,z], [b,z] >")
+    v = recognize_free(f2xz, product_oracle(f2xz), 3500)
+    assert isinstance(v, NotFree)
+    assert v.report["used"] == 657
 
 
 def test_recognize_free_requires_total_oracle():
