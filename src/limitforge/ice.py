@@ -163,11 +163,35 @@ def _syl_word(s: _Syl, lo: int) -> Word:
     return s.word * _tee_word(s.vec, lo)
 
 
+def _push(stack: list[_Syl], s: _Syl) -> None:
+    """Put s on the stack: neighbours of one kind multiply, a step
+    syllable whose vector cancels becomes a lower one, and an empty lower
+    syllable drops out, so its neighbours meet at once."""
+    while True:
+        if s.kind == _BEE and not any(s.vec):
+            s = _Syl(_LOW, s.word, None)
+        if s.kind == _LOW and not s.word.ints:
+            return
+        if not stack or stack[-1].kind != s.kind:
+            stack.append(s)
+            return
+        prev = stack.pop()
+        vec = None if s.kind == _LOW else [a + b for a, b in zip(prev.vec, s.vec)]
+        s = _Syl(s.kind, prev.word * s.word, vec)
+
+
 def _pinch(t: IceTower, w: Word, cyclic: bool):
     """Reduce w to an alternating normal form over the top amalgam.
 
     Returns (syllables, conjugator); with cyclic=True the form is also
     cyclically reduced and conj^-1 * w * conj equals the returned word.
+
+    Pass 1 merges on a stack with no edge tests, so every cancellation
+    happens before a lower syllable is tested.  Pass 2 restacks the
+    result and tests each lower syllable once it is final (a step
+    syllable follows it, or the word ends).  Edge elements commute with
+    the step generators, so one joins the step syllable on its left, or
+    the next one if it comes first.
     """
     top = t.steps[-1]
     lo = t.rank - top.n
@@ -176,67 +200,34 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     def in_edge(u: Word) -> bool:
         return _wp(low, commutator(u, top.g).ints)
 
-    syls = _split_syllables(w.ints, lo, top.n)
+    def absorb_last() -> None:
+        if len(syls) >= 2 and syls[-1].kind == _LOW and in_edge(syls[-1].word):
+            u = syls.pop().word
+            syls[-1].word = syls[-1].word * u
+
+    merged: list[_Syl] = []
+    for s in _split_syllables(w.ints, lo, top.n):
+        _push(merged, s)
+    syls: list[_Syl] = []
+    for s in merged:
+        if s.kind == _BEE and syls and syls[-1].kind == _LOW and in_edge(syls[-1].word):
+            u = syls.pop().word
+            if syls:
+                syls[-1].word = syls[-1].word * u
+            else:
+                s.word = u * s.word
+        _push(syls, s)
+    absorb_last()
     conj = EMPTY
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(syls):
-                s = syls[i]
-                if s.kind == _BEE and not any(s.vec):
-                    s.kind = _LOW
-                    s.vec = None
-                    changed = True
-                    continue
-                if s.kind == _LOW and not s.word.ints:
-                    del syls[i]
-                    changed = True
-                    continue
-                if i + 1 < len(syls) and syls[i + 1].kind == s.kind:
-                    nxt = syls[i + 1]
-                    if s.kind == _LOW:
-                        s.word = s.word * nxt.word
-                    else:
-                        s.word = s.word * nxt.word
-                        s.vec = [a + b for a, b in zip(s.vec, nxt.vec)]
-                    del syls[i + 1]
-                    changed = True
-                    continue
-                i += 1
-            if changed:
-                continue
-            for i, s in enumerate(syls):
-                if s.kind != _LOW:
-                    continue
-                left = i > 0 and syls[i - 1].kind == _BEE
-                right = i + 1 < len(syls) and syls[i + 1].kind == _BEE
-                if (left or right) and in_edge(s.word):
-                    # edge elements commute with the step generators
-                    if left:
-                        syls[i - 1].word = syls[i - 1].word * s.word
-                    else:
-                        syls[i + 1].word = s.word * syls[i + 1].word
-                    del syls[i]
-                    changed = True
-                    break
-        if not cyclic or len(syls) < 2:
-            break
-        first, last = syls[0], syls[-1]
-        if first.kind == last.kind:
-            conj = conj * _syl_word(first, lo)
-            syls.append(syls.pop(0))
-            continue
-        if first.kind == _LOW and in_edge(first.word):
-            conj = conj * first.word
-            syls.append(syls.pop(0))
-            continue
-        if last.kind == _LOW and in_edge(last.word):
-            conj = conj * last.word.inv()
-            syls.insert(0, syls.pop())
-            continue
-        break
+    # Cyclic mode: the stack's bottom is the first syllable.  Every lower
+    # syllable with a step neighbour has failed the edge test, so the ends
+    # reduce only when they have one kind: the first moves onto the top,
+    # merges there, and only the top needs settling.
+    while cyclic and len(syls) >= 2 and syls[0].kind == syls[-1].kind:
+        first = syls.pop(0)
+        conj = conj * _syl_word(first, lo)
+        _push(syls, first)
+        absorb_last()
     return syls, conj
 
 
@@ -251,10 +242,6 @@ def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
 def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool:
     if not t.steps:
         return not Word.make(ints).ints
-    top = t.steps[-1]
-    lo = t.rank - top.n
-    if all(abs(x) <= lo for x in ints):
-        return _wp(t.lower(), ints)
     syls, _ = _pinch(t, Word.make(ints), cyclic=False)
     if not syls:
         return True
@@ -287,17 +274,9 @@ class Classification:
     conjugator: Word | None = None  # h with h^-1 g h inside that subgroup
 
 
-def _edge_class(t: IceTower) -> Classification:
-    return _classify(t.lower(), t.steps[-1].g)
-
-
 def _classify(t: IceTower, w: Word) -> Classification:
     if not t.steps:
         return Classification("hyperbolic")
-    top = t.steps[-1]
-    lo = t.rank - top.n
-    if all(abs(x) <= lo for x in w.ints):
-        return _under_top(t, w, EMPTY)
     syls, conj = _pinch(t, w, cyclic=True)
     if len(syls) >= 2:
         return Classification("hyperbolic")
@@ -317,7 +296,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", k, conj)
     sub = _classify(low, u)
     if sub.kind == "parabolic":
-        edge = _edge_class(t)
+        edge = _classify(low, top.g)
         if edge.kind == "parabolic" and edge.level == sub.level:
             # same maximal abelian iff the conjugators differ by a member
             x = edge.conjugator.inv() * sub.conjugator
@@ -351,10 +330,7 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
     """Maximal root of a hyperbolic word: (r, e) with r^e = w."""
     if not t.steps:
         return primitive_root(w)
-    top = t.steps[-1]
-    lo = t.rank - top.n
-    if all(abs(x) <= lo for x in w.ints):
-        return _max_root(t.lower(), w)
+    lo = t.rank - t.steps[-1].n
     syls, conj = _pinch(t, w, cyclic=True)
     if len(syls) == 1:
         if syls[0].kind == _BEE:

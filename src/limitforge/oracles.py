@@ -222,7 +222,7 @@ def product_oracle(p: Presentation) -> WordOracle:
     return WordOracle(fn, True, name)
 
 
-def auto_oracle(p: Presentation, max_cosets: int = 50000) -> WordOracle:
+def auto_oracle(p: Presentation) -> WordOracle:
     """First exact engine that applies: free, free abelian, Klein, direct
     product, finite. Raises when none does."""
     if not p.relators:
@@ -234,7 +234,7 @@ def auto_oracle(p: Presentation, max_cosets: int = 50000) -> WordOracle:
     if _product_split(p) is not None:
         return product_oracle(p)
     try:
-        return finite_oracle(p, max_cosets=max_cosets)
+        return finite_oracle(p, max_cosets=50_000)
     except ValueError:
         raise ValueError(
             "no built-in exact engine applies; use dovetail or cmd:"
@@ -502,7 +502,6 @@ def oracle_from(
     strategy: str = "builtin:auto",
     *,
     tower=None,
-    budget: int | None = None,
 ) -> WordOracle:
     """Build a word oracle for p from a named strategy.
 
@@ -513,7 +512,7 @@ def oracle_from(
     if strategy.startswith("cmd:"):
         return subprocess_oracle(strategy[4:], p)
     if strategy == "dovetail":
-        return dovetail_oracle(p, budget if budget is not None else 10**6)
+        return dovetail_oracle(p)
     if not strategy.startswith("builtin:"):
         raise ValueError(f"unknown oracle strategy {strategy!r}")
     kind = strategy[8:]

@@ -27,7 +27,8 @@ from .presentation import (
     substitute,
     tietze_simplify,
 )
-from .words import Word, commutator, validate_word, words_of_length, words_upto
+from .retracts import _word_pool
+from .words import Word, commutator, validate_word, words_upto
 
 _QUANTUM = 128
 _TIER = object()  # CertifySearch stream marker: a new cost tier starts
@@ -229,23 +230,23 @@ class CertifySearch:
             self.max_cost = cost
             for lg in range(1, cost):
                 n = cost - lg + 1
-                for g in words_of_length(rank, lg):
+                for g in _word_pool(rank, lg):
                     self.spent += cost
                     self.candidates += 1
                     yield self._torsion(g, n)
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
-                    for a in words_of_length(rank, la):
-                        for b in words_of_length(rank, lb):
-                            for c in words_of_length(rank, lc):
+                    for a in _word_pool(rank, la):
+                        for b in _word_pool(rank, lb):
+                            for c in _word_pool(rank, lc):
                                 self.spent += cost
                                 self.candidates += 1
                                 yield self._ct(a, b, c)
             for lg in range(1, cost):
                 lh = cost - lg
-                for g in words_of_length(rank, lg):
-                    for h in words_of_length(rank, lh):
+                for g in _word_pool(rank, lg):
+                    for h in _word_pool(rank, lh):
                         self.spent += cost
                         self.candidates += 1
                         yield self._inversion(g, h)

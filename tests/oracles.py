@@ -4,7 +4,9 @@ Everything here computes expected values by brute force over explicit
 finite objects (permutations, product closures, integer recursions,
 specializing homomorphisms).  None of it calls the algorithms under
 test, so agreement is evidence rather than tautology.  The word-kernel
-references at the end use only Word arithmetic.
+references at the end use only Word arithmetic, except the tower
+syllable reduction, which keeps the tower word problem for its edge
+tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 import random
 
 from limitforge.freegroup import eval_hom
-from limitforge.words import Word, commutator
+from limitforge.ice import _BEE, _LOW, _split_syllables, _syl_word, _wp
+from limitforge.words import EMPTY, Word, commutator
 
 
 # ---------------------------------------------------------------------------
@@ -314,3 +317,79 @@ def split_syllables_reference(ints, lo: int, n: int) -> list:
                 syls.append([1, Word(()), [0] * n])
             syls[-1][2][abs(x) - lo - 1] += 1 if x > 0 else -1
     return [tuple(s) for s in syls]
+
+
+def pinch_reference(t, w: Word, cyclic: bool):
+    """(syllables, conjugator) of w over the top amalgam of tower t, by a
+    fixed-point loop that rescans from the first syllable after every
+    merge or pinch, and tests edge membership through the word problem
+    one level down."""
+    top = t.steps[-1]
+    lo = t.rank - top.n
+    low = t.lower()
+
+    def in_edge(u: Word) -> bool:
+        return _wp(low, commutator(u, top.g).ints)
+
+    syls = _split_syllables(w.ints, lo, top.n)
+    conj = EMPTY
+    while True:
+        changed = True
+        while changed:
+            changed = False
+            i = 0
+            while i < len(syls):
+                s = syls[i]
+                if s.kind == _BEE and not any(s.vec):
+                    s.kind = _LOW
+                    s.vec = None
+                    changed = True
+                    continue
+                if s.kind == _LOW and not s.word.ints:
+                    del syls[i]
+                    changed = True
+                    continue
+                if i + 1 < len(syls) and syls[i + 1].kind == s.kind:
+                    nxt = syls[i + 1]
+                    if s.kind == _LOW:
+                        s.word = s.word * nxt.word
+                    else:
+                        s.word = s.word * nxt.word
+                        s.vec = [a + b for a, b in zip(s.vec, nxt.vec)]
+                    del syls[i + 1]
+                    changed = True
+                    continue
+                i += 1
+            if changed:
+                continue
+            for i, s in enumerate(syls):
+                if s.kind != _LOW:
+                    continue
+                left = i > 0 and syls[i - 1].kind == _BEE
+                right = i + 1 < len(syls) and syls[i + 1].kind == _BEE
+                if (left or right) and in_edge(s.word):
+                    # edge elements commute with the step generators
+                    if left:
+                        syls[i - 1].word = syls[i - 1].word * s.word
+                    else:
+                        syls[i + 1].word = s.word * syls[i + 1].word
+                    del syls[i]
+                    changed = True
+                    break
+        if not cyclic or len(syls) < 2:
+            break
+        first, last = syls[0], syls[-1]
+        if first.kind == last.kind:
+            conj = conj * _syl_word(first, lo)
+            syls.append(syls.pop(0))
+            continue
+        if first.kind == _LOW and in_edge(first.word):
+            conj = conj * first.word
+            syls.append(syls.pop(0))
+            continue
+        if last.kind == _LOW and in_edge(last.word):
+            conj = conj * last.word.inv()
+            syls.insert(0, syls.pop())
+            continue
+        break
+    return syls, conj

@@ -1,10 +1,15 @@
 """Word problem in centralizer-extension towers."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.ice import (
+    _pinch,
     _split_syllables,
+    centralizer_ice,
     extend_centralizer,
     ice_oracle,
     presentation_of,
@@ -17,6 +22,8 @@ from limitforge.presentation import parse, serialize
 from limitforge.words import Word, commutator
 
 from oracles import (
+    pinch_reference,
+    random_reduced_word,
     split_syllables_reference,
     t1_corpus,
     t1_nontrivial_witness,
@@ -34,6 +41,10 @@ T3 = tower_from_json(
         ],
     }
 )
+# rank-2 steps, where a step syllable's vector can cancel in one letter
+# while the other keeps it alive
+TA = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 2}]})
+TB = tower_from_json({"base_rank": 2, "steps": [{"g": "a^-1", "n": 2}]})
 
 
 def W(*ints):
@@ -153,3 +164,87 @@ def test_split_syllables_matches_reference(xs):
             got = [(s.kind, s.word, s.vec) for s in _split_syllables(ints, t.rank - n, n)]
             assert got == split_syllables_reference(ints, t.rank - n, n)
             t = t.lower()
+
+
+def _syllables(syls):
+    return [(s.kind, s.word, s.vec) for s in syls]
+
+
+def _pinch_words(t, rng, count):
+    """Products of random pieces over the top amalgam of t: step letters,
+    lower words, conjugated relators, and powers of the step's g with a
+    relator of the level below spliced in.  The last are edge elements
+    that are not free powers of one word, so the order in which they
+    join a step syllable shows in its word."""
+    top = t.steps[-1]
+    lo = t.rank - top.n
+    rels = presentation_of(t).relators
+    low_rels = presentation_of(t.lower()).relators or [Word(())]
+    out = []
+    for _ in range(count):
+        w = Word(())
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                piece = W(rng.choice((1, -1)) * rng.randint(lo + 1, t.rank))
+            elif kind == 1:
+                piece = random_reduced_word(rng, lo, rng.randint(1, 4))
+            elif kind == 2:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 3))
+                piece = rng.choice(rels).conjugated_by(c)
+            else:
+                c = random_reduced_word(rng, lo, rng.randint(0, 2))
+                piece = top.g ** rng.choice((-2, -1, 1, 2))
+                piece = piece * rng.choice(low_rels).conjugated_by(c)
+            w = w * piece
+        if rng.random() < 0.5:
+            # a conjugate, so that cyclic reduction has ends to merge
+            w = w.conjugated_by(random_reduced_word(rng, t.rank, rng.randint(1, 4)))
+        out.append(w)
+    return out
+
+
+# a stack that tests a lower syllable before every cancellation around it
+# has happened reduces these two words differently
+PINNED_PINCH_WORDS = [
+    (TA, W(-2, -2, -4, -2, -3, 1, 3, 1, -2, -2, 4, -3, -1, -4, 3, 4, -3, 1, 1, 2, 4, 4)),
+    (TB, W(3, -1, -4, -4, -1, -4, -2, 4, 3, -4, -3, 2, 4, 1, 4, 4, 1, -2, -2)),
+]
+
+
+def test_pinch_matches_reference():
+    rng = random.Random(20261018)
+    cases = list(PINNED_PINCH_WORDS)
+    for t in (T1, T3, TA, TB):
+        level = t
+        while level.steps:
+            cases += [(level, w) for w in _pinch_words(level, rng, 300)]
+            level = level.lower()
+    for t, w in cases:
+        for cyclic in (False, True):
+            got, conj = _pinch(t, w, cyclic)
+            want, want_conj = pinch_reference(t, w, cyclic)
+            assert _syllables(got) == _syllables(want), (t, w, cyclic)
+            assert conj == want_conj, (t, w, cyclic)
+
+
+def test_tower_outputs_are_pinned():
+    """sha256 over wp_ice answers and centralizer_ice bases of a seeded
+    word list on T1 and T3: any change that moves one answer or one basis
+    word changes it."""
+    h = hashlib.sha256()
+    for t, count in ((T1, 120), (T3, 40)):
+        rng = random.Random(20261018)
+        rels = presentation_of(t).relators
+        for i in range(count):
+            w = random_reduced_word(rng, t.rank, rng.randint(1, 10))
+            if i % 2:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 4))
+                w = w * rng.choice(rels).conjugated_by(c)
+            trivial = wp_ice(t, w)
+            h.update(repr((w.ints, trivial)).encode())
+            if not trivial:
+                h.update(repr([b.ints for b in centralizer_ice(t, w)]).encode())
+    assert h.hexdigest() == (
+        "a5fe72e5c7ae89afa2170395c492ea91ddb3b50a06a937c560af47037486afa3"
+    )

@@ -1,5 +1,6 @@
 """Guards on the package surface and the shipped scripts."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -16,6 +17,38 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"limitforge.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{info.name}.__all__ names {name}"
+
+
+def _imported_modules(path: pathlib.Path) -> set:
+    """Names of the limitforge modules that a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level == 1:
+                found.add(node.module.split(".")[0])
+            elif node.module and node.module.startswith("limitforge."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("limitforge."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_every_module_is_imported_by_the_package():
+    """A module that no other package module imports is API that nothing
+    calls.  The exceptions are the entry points `__init__` and `cli`, and
+    `stallings`, the folded-graph library that acceptance criterion 2
+    calls directly and no engine needs."""
+    package = pathlib.Path(limitforge.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py")}
+    imported = set()
+    for name, path in modules.items():
+        imported |= _imported_modules(path) - {name}
+    orphans = set(modules) - imported - {"__init__", "cli", "stallings"}
+    assert not orphans, f"modules nothing in the package imports: {sorted(orphans)}"
 
 
 def test_no_module_global_caches():
