@@ -83,6 +83,11 @@ class IceTower:
     def _wp_memo(self) -> dict[tuple[int, ...], bool]:
         return {}
 
+    @cached_property
+    def _edge_memo(self) -> dict[tuple[int, ...], bool]:
+        # lower-level word -> whether it lies in the top step's edge group
+        return {}
+
 
 def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
     out: list[str] = []
@@ -134,18 +139,26 @@ class _Syl:
         self.vec = vec  # _BEE only: exponents of the step generators
 
 
-def _split_syllables(ints, lo: int, n: int) -> list[_Syl]:
+def _split_syllables(ints: tuple[int, ...], lo: int, n: int) -> list[_Syl]:
     """Maximal runs of lower letters and of step letters; ints is reduced,
-    so each lower run is a reduced word as it stands."""
+    so each lower run is a reduced word as it stands.  A word with no
+    step letters comes back as one syllable holding ints itself."""
     syls: list[_Syl] = []
-    for low, run in itertools.groupby(ints, lambda x: abs(x) <= lo):
-        if low:
-            syls.append(_Syl(_LOW, Word(tuple(run)), None))
+    i, end = 0, len(ints)
+    while i < end:
+        j = i
+        if -lo <= ints[i] <= lo:
+            while j < end and -lo <= ints[j] <= lo:
+                j += 1
+            syls.append(_Syl(_LOW, Word(ints[i:j]), None))
         else:
             vec = [0] * n
-            for x in run:
+            while j < end and not -lo <= ints[j] <= lo:
+                x = ints[j]
                 vec[abs(x) - lo - 1] += 1 if x > 0 else -1
+                j += 1
             syls.append(_Syl(_BEE, EMPTY, vec))
+        i = j
     return syls
 
 
@@ -195,13 +208,9 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     """
     top = t.steps[-1]
     lo = t.rank - top.n
-    low = t.lower()
-
-    def in_edge(u: Word) -> bool:
-        return _wp(low, commutator(u, top.g).ints)
 
     def absorb_last() -> None:
-        if len(syls) >= 2 and syls[-1].kind == _LOW and in_edge(syls[-1].word):
+        if len(syls) >= 2 and syls[-1].kind == _LOW and _in_edge(t, syls[-1].word):
             u = syls.pop().word
             syls[-1].word = syls[-1].word * u
 
@@ -210,7 +219,7 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
         _push(merged, s)
     syls: list[_Syl] = []
     for s in merged:
-        if s.kind == _BEE and syls and syls[-1].kind == _LOW and in_edge(syls[-1].word):
+        if s.kind == _BEE and syls and syls[-1].kind == _LOW and _in_edge(t, syls[-1].word):
             u = syls.pop().word
             if syls:
                 syls[-1].word = syls[-1].word * u
@@ -231,6 +240,17 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     return syls, conj
 
 
+def _in_edge(t: IceTower, u: Word) -> bool:
+    """Whether u, a word of the level below, lies in the edge group of the
+    top step, that is, commutes with its g.  Memoized on the tower; the
+    commutator is decided uncached, since no other path asks for it."""
+    memo = t._edge_memo
+    got = memo.get(u.ints)
+    if got is None:
+        got = memo[u.ints] = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
+    return got
+
+
 def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
     memo = t._wp_memo
     got = memo.get(ints)
@@ -240,9 +260,11 @@ def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
 
 
 def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool:
+    """ints is reduced; a word with no top step letters reaches the level
+    below as this same tuple, so both memos share it."""
     if not t.steps:
-        return not Word.make(ints).ints
-    syls, _ = _pinch(t, Word.make(ints), cyclic=False)
+        return not ints
+    syls, _ = _pinch(t, Word(ints), cyclic=False)
     if not syls:
         return True
     if len(syls) > 1:
@@ -291,7 +313,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
     top = t.steps[-1]
     low = t.lower()
     k = len(t.steps)
-    if _wp(low, commutator(u, top.g).ints):
+    if _in_edge(t, u):
         # u centralizes g, so it sits inside the extended subgroup itself
         return Classification("parabolic", k, conj)
     sub = _classify(low, u)
@@ -307,7 +329,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", sub.level, conj * sub.conjugator)
     if len(top.basis) == 1:
         for c in words_upto(t.rank - top.n, _RESIDUAL_LEN):
-            if _wp(low, commutator(c.inv() * u * c, top.g).ints):
+            if _in_edge(t, c.inv() * u * c):
                 return Classification("parabolic", k, conj * c)
     return Classification("hyperbolic")
 

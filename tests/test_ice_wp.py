@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitforge import ice
 from limitforge.ice import (
     _pinch,
     _split_syllables,
@@ -166,6 +168,18 @@ def test_split_syllables_matches_reference(xs):
             t = t.lower()
 
 
+def test_split_syllables_keeps_an_all_lower_word():
+    """A word with no step letters is one syllable over the caller's own
+    tuple, and the word problem hands that tuple to the level below."""
+    for t in _fresh_towers():
+        lo = t.rank - t.steps[-1].n
+        ints = Word.make((1, 2, -1, 2, 2)).ints
+        syls = _split_syllables(ints, lo, t.steps[-1].n)
+        assert len(syls) == 1 and syls[0].word.ints is ints
+        wp_ice(t, Word(ints))
+        assert any(key is ints for key in t.lower()._wp_memo)
+
+
 def _syllables(syls):
     return [(s.kind, s.word, s.vec) for s in syls]
 
@@ -248,3 +262,54 @@ def test_tower_outputs_are_pinned():
     assert h.hexdigest() == (
         "a5fe72e5c7ae89afa2170395c492ea91ddb3b50a06a937c560af47037486afa3"
     )
+
+
+def _fresh_towers():
+    """T1, T3, TA and TB rebuilt, so every level starts with empty memos."""
+    return [tower_from_json(tower_to_json(t)) for t in (T1, T3, TA, TB)]
+
+
+def _levels(t):
+    while t.steps:
+        yield t
+        t = t.lower()
+
+
+def _edge_batch(towers):
+    """Seeded wp_ice and centralizer_ice calls on each tower."""
+    rng = random.Random(20261018)
+    for t in towers:
+        rels = presentation_of(t).relators
+        for i in range(40):
+            w = random_reduced_word(rng, t.rank, rng.randint(1, 10))
+            if i % 2:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 4))
+                w = w * rng.choice(rels).conjugated_by(c)
+            if not wp_ice(t, w):
+                centralizer_ice(t, w)
+
+
+def test_edge_memo_matches_commutator():
+    towers = _fresh_towers()
+    _edge_batch(towers)
+    for t, fresh in zip(towers, _fresh_towers()):
+        for level, check in zip(_levels(t), _levels(fresh)):
+            assert level._edge_memo, level
+            g = level.steps[-1].g
+            for ints, member in level._edge_memo.items():
+                assert wp_ice(check.lower(), commutator(Word(ints), g)) is member
+
+
+def test_edge_commutator_built_once_per_word(monkeypatch):
+    towers = _fresh_towers()
+    built = []
+
+    def counting(u, v):
+        if sys._getframe(1).f_code.co_name == "_in_edge":
+            built.append(u)
+        return commutator(u, v)
+
+    monkeypatch.setattr(ice, "commutator", counting)
+    _edge_batch(towers)
+    entries = sum(len(level._edge_memo) for t in towers for level in _levels(t))
+    assert entries and len(built) == entries

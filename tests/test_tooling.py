@@ -2,10 +2,14 @@
 
 import ast
 import importlib
+import importlib.util
+import json
 import pathlib
 import pkgutil
 import subprocess
 import sys
+
+import pytest
 
 import limitforge
 
@@ -92,3 +96,46 @@ def test_benchmark_tracer_installs():
         "tracer.Tracer().install()\n"
     )
     subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
+
+
+def _load_bench_script():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run_output(workload: str, digest: str) -> str:
+    """The context line and the last line of a run.py --trace 0 run."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    context = {"workload": workload, "seed": 1, "seconds": 30, "trace": 0,
+               "python": "3.12.0", "nproc": 2, "commit": "0" * 40,
+               "src_sha256": digest, "passes": 3}
+    last = {"correct": True, "attempted": 9, "failed": 0,
+            "metrics": {m["name"]: {"value": 1.5, "unit": m["unit"]} for m in declared}}
+    return f"# {json.dumps(context)}\n# untraced pass: wall 1.5 s\n{json.dumps(last)}\n"
+
+
+def test_bench_script_writes_its_schema(tmp_path):
+    bench = _load_bench_script()
+    outputs = {w: _canned_run_output(w, "abcdef0123456789") for w in bench.WORKLOADS}
+    path = tmp_path / "BENCH_x.json"
+    bench.write_bench(path, "x", outputs)
+    record = json.loads(path.read_text())
+    assert set(record) == {"label", "commit", "src_sha256", "python", "nproc", "workloads"}
+    assert (record["label"], record["commit"]) == ("x", "0" * 40)
+    assert record["src_sha256"] == "abcdef0123456789"
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert list(record["workloads"]) == sorted(bench.WORKLOADS)
+    for rec in record["workloads"].values():
+        assert set(rec) == {"seed", "correct", "attempted", "failed", "metrics"}
+        assert sorted(rec["metrics"]) == sorted(declared)
+    assert bench.write_bench(path, "x", outputs, commit="f" * 40)["commit"] == "f" * 40
+
+
+def test_bench_script_refuses_mixed_sources(tmp_path):
+    bench = _load_bench_script()
+    outputs = {"tower-wp": _canned_run_output("tower-wp", "a" * 16),
+               "witness-race": _canned_run_output("witness-race", "b" * 16)}
+    with pytest.raises(ValueError):
+        bench.write_bench(tmp_path / "BENCH_x.json", "x", outputs)
