@@ -105,14 +105,18 @@ def _load_bench_script():
     return module
 
 
+def _end_to_end_metrics() -> list:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
 def _canned_run_output(workload: str, digest: str) -> str:
     """The context line and the last line of a run.py --trace 0 run."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     context = {"workload": workload, "seed": 1, "seconds": 30, "trace": 0,
                "python": "3.12.0", "nproc": 2, "commit": "0" * 40,
                "src_sha256": digest, "passes": 3}
     last = {"correct": True, "attempted": 9, "failed": 0,
-            "metrics": {m["name"]: {"value": 1.5, "unit": m["unit"]} for m in declared}}
+            "metrics": {m["name"]: {"value": 1.5, "unit": m["unit"]}
+                        for m in _end_to_end_metrics()}}
     return f"# {json.dumps(context)}\n# untraced pass: wall 1.5 s\n{json.dumps(last)}\n"
 
 
@@ -125,7 +129,7 @@ def test_bench_script_writes_its_schema(tmp_path):
     assert set(record) == {"label", "commit", "src_sha256", "python", "nproc", "workloads"}
     assert (record["label"], record["commit"]) == ("x", "0" * 40)
     assert record["src_sha256"] == "abcdef0123456789"
-    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    declared = [m["name"] for m in _end_to_end_metrics()]
     assert list(record["workloads"]) == sorted(bench.WORKLOADS)
     for rec in record["workloads"].values():
         assert set(rec) == {"seed", "correct", "attempted", "failed", "metrics"}
