@@ -17,7 +17,7 @@ import time
 
 from .abelian import exponent_vector
 from .coset import Overflow, low_index, todd_coxeter
-from .freegroup import is_power_of
+from .freegroup import cyclic_reduce, is_power_of
 from .presentation import Presentation, canonical_relator, consequence_stream
 from .words import Word, commutator, format_word, invert_ints, reduce_ints
 
@@ -262,6 +262,8 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
         return 0 if abs(letter) <= rank1 else 1
 
     sides = (u, v)
+    # a nonempty word shorter than a side's cyclic core is no power of it
+    core_lens = tuple(len(cyclic_reduce(side)[0]) for side in sides)
 
     def merge(syllables):
         # multiply adjacent same-block syllables; a product that cancels
@@ -279,6 +281,8 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
         syllables = [(b, tuple(run)) for b, run in itertools.groupby(w.ints, block)]
         while len(syllables) >= 2:
             for idx, (b, body) in enumerate(syllables):
+                if len(body) < core_lens[b]:
+                    continue
                 k = is_power_of(Word(body), sides[b])
                 if k is not None:
                     syllables[idx] = (1 - b, (sides[1 - b] ** k).ints)

@@ -255,16 +255,18 @@ def _fresh_name(names) -> str:
 
 
 def _addable_relators(q: Presentation, bound: int):
-    """Candidate redundant relators: products of at most two conjugated
-    relators with total conjugator length < bound."""
+    """Candidate redundant relators: products of two conjugated relators
+    with total conjugator length < bound.
+
+    A single conjugate conj * r^+-1 * conj^-1 is not yielded: its
+    canonical relator is r itself, already in q.relators.
+    """
     singles = []
     for conj in words_upto(q.rank, bound - 1):
         for j in range(len(q.relators)):
             for s in (1, -1):
                 r = q.relators[j] if s > 0 else q.relators[j].inv()
                 singles.append((len(conj), conj * r * conj.inv()))
-    for _, w in singles:
-        yield w
     for (c1, w1), (c2, w2) in itertools.product(singles, repeat=2):
         if c1 + c2 <= bound - 1:
             yield w1 * w2

@@ -65,25 +65,43 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
     equation to 1 and no inequation to 1, or None when no assignment
     within the bound does.  A returned assignment disproves the
     sentence; None is only a bounded guarantee.
+
+    Assignments are walked depth first in itertools.product order, and
+    each word is checked as soon as its highest variable is bound, so a
+    failed check prunes every assignment extending that prefix.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     pool = list(words_upto(target_rank, bound))
-    for assign in itertools.product(pool, repeat=len(s.variables)):
-        ok = True
-        for g in s.inequations:
-            if not substitute(g, assign).ints:
-                ok = False
-                break
-        if not ok:
-            continue
-        for e in s.equations:
-            if substitute(e, assign).ints:
-                ok = False
-                break
-        if ok:
-            return assign
-    return None
+    n = len(s.variables)
+    # checks[k]: (equations, inequations) whose highest variable is k
+    checks = [([], []) for _ in range(n + 1)]
+    for e in s.equations:
+        checks[e.max_index()][0].append(e)
+    for g in s.inequations:
+        checks[g.max_index()][1].append(g)
+    assign: list[Word] = []
+
+    def holds(k: int) -> bool:
+        eqs, ineqs = checks[k]
+        return all(not substitute(e, assign).ints for e in eqs) and all(
+            substitute(g, assign).ints for g in ineqs
+        )
+
+    def walk(k: int):
+        # the first k variables are bound and pass their checks
+        if k == n:
+            return tuple(assign)
+        for x in pool:
+            assign.append(x)
+            if holds(k + 1):
+                hit = walk(k + 1)
+                if hit is not None:
+                    return hit
+            assign.pop()
+        return None
+
+    return walk(0) if holds(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +257,27 @@ class CertifySearch:
                     lc = cost - la - lb
                     for a in _word_pool(rank, la):
                         for b in _word_pool(rank, lb):
+                            # the premises on (a, b) do not depend on c;
+                            # an undecided one is asked again for the
+                            # next c, as a semi-decision may decide it
+                            # later
+                            pair = None
                             for c in _word_pool(rank, lc):
                                 self.spent += cost
                                 self.candidates += 1
-                                yield self._ct(a, b, c)
+                                if pair is None:
+                                    pair = self._ct_pair(a, b)
+                                yield self._ct(a, b, c) if pair else None
             for lg in range(1, cost):
                 lh = cost - lg
                 for g in _word_pool(rank, lg):
+                    alive = None  # as pair above, for the premise on g
                     for h in _word_pool(rank, lh):
                         self.spent += cost
                         self.candidates += 1
-                        yield self._inversion(g, h)
+                        if alive is None:
+                            alive = self._nontrivial(g)
+                        yield self._inversion(g, h) if alive else None
 
     def _torsion(self, g: Word, n: int):
         wp = self.wp
@@ -257,11 +285,22 @@ class CertifySearch:
             return None
         return self._accept(Witness((g,), "torsion", {"g": g, "n": n}))
 
+    def _nontrivial(self, g: Word) -> bool | None:
+        v = self.wp(g)
+        return None if v is None else not v
+
+    def _ct_pair(self, a: Word, b: Word) -> bool | None:
+        """Whether b is nontrivial and commutes with a; None when the
+        oracle leaves either undecided."""
+        alive = self._nontrivial(b)
+        if not alive:
+            return alive
+        return self.wp(commutator(a, b))
+
     def _ct(self, a: Word, b: Word, c: Word):
+        # the caller has checked the premises on (a, b)
         wp = self.wp
-        if wp(b) is not False:
-            return None
-        if wp(commutator(a, b)) is not True or wp(commutator(b, c)) is not True:
+        if wp(commutator(b, c)) is not True:
             return None
         gac = commutator(a, c)
         if wp(gac) is not False:
@@ -272,8 +311,8 @@ class CertifySearch:
         return self._accept(witness)
 
     def _inversion(self, g: Word, h: Word):
-        wp = self.wp
-        if wp(g) is not False or wp(h * g * h.inv() * g) is not True:
+        # the caller has checked that g is nontrivial
+        if self.wp(h * g * h.inv() * g) is not True:
             return None
         return self._accept(Witness((g,), "inversion", {"g": g, "h": h}))
 

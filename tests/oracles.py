@@ -11,12 +11,13 @@ tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 from limitforge.freegroup import eval_hom
 from limitforge.ice import _BEE, _LOW, _split_syllables, _syl_word, _wp
-from limitforge.words import EMPTY, Word, commutator
+from limitforge.words import EMPTY, Word, commutator, words_upto
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,30 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
             continue
         out.append(x)
     return Word(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Bounded refutation by brute force: substitute every word of the sentence
+# on every assignment, in itertools.product order.
+
+
+def refute_sentence_reference(s, bound: int, target_rank: int = 2):
+    pool = list(words_upto(target_rank, bound))
+    for assign in itertools.product(pool, repeat=len(s.variables)):
+        ok = True
+        for g in s.inequations:
+            if not eval_hom(assign, g).ints:
+                ok = False
+                break
+        if not ok:
+            continue
+        for e in s.equations:
+            if eval_hom(assign, e).ints:
+                ok = False
+                break
+        if ok:
+            return assign
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,25 @@ def test_pinched_oracle_trivialities():
     assert genus2(Word((1, 3, -1, -2, 1, 2, -4, -3, 4))) is False
     with pytest.raises(ValueError):
         pinched_oracle(2, 2, u, Word((1,)))
+    # sides with a conjugating prefix: u = a^2 [a,b] a^-2 has cyclic core
+    # b^-1 a b a^-1 (4 letters, 6 in u), v = d c^3 d^-1 has core c^3
+    a, b, c, d = (Word((k,)) for k in (1, 2, 3, 4))
+    u = commutator(a, b).conjugated_by(a * a)
+    v = (c**3).conjugated_by(d)
+    assert len(u) == 6 and len(v) == 5
+    conj = pinched_oracle(2, 2, u, v)
+    assert conj(u * v.inv()) is True
+    assert conj(u**2 * v**-2) is True
+    # a syllable exactly as long as its side, after a syllable of the
+    # other block
+    assert conj(c * u * v.inv() * c.inv()) is True
+    assert conj(c * u.inv() * c.inv() * v) is False
+    # the cores themselves are not powers of the sides
+    core = commutator(a, b)
+    assert conj(c * core * c.inv() * core.inv()) is False
+    assert conj(a * c**3 * a.inv() * v.inv()) is False
+    for x in (c * core * c.inv(), c * u * c.inv() * v.inv(), a * c**3 * a.inv()):
+        assert conj(x) is pinched_reference(2, u, v, x)
 
 
 # (rank1, rank2, u, v): genus two, and an amalgam of F2 and F2 over

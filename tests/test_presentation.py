@@ -127,6 +127,27 @@ def test_tietze_stream_order_is_pinned():
     )
 
 
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.sampled_from(("genus2", "F2xZ", "Z3")),
+    st.lists(st.integers(min_value=-4, max_value=4).filter(lambda x: x != 0), max_size=8),
+)
+def test_single_conjugate_canonicalizes_to_its_relator(name, conj):
+    """Tietze expansion never offers a single conjugate of a relator as a
+    new relator, because it always canonicalizes back to that relator."""
+    q = parse(
+        {
+            "genus2": "< a, b, c, d | [a,b]*[c,d]^-1 >",
+            "F2xZ": "< a, b, z | [a,z], [b,z] >",
+            "Z3": "< a, b, c | [a,b], [a,c], [b,c] >",
+        }[name]
+    )
+    c = Word.make(x for x in conj if abs(x) <= q.rank)
+    for r in q.relators:
+        for s in (r, r.inv()):
+            assert canonical_relator(c * s * c.inv()) in q.relators
+
+
 def test_consequence_stream_yields_trivial_words():
     from oracles import t1_nontrivial_witness
 

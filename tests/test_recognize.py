@@ -1,6 +1,9 @@
 """Recognition: bounded refutation, witness schemas, the two verdict engines."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from limitforge.ice import ice_oracle, tower_from_json
 from limitforge.oracles import (
@@ -33,6 +36,8 @@ from limitforge.recognize import (
 )
 from limitforge.words import Word, commutator
 
+from oracles import refute_sentence_reference
+
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
 TORSION = parse("< a | a^2 >")
@@ -63,6 +68,34 @@ def test_refute_respects_bound():
     # the only counterexamples need length 2 assignments
     s = Sentence(("x",), (), (W(1, 1, 1, 1),))
     assert refute_sentence(s, 0) is None
+
+
+def _sentence_words(n: int):
+    """Words over the first k of n variables, k drawn first, so that
+    variable-free words and words in early variables are common."""
+    return st.integers(min_value=0, max_value=n).flatmap(
+        lambda k: st.lists(
+            st.integers(min_value=-k, max_value=k).filter(lambda x: x != 0),
+            max_size=4 if k else 0,
+        )
+    ).map(Word.make)
+
+
+sentences = st.integers(min_value=0, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(_sentence_words(n), max_size=3),
+        st.lists(_sentence_words(n), max_size=3),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(sentences, st.integers(min_value=0, max_value=2))
+def test_refute_matches_brute_force(parts, bound):
+    n, equations, inequations = parts
+    s = Sentence(("x", "y", "z")[:n], equations, inequations)
+    assert refute_sentence(s, bound) == refute_sentence_reference(s, bound)
 
 
 def test_sentence_validates_variables():
@@ -172,6 +205,68 @@ def test_certify_search_accounts_budget():
     assert isinstance(search.found, Witness)
     assert search.candidates > 0
     assert search.max_cost >= 2
+
+
+def _record_queries(wp):
+    """Wrap wp.fn so that every query that reaches the engine, and its
+    answer, is appended to the returned list."""
+    log = []
+    fn = wp.fn
+
+    def recording(w):
+        v = fn(w)
+        log.append((w.ints, v))
+        return v
+
+    wp.fn = recording
+    return log
+
+
+def _query_digest(log) -> str:
+    h = hashlib.sha256()
+    for ints, v in log:
+        h.update(f"{ints} {v}\n".encode())
+    return h.hexdigest()
+
+
+GENUS2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
+
+
+@pytest.mark.parametrize(
+    "pres, make_oracle, units, spent, candidates, queries, digest",
+    [
+        # genus two has no witness: the stream walks every tier
+        (GENUS2, lambda p: oracle_from(p, "builtin:pinched"), 2 * 10**5,
+         199999, 44755, 17501,
+         "2d1551c70e754a3b6db5cbb51261058e5ec45b2b750f78107371e664936b92dc"),
+        # F2 x Z: a commutation-transitivity witness is found
+        (PRODUCT, product_oracle, 10**6, 273, 105, 108,
+         "ebbe971328291075b8de82023988b8d79abe3670a8df5374cc86ce4bf6265ca1"),
+        # a small-budget dovetail oracle answers None to some words, and
+        # such a word must be asked again whenever the search needs it
+        (Z2, lambda p: dovetail_oracle(p, 8), 6000, 5998, 1494, 813,
+         "c350376165fc7050628460b99c34fdab3b6fc611125d5d768f125a28e580632b"),
+        # here some inversion candidates g are left undecided
+        (GENUS2, lambda p: dovetail_oracle(p, 2), 3000, 3000, 1024, 548,
+         "5f8f79977014e55b1455eba55df51d9ddcaaa8a4802c7de1c698a7ca4b183c49"),
+    ],
+    ids=["genus2-pinched", "F2xZ-product", "Z2-dovetail", "genus2-dovetail"],
+)
+def test_certify_query_stream_is_pinned(
+    pres, make_oracle, units, spent, candidates, queries, digest
+):
+    """The witness search asks its oracle the same words in the same
+    order, and charges the same units, as the plain nested loops over
+    every candidate."""
+    wp = make_oracle(pres)
+    log = _record_queries(wp)
+    search = CertifySearch(pres, wp)
+    search.run(units)
+    assert (search.spent, search.candidates) == (spent, candidates)
+    assert len(log) == queries
+    assert _query_digest(log) == digest
+    if not wp.total:
+        assert any(v is None for _, v in log)
 
 
 # --- the verdict engines ----------------------------------------------------
