@@ -39,9 +39,6 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def step(self, c: int, s: int) -> int:
-        return self.rows[c][s]
-
     def trace(self, c: int, w: Word) -> int:
         for x in w.ints:
             c = self.rows[c][slot(x)]

@@ -1,4 +1,4 @@
-"""Free groups: cyclic reduction, primitive roots, centralizers, homomorphisms."""
+"""Free groups: cyclic reduction, primitive roots, powers, homomorphisms."""
 
 from __future__ import annotations
 
@@ -26,23 +26,6 @@ class FreeGroup:
         if rank <= len(_STANDARD):
             return cls(tuple(_STANDARD[:rank]))
         return cls(tuple(_STANDARD) + tuple(f"x{i}" for i in range(len(_STANDARD), rank)))
-
-
-class WholeGroup:
-    """Sentinel: the centralizer of the identity is the whole group."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "WHOLE_GROUP"
-
-
-WHOLE_GROUP = WholeGroup()
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -74,18 +57,6 @@ def primitive_root(w: Word) -> tuple[Word, int]:
             root = Word(reduce_ints(c.ints + piece + invert_ints(c.ints)))
             return root, m // d
     raise AssertionError("unreachable: d = m always tiles")
-
-
-def centralizer_free(w: Word):
-    """Centralizer of w in the ambient free group.
-
-    Nontrivial w: the cyclic group on the primitive root, returned as that
-    single Word. Identity: the WHOLE_GROUP sentinel.
-    """
-    if not w:
-        return WHOLE_GROUP
-    root, _ = primitive_root(w)
-    return root
 
 
 def is_power_of(w: Word, r: Word) -> int | None:
@@ -124,11 +95,8 @@ def eval_hom(images, w: Word) -> Word:
 
 __all__ = [
     "FreeGroup",
-    "WHOLE_GROUP",
-    "WholeGroup",
     "cyclic_reduce",
     "primitive_root",
-    "centralizer_free",
     "is_power_of",
     "eval_hom",
     "validate_word",

@@ -31,6 +31,7 @@ from .words import (
     EMPTY,
     Word,
     commutator,
+    format_word,
     parse_word,
     validate_word,
     words_of_length,
@@ -415,21 +416,33 @@ def extend_centralizer(t: IceTower, g: Word, n: int) -> IceTower:
 
 
 def tower_to_json(t: IceTower) -> dict:
-    steps = []
-    partial = IceTower(t.base_rank)
-    from .words import format_word
-
-    for step in t.steps:
-        steps.append({"g": format_word(step.g, tower_names(partial)), "n": step.n})
-        partial = extend_centralizer(partial, step.g, step.n)
+    # each step's word uses only the names of the levels below it, which
+    # are a prefix of the tower's names
+    names = tower_names(t)
+    steps = [{"g": format_word(step.g, names), "n": step.n} for step in t.steps]
     return {"base_rank": t.base_rank, "steps": steps}
 
 
+def _field(doc, key: str, kind: type, where: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"tower file: {where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"tower file: {where} has no {key!r} field")
+    # an exact type test, so that true and false are not counts
+    if type(doc[key]) is not kind:
+        raise ValueError(f"tower file: {where} field {key!r} must be of type {kind.__name__}")
+    return doc[key]
+
+
 def tower_from_json(data: dict) -> IceTower:
-    t = IceTower(int(data["base_rank"]))
-    for item in data.get("steps", ()):
-        g = parse_word(item["g"], tower_names(t))
-        t = extend_centralizer(t, g, int(item["n"]))
+    """Read a tower file; ValueError names a missing or ill-typed field."""
+    t = IceTower(_field(data, "base_rank", int, "the tower"))
+    steps = data.get("steps", [])
+    if not isinstance(steps, list):
+        raise ValueError("tower file: the tower field 'steps' must be a list")
+    for k, item in enumerate(steps):
+        g = parse_word(_field(item, "g", str, f"step {k}"), tower_names(t))
+        t = extend_centralizer(t, g, _field(item, "n", int, f"step {k}"))
     return t
 
 

@@ -64,10 +64,9 @@ class WordOracle:
         return f"WordOracle({self.name}, total={self.total})"
 
 
-def free_oracle(p: Presentation | int) -> WordOracle:
-    if isinstance(p, Presentation):
-        if p.relators:
-            raise ValueError("free oracle needs a relator-free presentation")
+def free_oracle(p: Presentation) -> WordOracle:
+    if p.relators:
+        raise ValueError("free oracle needs a relator-free presentation")
     return WordOracle(lambda w: len(w.ints) == 0, True, "free")
 
 

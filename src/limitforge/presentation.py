@@ -101,9 +101,6 @@ class Presentation:
     def word(self, text: str) -> Word:
         return parse_word(text, self.names)
 
-    def format(self, w: Word) -> str:
-        return format_word(w, self.names)
-
     def __repr__(self):
         return f"Presentation({serialize(self)!r})"
 

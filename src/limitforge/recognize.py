@@ -325,11 +325,6 @@ class CertifySearch:
         return w
 
 
-def certify_witness(p: Presentation, wp: WordOracle, budget: int = 10**6):
-    """Bounded witness hunt; None means nothing within the budget."""
-    return CertifySearch(p, wp).run(budget)
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 

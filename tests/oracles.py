@@ -6,7 +6,8 @@ specializing homomorphisms).  None of it calls the algorithms under
 test, so agreement is evidence rather than tautology.  The word-kernel
 references at the end use only Word arithmetic, except the tower
 syllable reduction, which keeps the tower word problem for its edge
-tests.
+tests.  The Stallings folder at the end shares only the breadth-first
+renumbering with the package.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 
+from limitforge.coset import _standardize
 from limitforge.freegroup import eval_hom
 from limitforge.ice import _BEE, _LOW, _split_syllables, _syl_word, _wp
-from limitforge.words import EMPTY, Word, commutator, words_upto
+from limitforge.stallings import SubgroupGraph
+from limitforge.words import EMPTY, Word, commutator, slot, words_upto
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +422,102 @@ def pinch_reference(t, w: Word, cyclic: bool):
             continue
         break
     return syls, conj
+
+
+# ---------------------------------------------------------------------------
+# Stallings folding by its own union-find: each generator is laid down as
+# a loop at the base point, clashing edges merge their endpoints, and
+# non-base vertices of degree <= 1 are trimmed at the end.
+
+
+def inv_slot(s: int) -> int:
+    return s ^ 1
+
+
+def fold_reference(rank: int, words) -> SubgroupGraph:
+    """Fold the bouquet of the given subgroup generators."""
+    words = tuple(words)
+    for w in words:
+        if w.max_index() > rank:
+            raise ValueError(f"generator word exceeds ambient rank {rank}")
+
+    parent = [0]
+    adj: list[dict[int, int]] = [dict()]
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    merges: deque[tuple[int, int]] = deque()
+
+    def add_half(a: int, s: int, b: int):
+        a, b = find(a), find(b)
+        cur = adj[a].get(s)
+        if cur is None:
+            adj[a][s] = b
+            return
+        cur = find(cur)
+        adj[a][s] = cur
+        if cur != b:
+            merges.append((cur, b))
+
+    def add_edge(u: int, s: int, v: int):
+        add_half(u, s, v)
+        add_half(v, inv_slot(s), u)
+
+    for w in words:
+        cur = 0
+        n = len(w.ints)
+        for i, x in enumerate(w.ints):
+            if i == n - 1:
+                nxt = 0
+            else:
+                parent.append(len(parent))
+                adj.append(dict())
+                nxt = len(parent) - 1
+            add_edge(cur, slot(x), nxt)
+            cur = nxt
+        while merges:
+            x, y = merges.popleft()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            # smaller id survives, which keeps the base point at 0
+            parent[y] = x
+            edges = adj[y]
+            adj[y] = dict()
+            for s, t in edges.items():
+                add_half(x, s, t)
+
+    live = {v: dict() for v in range(len(parent)) if find(v) == v}
+    for v in live:
+        for s, t in adj[v].items():
+            live[v][s] = find(t)
+    base = find(0)
+
+    # trim: repeatedly drop non-base vertices of degree <= 1
+    while True:
+        victim = None
+        for v in live:
+            if v != base and len(live[v]) <= 1:
+                victim = v
+                break
+        if victim is None:
+            break
+        for s, t in live[victim].items():
+            if t in live and live[t].get(inv_slot(s)) == victim:
+                del live[t][inv_slot(s)]
+        del live[victim]
+
+    # renumber from 0 (the base point, which survives every merge) in
+    # canonical BFS order
+    ids = {v: i for i, v in enumerate(live)}
+    rows: list[list[int | None]] = [[None] * (2 * rank) for _ in ids]
+    for v, row in live.items():
+        for s, t in row.items():
+            rows[ids[v]][s] = ids[t]
+    return SubgroupGraph(rank, _standardize(rank, rows), words)

@@ -196,6 +196,24 @@ def test_bad_word_is_exit_3(capsys, grp):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "{}",
+        '{"base_rank": 2, "steps": [{"g": "a"}]}',
+        "[1, 2]",
+        '{"base_rank": 2, "steps": [["a", 1]]}',
+    ],
+)
+def test_malformed_tower_file_is_exit_3(capsys, grp, doc):
+    tower = grp("bad.json", doc)
+    code, out, err = run(capsys, "ice", "wp", "--tower", tower, "--word", "a")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: tower file: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_ice_enumerate_prefix(capsys):
     code, out, _ = run(capsys, "ice", "enumerate", "--count", "3")
     assert code == 0

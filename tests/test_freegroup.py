@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from limitforge.freegroup import (
     FreeGroup,
-    WholeGroup,
-    centralizer_free,
     cyclic_reduce,
     eval_hom,
     is_power_of,
@@ -79,13 +77,9 @@ def test_is_power_of_edge_cases():
     assert is_power_of(EMPTY, EMPTY) == 0
 
 
-def test_centralizer_of_identity_is_everything():
-    assert isinstance(centralizer_free(EMPTY), WholeGroup)
-
-
 def test_centralizer_is_root():
-    assert centralizer_free(W(1, 1)) == W(1)
-    assert centralizer_free(W(2, 1, 1, -2)) == W(2, 1, -2)
+    assert primitive_root(W(1, 1)) == (W(1), 2)
+    assert primitive_root(W(2, 1, 1, -2)) == (W(2, 1, -2), 2)
 
 
 def test_eval_hom():
@@ -144,10 +138,9 @@ def test_eval_hom_is_multiplicative(xs, ys):
 @given(raw_words)
 def test_centralizer_elements_commute(xs):
     w = Word.make(xs)
-    z = centralizer_free(w)
-    if isinstance(z, WholeGroup):
-        assert w == EMPTY
+    if not w:
         return
+    z, _ = primitive_root(w)
     assert commutator(z, w) == EMPTY
     # and w is a power of the generator
     assert is_power_of(w, z) is not None

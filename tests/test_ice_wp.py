@@ -1,6 +1,7 @@
 """Word problem in centralizer-extension towers."""
 
 import hashlib
+import itertools
 import random
 import sys
 
@@ -21,7 +22,7 @@ from limitforge.ice import (
     wp_ice,
 )
 from limitforge.presentation import parse, serialize
-from limitforge.words import Word, commutator
+from limitforge.words import Word, commutator, format_word
 
 from oracles import (
     pinch_reference,
@@ -313,3 +314,34 @@ def test_edge_commutator_built_once_per_word(monkeypatch):
     _edge_batch(towers)
     entries = sum(len(level._edge_memo) for t in towers for level in _levels(t))
     assert entries and len(built) == entries
+
+
+def _tower_doc_reference(t):
+    """A tower's file, each step word written over the names of the
+    levels below it."""
+    steps = []
+    for k, step in enumerate(t.steps):
+        below = tower_names(ice.IceTower(t.base_rank, t.steps[:k]))
+        steps.append({"g": format_word(step.g, below), "n": step.n})
+    return {"base_rank": t.base_rank, "steps": steps}
+
+
+HEIGHT_THREE = {
+    "base_rank": 2,
+    "steps": [
+        {"g": "a", "n": 1},
+        {"g": "b*t", "n": 1},
+        {"g": "a^-1*b^-1*a*b", "n": 1},
+    ],
+}
+
+
+def test_tower_files_round_trip():
+    towers = [t for t, _ in itertools.islice(ice.enumerate_ice(), 400)]
+    towers.append(tower_from_json(HEIGHT_THREE))
+    assert max(len(t.steps) for t in towers) == 3
+    for t in towers:
+        doc = _tower_doc_reference(t)
+        assert tower_to_json(t) == doc
+        assert tower_to_json(tower_from_json(doc)) == doc
+    assert tower_to_json(towers[-1]) == HEIGHT_THREE

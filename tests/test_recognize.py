@@ -25,7 +25,6 @@ from limitforge.recognize import (
     Sentence,
     Unknown,
     Witness,
-    certify_witness,
     check_witness,
     external_witness,
     recognize_cyclically_pinched,
@@ -166,7 +165,7 @@ def test_witness_sentence_shape():
 
 def test_certify_torsion():
     wp = finite_oracle(TORSION)
-    w = certify_witness(TORSION, wp)
+    w = CertifySearch(TORSION, wp).run(10**6)
     assert w is not None
     assert w.kind == "torsion"
     assert w.data["n"] == 2
@@ -175,7 +174,7 @@ def test_certify_torsion():
 
 def test_certify_ct_on_product():
     wp = product_oracle(PRODUCT)
-    w = certify_witness(PRODUCT, wp)
+    w = CertifySearch(PRODUCT, wp).run(10**6)
     assert w is not None
     assert w.kind == "commutation-transitivity"
     assert check_witness(PRODUCT, wp, w) is True
@@ -183,7 +182,7 @@ def test_certify_ct_on_product():
 
 def test_certify_inversion_on_klein():
     wp = klein_oracle(KLEIN)
-    w = certify_witness(KLEIN, wp)
+    w = CertifySearch(KLEIN, wp).run(10**6)
     assert w is not None
     assert w.kind == "inversion"
     assert w.data["h"] == W(2)
@@ -191,7 +190,7 @@ def test_certify_inversion_on_klein():
 
 def test_certify_finds_nothing_on_limit_groups():
     wp = free_abelian_oracle(Z2)
-    assert certify_witness(Z2, wp, budget=4000) is None
+    assert CertifySearch(Z2, wp).run(4000) is None
 
 
 def test_certify_search_accounts_budget():

@@ -1,12 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.presentation import substitute
 from limitforge.stallings import basis_of, fold, graph_rank_index, member
 from limitforge.words import EMPTY, Word
 
-from oracles import product_closure, random_reduced_word
+from oracles import fold_reference, product_closure, random_reduced_word
 
 
 def W(*ints):
@@ -112,3 +113,55 @@ def test_generators_and_basis_are_members(raw):
     # rank never exceeds the number of generators given
     assert len(basis) <= len(gens)
     assert graph_rank_index(g)[0] == len(basis)
+
+
+def _fold_case(rng: random.Random):
+    """(rank, generators), ranks 1-4.  Half the cases are random reduced
+    words; the other half share prefixes, repeat inverses and products of
+    earlier generators, include the empty word and may use fewer letters
+    than the rank."""
+    rank = rng.randint(1, 4)
+    if rng.random() < 0.5:
+        n = rng.randint(0, 4)
+        return rank, [random_reduced_word(rng, rank, rng.randint(0, 8)) for _ in range(n)]
+    used = rng.randint(1, rank)
+    gens: list[Word] = []
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.randrange(5)
+        if kind == 0 or not gens:
+            w = random_reduced_word(rng, used, rng.randint(1, 8))
+        elif kind == 1:
+            head = rng.choice(gens).ints
+            tail = random_reduced_word(rng, used, rng.randint(1, 5)).ints
+            w = Word.make(head[: rng.randint(0, len(head))] + tail)
+        elif kind == 2:
+            w = rng.choice(gens).inv()
+        elif kind == 3:
+            w = rng.choice(gens) * rng.choice(gens)
+            if rng.random() < 0.5:
+                w = w * rng.choice(gens).inv()
+        else:
+            w = EMPTY
+        gens.append(w)
+    rng.shuffle(gens)
+    return rank, gens
+
+
+@pytest.fixture(scope="module")
+def fold_cases():
+    rng = random.Random(20261018)
+    return [_fold_case(rng) for _ in range(40_000)]
+
+
+def test_fold_matches_reference_folder(fold_cases):
+    for rank, gens in fold_cases:
+        assert fold(rank, gens).trans == fold_reference(rank, gens).trans, (rank, gens)
+
+
+def test_folded_graph_has_no_dangling_vertex(fold_cases):
+    """Folding reduced words gives an immersion, so every vertex but the
+    base keeps at least two edges."""
+    for rank, gens in fold_cases:
+        trans = fold(rank, gens).trans
+        for v in range(1, len(trans)):
+            assert sum(d is not None for d in trans[v]) >= 2, (rank, gens, v)

@@ -143,3 +143,44 @@ def test_bench_script_refuses_mixed_sources(tmp_path):
                "witness-race": _canned_run_output("witness-race", "b" * 16)}
     with pytest.raises(ValueError):
         bench.write_bench(tmp_path / "BENCH_x.json", "x", outputs)
+
+
+# Library entry points that only the tests and the acceptance criteria call.
+ENTRY_POINTS = {
+    "stallings.fold",
+    "stallings.basis_of",
+    "stallings.member",
+    "stallings.graph_rank_index",
+    "ice.enumerate_limit_groups",
+    "recognize.external_witness",
+    "coset.rewrite_in_subgroup",
+}
+
+
+def test_every_public_name_is_referenced():
+    """Every public module-level def or class outside `cli` and
+    `__init__` is used somewhere in the package: as a name, an attribute
+    or an import.  A name listed only in `__all__` is API that nothing
+    calls."""
+    package = pathlib.Path(limitforge.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        if module not in ("cli", "__init__")
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert unused <= ENTRY_POINTS, f"public names nothing calls: {sorted(unused - ENTRY_POINTS)}"
+    assert unused == ENTRY_POINTS, f"entry points now used: {sorted(ENTRY_POINTS - unused)}"
