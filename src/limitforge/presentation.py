@@ -50,7 +50,27 @@ class NormalizeCapError(ValueError):
 
 
 def canonical_relator(w: Word) -> Word:
-    """Slot-lex least word among cyclic rotations of w and of its inverse."""
+    """Slot-lex least word among cyclic rotations of w and of its inverse.
+
+    The result is kept on w, so asking again costs one attribute read,
+    and a nonempty word that is canonical already is its own result.  A canonical
+    word is marked with False rather than with itself, so that the mark
+    makes no reference cycle.
+    """
+    c = w._canonical
+    if c is False:
+        return w
+    if c is None:
+        c = _least_rotation(w)
+        if c is w:
+            object.__setattr__(w, "_canonical", False)
+        else:
+            object.__setattr__(w, "_canonical", c)
+            object.__setattr__(c, "_canonical", False)
+    return c
+
+
+def _least_rotation(w: Word) -> Word:
     core = w.ints
     i, j = 0, len(core)
     while j - i >= 2 and core[i] == -core[j - 1]:
@@ -62,6 +82,8 @@ def canonical_relator(w: Word) -> Word:
     keys = tuple(slot(x) for x in core[i:j])
     inv = tuple(s ^ 1 for s in reversed(keys))
     best = min(seq[k:] + seq[:k] for seq in (keys, inv) for k in range(len(seq)))
+    if best == keys and j - i == len(core):
+        return w
     return Word(tuple(unslot(s) for s in best))
 
 
@@ -242,6 +264,7 @@ _NODE_CAP = 48
 _NODE_GROWTH = 4
 _CHILD_CAP = 6
 _CONSEQ_CAP = 12
+_END = object()  # _read_through marker: the source is exhausted
 
 
 def _fresh_name(names) -> str:
@@ -251,6 +274,21 @@ def _fresh_name(names) -> str:
     return f"g{k}"
 
 
+def _read_through(items: list, source):
+    """Yield items, then the rest of the iterator source, appending what
+    it gives to items; walks nested over one list and source share the
+    items either of them has read."""
+    i = 0
+    while True:
+        if i == len(items):
+            item = next(source, _END)
+            if item is _END:
+                return
+            items.append(item)
+        yield items[i]
+        i += 1
+
+
 def _addable_relators(q: Presentation, bound: int):
     """Candidate redundant relators: products of two conjugated relators
     with total conjugator length < bound.
@@ -258,14 +296,18 @@ def _addable_relators(q: Presentation, bound: int):
     A single conjugate conj * r^+-1 * conj^-1 is not yielded: its
     canonical relator is r itself, already in q.relators.
     """
-    singles = []
-    for conj in words_upto(q.rank, bound - 1):
-        for j in range(len(q.relators)):
-            for s in (1, -1):
-                r = q.relators[j] if s > 0 else q.relators[j].inv()
-                singles.append((len(conj), conj * r * conj.inv()))
-    for (c1, w1), (c2, w2) in itertools.product(singles, repeat=2):
-        if c1 + c2 <= bound - 1:
+    signed = [s for r in q.relators for s in (r, r.inv())]
+    source = (
+        (len(conj), conj * r * conj.inv())
+        for conj in words_upto(q.rank, bound - 1)
+        for r in signed
+    )
+    singles: list[tuple[int, Word]] = []
+    for c1, w1 in _read_through(singles, source):
+        # singles come in nondecreasing conjugator length
+        for c2, w2 in _read_through(singles, source):
+            if c1 + c2 > bound - 1:
+                break
             yield w1 * w2
 
 
@@ -312,25 +354,24 @@ def enumerate_presentations(p: Presentation):
 
     Never terminates; consume with a budget.
     """
-    emitted: set[str] = set()
+    # presentations are equal exactly when their serializations are
+    emitted: set[Presentation] = set()
     node_cap = _NODE_CAP
     for bound in itertools.count(1):
-        seen = {serialize(p)}
+        seen = {p}
         queue = deque([(p, 0)])
         nodes = 0
         while queue and nodes < node_cap:
             q, depth = queue.popleft()
             nodes += 1
-            key = serialize(q)
-            if key not in emitted:
-                emitted.add(key)
+            if q not in emitted:
+                emitted.add(q)
                 yield q
             if depth >= bound:
                 continue
             for child in _children(q, bound):
-                ck = serialize(child)
-                if ck not in seen:
-                    seen.add(ck)
+                if child not in seen:
+                    seen.add(child)
                     queue.append((child, depth + 1))
         node_cap *= _NODE_GROWTH
 
@@ -395,18 +436,18 @@ def consequence_stream(p: Presentation):
             for k in range(len(base))
         )
     )
-    factor_cache: dict[int, list[tuple[int, ...]]] = {}
+    # factors of each cost, computed only as far as some product reads
+    factor_cache: dict[int, tuple[list, object]] = {}
 
     def factors(cost: int):
         if cost not in factor_cache:
-            fs = []
-            for conj in words_of_length(p.rank, cost - 1):
-                for rot in rotations:
-                    fs.append(
-                        reduce_ints(conj.ints + rot + invert_ints(conj.ints))
-                    )
-            factor_cache[cost] = fs
-        return factor_cache[cost]
+            source = (
+                reduce_ints(conj.ints + rot + invert_ints(conj.ints))
+                for conj in words_of_length(p.rank, cost - 1)
+                for rot in rotations
+            )
+            factor_cache[cost] = ([], source)
+        return _read_through(*factor_cache[cost])
 
     def products(comp):
         if len(comp) == 1:

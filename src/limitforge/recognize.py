@@ -23,12 +23,11 @@ from .presentation import (
     abelianization,
     enumerate_presentations,
     normalize_key,
-    serialize,
     substitute,
     tietze_simplify,
 )
 from .retracts import _word_pool
-from .words import Word, commutator, validate_word, words_upto
+from .words import EMPTY, Word, commutator, validate_word, words_upto
 
 _QUANTUM = 128
 _TIER = object()  # CertifySearch stream marker: a new cost tier starts
@@ -68,40 +67,71 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
 
     Assignments are walked depth first in itertools.product order, and
     each word is checked as soon as its highest variable is bound, so a
-    failed check prunes every assignment extending that prefix.
+    failed check prunes every assignment extending that prefix.  A
+    check's verdict depends only on the variables its word uses, so a
+    check that leaves out some earlier variable keeps, per pool-index
+    tuple of the others it uses, the set of pool indices of its highest
+    variable that pass it.  A check that uses every earlier variable
+    meets each tuple once and keeps nothing.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     pool = list(words_upto(target_rank, bound))
     n = len(s.variables)
-    # checks[k]: (equations, inequations) whose highest variable is k
-    checks = [([], []) for _ in range(n + 1)]
-    for e in s.equations:
-        checks[e.max_index()][0].append(e)
-    for g in s.inequations:
-        checks[g.max_index()][1].append(g)
+    # checks[k]: (word, must be trivial, its other variables, memo or
+    # None) for the words whose highest variable is k, memoized first
+    checks = [[] for _ in range(n + 1)]
+    for words, trivial in ((s.equations, True), (s.inequations, False)):
+        for w in words:
+            k = w.max_index()
+            others = tuple(sorted({abs(x) - 1 for x in w.ints} - {k - 1}))
+            memo = {} if len(others) < k - 1 else None
+            checks[k].append((w, trivial, others, memo))
+    for level in checks:
+        level.sort(key=lambda check: check[3] is None)
+    if any(bool(substitute(w, ()).ints) == trivial for w, trivial, _, _ in checks[0]):
+        return None
     assign: list[Word] = []
+    picked: list[int] = []  # pool index of each bound variable
 
-    def holds(k: int) -> bool:
-        eqs, ineqs = checks[k]
-        return all(not substitute(e, assign).ints for e in eqs) and all(
-            substitute(g, assign).ints for g in ineqs
-        )
+    def select(w: Word, trivial: bool, candidates) -> list[int]:
+        # the candidate pool indices for the next variable that pass w
+        images = assign + [EMPTY]
+        out = []
+        for i in candidates:
+            images[-1] = pool[i]
+            if bool(substitute(w, images).ints) != trivial:
+                out.append(i)
+        return out
+
+    def passing(check, candidates) -> list[int]:
+        w, trivial, others, memo = check
+        if memo is None:
+            return select(w, trivial, candidates)
+        key = tuple(picked[v] for v in others)
+        hits = memo.get(key)
+        if hits is None:
+            hits = memo[key] = set(select(w, trivial, range(len(pool))))
+        return [i for i in candidates if i in hits]
 
     def walk(k: int):
         # the first k variables are bound and pass their checks
         if k == n:
             return tuple(assign)
-        for x in pool:
-            assign.append(x)
-            if holds(k + 1):
-                hit = walk(k + 1)
-                if hit is not None:
-                    return hit
+        allowed = range(len(pool))
+        for check in checks[k + 1]:
+            allowed = passing(check, allowed)
+        for i in allowed:
+            assign.append(pool[i])
+            picked.append(i)
+            hit = walk(k + 1)
+            if hit is not None:
+                return hit
             assign.pop()
+            picked.pop()
         return None
 
-    return walk(0) if holds(0) else None
+    return walk(0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +453,7 @@ class _MatchBranch:
         self._ab = abelianization(target)
         self.enum = LimitEnumeration()
         self._expanders: list[tuple[LimitGroupEmission, object]] = []
-        self._seen: set[str] = set()
+        self._seen: set[Presentation] = set()
         self._cursor = 0
         self.emissions = 0
         self.expanded = 0
@@ -462,9 +492,8 @@ class _MatchBranch:
         if pres.rank <= 6 and normalize_key(pres) == self._key:
             return (em, pres)
         if abelianization(pres) == self._ab:
-            text = serialize(pres)
-            if text not in self._seen:
-                self._seen.add(text)
+            if pres not in self._seen:
+                self._seen.add(pres)
                 gen = enumerate_presentations(pres)
                 next(gen)  # the first yield is pres itself, checked above
                 self._expanders.append((em, gen))

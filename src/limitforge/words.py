@@ -55,6 +55,9 @@ class Word:
     """A freely reduced word. Use Word.make for raw letter sequences."""
 
     ints: tuple[int, ...] = ()
+    # presentation.canonical_relator keeps its result here on first use;
+    # not a field, so ==, hash and repr ignore it
+    _canonical = None
 
     @classmethod
     def make(cls, letters) -> "Word":
@@ -77,10 +80,6 @@ class Word:
             return Word()
         base = self.ints if n > 0 else invert_ints(self.ints)
         return Word(reduce_ints(base * abs(n)))
-
-    def conjugated_by(self, c: "Word") -> "Word":
-        """c * self * c^-1."""
-        return c * self * c.inv()
 
     def slots(self) -> tuple[int, ...]:
         return tuple(slot(x) for x in self.ints)

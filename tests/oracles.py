@@ -6,8 +6,10 @@ specializing homomorphisms).  None of it calls the algorithms under
 test, so agreement is evidence rather than tautology.  The word-kernel
 references at the end use only Word arithmetic, except the tower
 syllable reduction, which keeps the tower word problem for its edge
-tests.  The Stallings folder at the end shares only the breadth-first
-renumbering with the package.
+tests.  The Stallings folder shares only the breadth-first renumbering
+with the package.  The Tietze-expansion references at the end keep the
+package's Presentation and its single Tietze moves, and replace only the
+stream bookkeeping that the package does lazily.
 """
 
 from __future__ import annotations
@@ -20,8 +22,29 @@ from collections import deque
 from limitforge.coset import _standardize
 from limitforge.freegroup import eval_hom
 from limitforge.ice import _BEE, _LOW, _split_syllables, _syl_word, _wp
+from limitforge.presentation import (
+    _CHILD_CAP,
+    _CONSEQ_CAP,
+    _NODE_CAP,
+    _NODE_GROWTH,
+    Presentation,
+    _compositions,
+    _fresh_name,
+    _remove_generator,
+    _single_occurrence_pairs,
+    serialize,
+)
 from limitforge.stallings import SubgroupGraph
-from limitforge.words import EMPTY, Word, commutator, slot, words_upto
+from limitforge.words import (
+    EMPTY,
+    Word,
+    commutator,
+    invert_ints,
+    reduce_ints,
+    slot,
+    words_of_length,
+    words_upto,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +188,11 @@ def product_closure(s_words, max_factors: int) -> set:
     return seen
 
 
+def conjugate(w: Word, c: Word) -> Word:
+    """c w c^-1."""
+    return c * w * c.inv()
+
+
 def random_reduced_word(rng: random.Random, rank: int, length: int) -> Word:
     out: list[int] = []
     letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
@@ -241,7 +269,7 @@ def t1_corpus(seed: int = 20260817, n_random: int = 250, n_consequence: int = 25
         for _ in range(rng.randint(1, 3)):
             c = random_reduced_word(rng, 3, rng.randint(0, 4))
             f = rel if rng.random() < 0.5 else rel.inv()
-            acc = acc * f.conjugated_by(c)
+            acc = acc * conjugate(f, c)
         out.append((acc, True))
     return out
 
@@ -521,3 +549,119 @@ def fold_reference(rank: int, words) -> SubgroupGraph:
         for s, t in row.items():
             rows[ids[v]][s] = ids[t]
     return SubgroupGraph(rank, _standardize(rank, rows), words)
+
+
+# ---------------------------------------------------------------------------
+# Tietze expansion and the consequence stream as they were first written:
+# every single conjugate of a relator is built before any product is
+# offered, every factor of a cost before any product of that cost is
+# read, and presentations are deduplicated on their serializations.  The
+# library emits the same streams without that up-front work.
+
+
+def addable_relators_reference(q: Presentation, bound: int):
+    singles = []
+    for conj in words_upto(q.rank, bound - 1):
+        for j in range(len(q.relators)):
+            for s in (1, -1):
+                r = q.relators[j] if s > 0 else q.relators[j].inv()
+                singles.append((len(conj), conj * r * conj.inv()))
+    for (c1, w1), (c2, w2) in itertools.product(singles, repeat=2):
+        if c1 + c2 <= bound - 1:
+            yield w1 * w2
+
+
+def _children_reference(q: Presentation, bound: int):
+    out = []
+    for j in range(len(q.relators)):
+        rest = Presentation(q.names, q.relators[:j] + q.relators[j + 1 :])
+        target = q.relators[j]
+        stream = consequence_stream_reference(rest)
+        if any(w == target for w in itertools.islice(stream, _CONSEQ_CAP * bound)):
+            out.append(rest)
+    for g in sorted({g for _, g in _single_occurrence_pairs(q)}):
+        out.append(_remove_generator(q, g)[0])
+    added = 0
+    for w in addable_relators_reference(q, bound):
+        if added >= _CHILD_CAP * bound:
+            break
+        c = canonical_relator_reference(w)
+        if not c.ints or c in q.relators:
+            continue
+        out.append(Presentation(q.names, q.relators + (c,)))
+        added += 1
+    name = _fresh_name(q.names)
+    added = 0
+    for w in words_upto(q.rank, bound):
+        if added >= _CHILD_CAP * bound:
+            break
+        names = q.names + (name,)
+        rel = Word(reduce_ints((-len(names),) + w.ints))
+        out.append(Presentation(names, q.relators + (rel,)))
+        added += 1
+    return out
+
+
+def enumerate_presentations_reference(p: Presentation):
+    emitted: set[str] = set()
+    node_cap = _NODE_CAP
+    for bound in itertools.count(1):
+        seen = {serialize(p)}
+        queue = deque([(p, 0)])
+        nodes = 0
+        while queue and nodes < node_cap:
+            q, depth = queue.popleft()
+            nodes += 1
+            key = serialize(q)
+            if key not in emitted:
+                emitted.add(key)
+                yield q
+            if depth >= bound:
+                continue
+            for child in _children_reference(q, bound):
+                ck = serialize(child)
+                if ck not in seen:
+                    seen.add(ck)
+                    queue.append((child, depth + 1))
+        node_cap *= _NODE_GROWTH
+
+
+def consequence_stream_reference(p: Presentation):
+    yield EMPTY
+    if not p.relators:
+        return
+    seen: set[tuple[int, ...]] = {()}
+    rotations = list(
+        dict.fromkeys(
+            base[k:] + base[:k]
+            for r in p.relators
+            for base in (r.ints, invert_ints(r.ints))
+            for k in range(len(base))
+        )
+    )
+    factor_cache: dict[int, list[tuple[int, ...]]] = {}
+
+    def factors(cost: int):
+        if cost not in factor_cache:
+            fs = []
+            for conj in words_of_length(p.rank, cost - 1):
+                for rot in rotations:
+                    fs.append(reduce_ints(conj.ints + rot + invert_ints(conj.ints)))
+            factor_cache[cost] = fs
+        return factor_cache[cost]
+
+    def products(comp):
+        if len(comp) == 1:
+            yield from factors(comp[0])
+            return
+        for head in factors(comp[0]):
+            for tail in products(comp[1:]):
+                yield reduce_ints(head + tail)
+
+    for total in itertools.count(1):
+        for k in range(1, total + 1):
+            for comp in _compositions(total, k):
+                for prod in products(comp):
+                    if prod not in seen:
+                        seen.add(prod)
+                        yield Word(prod)

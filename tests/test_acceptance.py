@@ -53,6 +53,7 @@ from limitforge.words import Word, commutator, reduce_ints, words_upto
 
 from oracles import (
     FINITE_CORPUS,
+    conjugate,
     hall_counts,
     perm_group_order,
     product_closure,
@@ -204,9 +205,9 @@ def test_criterion_07():
     assert z_a == (a, t)
     z_b = centralizer_ice(t1, b)
     assert z_b == (b,)
-    conj = a.conjugated_by(b)
+    conj = conjugate(a, b)
     z_conj = centralizer_ice(t1, conj)
-    assert z_conj == (a.conjugated_by(b), t.conjugated_by(b))
+    assert z_conj == (conjugate(a, b), conjugate(t, b))
 
     def exponents(w):
         out = [0, 0, 0]

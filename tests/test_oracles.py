@@ -25,7 +25,7 @@ from limitforge.oracles import (
 from limitforge.presentation import parse
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import perm_eval, pinched_reference, FINITE_CORPUS
+from oracles import conjugate, perm_eval, pinched_reference, FINITE_CORPUS
 
 
 def w(text, p):
@@ -107,8 +107,8 @@ def test_pinched_oracle_trivialities():
     # sides with a conjugating prefix: u = a^2 [a,b] a^-2 has cyclic core
     # b^-1 a b a^-1 (4 letters, 6 in u), v = d c^3 d^-1 has core c^3
     a, b, c, d = (Word((k,)) for k in (1, 2, 3, 4))
-    u = commutator(a, b).conjugated_by(a * a)
-    v = (c**3).conjugated_by(d)
+    u = conjugate(commutator(a, b), a * a)
+    v = conjugate(c**3, d)
     assert len(u) == 6 and len(v) == 5
     conj = pinched_oracle(2, 2, u, v)
     assert conj(u * v.inv()) is True

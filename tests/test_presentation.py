@@ -10,6 +10,7 @@ from limitforge.presentation import (
     NormalizeCapError,
     Presentation,
     PresentationError,
+    _addable_relators,
     abelianization,
     canonical_relator,
     consequence_stream,
@@ -22,7 +23,12 @@ from limitforge.presentation import (
 )
 from limitforge.words import EMPTY, Word, commutator
 
-from oracles import canonical_relator_reference
+from oracles import (
+    addable_relators_reference,
+    canonical_relator_reference,
+    consequence_stream_reference,
+    enumerate_presentations_reference,
+)
 
 
 def W(*ints):
@@ -125,6 +131,65 @@ def test_tietze_stream_order_is_pinned():
     assert digest.hexdigest() == (
         "343f80008888e18100914048a099addf65471303372b5518fcf3534fa5538d4c"
     )
+
+
+# (presentation, length of the Tietze-stream prefix compared)
+STREAM_INPUTS = {
+    "genus2": ("< a, b, c, d | [a,b]*[c,d]^-1 >", 200),
+    "F2xZ": ("< a, b, z | [a,z], [b,z] >", 200),
+    "klein": ("< a, b | b*a*b^-1*a >", 60),
+    "Z3": ("< a, b, c | [a,b], [a,c], [b,c] >", 60),
+    "t1": ("< a, b, t | [a,t] >", 60),
+    "a2b3": ("< a, b | a^2*b^3 >", 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_INPUTS))
+def test_tietze_stream_matches_reference(name):
+    """The lazy Tietze expansion emits the reference's stream."""
+    text, count = STREAM_INPUTS[name]
+    p = parse(text)
+    got = itertools.islice(enumerate_presentations(p), count)
+    want = itertools.islice(enumerate_presentations_reference(p), count)
+    assert [serialize(q) for q in got] == [serialize(q) for q in want]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_INPUTS))
+def test_addable_relators_match_reference(name):
+    """Whole candidate streams, past the prefix that Tietze expansion
+    reads, for every bound up to 4."""
+    p = parse(STREAM_INPUTS[name][0])
+    for bound in range(1, 5):
+        got = [w.ints for w in _addable_relators(p, bound)]
+        assert got == [w.ints for w in addable_relators_reference(p, bound)]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_INPUTS))
+def test_consequence_stream_matches_reference(name):
+    p = parse(STREAM_INPUTS[name][0])
+    got = itertools.islice(consequence_stream(p), 5000)
+    want = itertools.islice(consequence_stream_reference(p), 5000)
+    assert [w.ints for w in got] == [w.ints for w in want]
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0), max_size=16))
+def test_canonical_relator_cache_is_invisible(xs):
+    """canonical_relator keeps its result on the word: a second call
+    gives the same word, a nonempty canonical word is its own result,
+    and the word still compares, hashes and prints as an uncached twin
+    does."""
+    w = Word.make(xs)
+    twin = Word(w.ints)
+    want = canonical_relator_reference(twin)
+    first = canonical_relator(w)
+    assert first == want
+    assert canonical_relator(w) is first
+    assert canonical_relator(first) is first
+    if twin == want and twin.ints:
+        assert first is w
+    assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+    assert first == Word(want.ints) and hash(first) == hash(want) and repr(first) == repr(want)
 
 
 @settings(derandomize=True, max_examples=60)

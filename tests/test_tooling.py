@@ -154,14 +154,29 @@ ENTRY_POINTS = {
     "ice.enumerate_limit_groups",
     "recognize.external_witness",
     "coset.rewrite_in_subgroup",
+    "recognize.Limit.reverify",
+    "recognize.NotLimit.reverify",
 }
+
+
+def _public_defs(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each public module-level def or
+    class and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
 
 
 def test_every_public_name_is_referenced():
     """Every public module-level def or class outside `cli` and
-    `__init__` is used somewhere in the package: as a name, an attribute
-    or an import.  A name listed only in `__all__` is API that nothing
-    calls."""
+    `__init__`, and every public method of a class there, is used
+    somewhere in the package: as a name, an attribute or an import.  A
+    name listed only in `__all__`, or called only by the tests, is API
+    that nothing calls."""
     package = pathlib.Path(limitforge.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     used = set()
@@ -174,13 +189,11 @@ def test_every_public_name_is_referenced():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     unused = {
-        f"{module}.{node.name}"
+        qualified
         for module, tree in trees.items()
         if module not in ("cli", "__init__")
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
+        for qualified, name in _public_defs(module, tree)
+        if name not in used
     }
     assert unused <= ENTRY_POINTS, f"public names nothing calls: {sorted(unused - ENTRY_POINTS)}"
     assert unused == ENTRY_POINTS, f"entry points now used: {sorted(ENTRY_POINTS - unused)}"

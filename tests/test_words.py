@@ -39,12 +39,7 @@ def test_word_make_and_mul():
     assert Word((1, 2)) ** 2 == Word((1, 2, 1, 2))
     assert Word((1,)) ** -3 == Word((-1, -1, -1))
     assert Word((1, 2)) ** 0 == EMPTY
-
-
-def test_conjugated_by():
-    w = Word((1,))
-    c = Word((2,))
-    assert w.conjugated_by(c).ints == (2, 1, -2)
+    assert (Word((2,)) * Word((1,)) * Word((2,)).inv()).ints == (2, 1, -2)
 
 
 def test_commutator_is_u_inv_v_inv_u_v():
