@@ -516,11 +516,15 @@ class LimitGroupEmission:
 class LimitEnumeration:
     """Dovetail towers against generating sets, emitting presentations.
 
-    Pair (i, j) enters in the round numbered i + ceil(j / S_PER_UNIT).
-    A fresh pair's retraction search gets FRESH_STEPS; unfinished pairs
-    get ROUND_STEPS more each later round, so every pair eventually
-    receives an unbounded budget while rounds stay linear in the number
-    of pending pairs.
+    Round i admits tower i, with the first set of its subset stream;
+    each later round draws the next S_PER_UNIT sets of every admitted
+    tower.  A fresh pair's retraction search gets FRESH_STEPS;
+    unfinished pairs get ROUND_STEPS more each later round, so every
+    pair eventually receives an unbounded budget while rounds stay
+    linear in the number of pending pairs.  Each tower keeps one
+    record, (tower, oracle, atlas, subset stream), and each pair one
+    list, [tower, search, steps owed], since the search holds S and
+    the oracle.
     """
 
     S_PER_UNIT = 8
@@ -529,63 +533,29 @@ class LimitEnumeration:
 
     def __init__(self):
         self._ice = enumerate_ice()
-        self._towers: list[IceTower] = []
-        self._presentations: list[Presentation] = []
-        self._oracles: list[WordOracle] = []
-        self._streams: list = []
-        self._subsets: list[list] = []
+        self._towers: list[tuple] = []
         # equal presentations (towers over g and g^-1, say) share one atlas
         self._atlases: dict[Presentation, SubgroupAtlas] = {}
-        self._todo: deque[dict] = deque()  # pairs yet to run this round
-        self._kept: list[dict] = []  # pairs of this round still searching
+        self._todo: deque[list] = deque()  # pairs yet to run this round
+        self._kept: list[list] = []  # pairs of this round still searching
         self.round = 0
         self.steps = 0
-
-    def _tower(self, i: int) -> IceTower:
-        while len(self._towers) < i:
-            t, p = next(self._ice)
-            self._towers.append(t)
-            self._presentations.append(p)
-            self._oracles.append(ice_oracle(t))
-            self._streams.append(_subset_stream(t.rank))
-            self._subsets.append([])
-        return self._towers[i - 1]
-
-    def _subset(self, i: int, j: int):
-        subs = self._subsets[i - 1]
-        while len(subs) <= j:
-            subs.append(next(self._streams[i - 1]))
-        return subs[j]
 
     def _open_round(self) -> None:
         self.round += 1
         for pair in self._kept:
-            pair["owed"] = self.ROUND_STEPS
+            pair[2] = self.ROUND_STEPS
         self._todo.extend(self._kept)
         self._kept = []
-        for i in range(1, self.round + 1):
-            q = self.round - i
-            if q == 0:
-                js = [0]
-            else:
-                per = self.S_PER_UNIT
-                js = range(per * (q - 1) + 1, per * q + 1)
-            for j in js:
-                tower = self._tower(i)
-                s = self._subset(i, j)
-                p = self._presentations[i - 1]
-                atlas = self._atlases.get(p)
-                if atlas is None:
-                    atlas = self._atlases[p] = SubgroupAtlas(p)
-                self._todo.append(
-                    {
-                        "tower": tower,
-                        "oracle": self._oracles[i - 1],
-                        "s": s,
-                        "search": RetractionSearch(p, s, self._oracles[i - 1], atlas),
-                        "owed": self.FRESH_STEPS,
-                    }
-                )
+        t, p = next(self._ice)
+        atlas = self._atlases.get(p)
+        if atlas is None:
+            atlas = self._atlases[p] = SubgroupAtlas(p)
+        self._towers.append((t, ice_oracle(t), atlas, _subset_stream(t.rank)))
+        for tower, oracle, atlas, subsets in self._towers:
+            for _ in range(1 if tower is t else self.S_PER_UNIT):
+                search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
+                self._todo.append([tower, search, self.FRESH_STEPS])
 
     def next_round(self, limit: int | None = None) -> list[LimitGroupEmission]:
         """Run a round of retraction searches; returns its emissions.
@@ -600,27 +570,23 @@ class LimitEnumeration:
         spent = 0
         while self._todo:
             pair = self._todo[0]
-            search = pair["search"]
-            steps = pair["owed"] if limit is None else min(pair["owed"], limit - spent)
+            tower, search, owed = pair
             before = search.steps
-            found = search.run(steps)
+            found = search.run(owed if limit is None else min(owed, limit - spent))
             used = search.steps - before
             spent += used
             self.steps += used
-            pair["owed"] -= used
-            if found is None and pair["owed"] > 0:
+            owed -= used
+            pair[2] = owed
+            if found is None and owed > 0:
                 break  # out of limit: the pair resumes in the next call
             self._todo.popleft()
             if found is None:
                 self._kept.append(pair)
                 continue
-            res = present_from_retraction(pair["s"], found, pair["oracle"])
+            res = present_from_retraction(search.s_words, found, search.oracle)
             if isinstance(res, SubgroupPresentationResult):
-                out.append(
-                    LimitGroupEmission(
-                        res.presentation, pair["tower"], tuple(pair["s"]), res
-                    )
-                )
+                out.append(LimitGroupEmission(res.presentation, tower, search.s_words, res))
         return out
 
 

@@ -26,8 +26,7 @@ from .presentation import (
     substitute,
     tietze_simplify,
 )
-from .retracts import _word_pool
-from .words import EMPTY, Word, commutator, validate_word, words_upto
+from .words import EMPTY, Word, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
 _TIER = object()  # CertifySearch stream marker: a new cost tier starts
@@ -272,27 +271,29 @@ class CertifySearch:
             while True:
                 self.spent += 1
                 yield None
+        pools = [(EMPTY,)]  # pools[n]: the reduced words of length n
         for cost in itertools.count(2):
             self._tier = cost
             yield _TIER
             self.max_cost = cost
+            pools.append(tuple(words_of_length(rank, cost - 1)))
             for lg in range(1, cost):
                 n = cost - lg + 1
-                for g in _word_pool(rank, lg):
+                for g in pools[lg]:
                     self.spent += cost
                     self.candidates += 1
                     yield self._torsion(g, n)
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
-                    for a in _word_pool(rank, la):
-                        for b in _word_pool(rank, lb):
+                    for a in pools[la]:
+                        for b in pools[lb]:
                             # the premises on (a, b) do not depend on c;
                             # an undecided one is asked again for the
                             # next c, as a semi-decision may decide it
                             # later
                             pair = None
-                            for c in _word_pool(rank, lc):
+                            for c in pools[lc]:
                                 self.spent += cost
                                 self.candidates += 1
                                 if pair is None:
@@ -300,9 +301,9 @@ class CertifySearch:
                                 yield self._ct(a, b, c) if pair else None
             for lg in range(1, cost):
                 lh = cost - lg
-                for g in _word_pool(rank, lg):
+                for g in pools[lg]:
                     alive = None  # as pair above, for the premise on g
-                    for h in _word_pool(rank, lh):
+                    for h in pools[lh]:
                         self.spent += cost
                         self.candidates += 1
                         if alive is None:

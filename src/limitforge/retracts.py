@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .abelian import exponent_vector, solve
 from .coset import CosetTable, RSResult, low_index, rs_presentation
@@ -82,11 +81,6 @@ class SearchExhausted:
     steps: int
 
 
-@lru_cache(maxsize=None)
-def _word_pool(rank: int, length: int) -> tuple[Word, ...]:
-    return tuple(words_of_length(rank, length))
-
-
 def _weak_compositions(total: int, parts: int):
     """Tuples of `parts` nonnegative ints summing to `total`, first part high."""
     if parts == 0:
@@ -132,17 +126,20 @@ class _Subgroup:
 
 
 class SubgroupAtlas:
-    """Exact-index coset tables and their subgroups, for one presentation.
+    """Exact-index coset tables, their subgroups and word pools, for one
+    presentation.
 
     Searches on the same presentation with different S share one atlas,
-    so each low-index stream and each Reidemeister-Schreier presentation
-    is computed once.
+    so each low-index stream, each Reidemeister-Schreier presentation
+    and each pool of image words is computed once, and all of them are
+    freed with the atlas.
     """
 
     def __init__(self, p: Presentation):
         self.p = p
         self._tables: dict[int, list[CosetTable]] = {}
         self._subgroups: dict[CosetTable, _Subgroup] = {}
+        self._pools: dict[tuple[int, int], tuple[Word, ...]] = {}
 
     def tables(self, index: int) -> list[CosetTable]:
         """Tables of subgroups of exactly this index, in low_index order."""
@@ -156,6 +153,13 @@ class SubgroupAtlas:
         got = self._subgroups.get(t)
         if got is None:
             got = self._subgroups[t] = _Subgroup(rs_presentation(self.p, t))
+        return got
+
+    def pool(self, rank: int, length: int) -> tuple[Word, ...]:
+        """The reduced words of this length over `rank` letters."""
+        got = self._pools.get((rank, length))
+        if got is None:
+            got = self._pools[rank, length] = tuple(words_of_length(rank, length))
         return got
 
 
@@ -267,7 +271,7 @@ class RetractionSearch:
             return
         # balanced splits first: spread length evenly before piling it up
         for comp in sorted(_weak_compositions(total, r), key=lambda c: (max(c), c)):
-            pools = [_word_pool(m, length) for length in comp]
+            pools = [self.atlas.pool(m, length) for length in comp]
             yield from itertools.product(*pools)
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from limitforge.ice import (
     LimitEnumeration,
     enumerate_ice,
@@ -84,3 +86,29 @@ def test_rounds_track_steps():
     first = enum.steps
     enum.next_round()
     assert enum.steps > first > 0
+
+
+def _round_ends(limit, last=8):
+    """Steps and emissions (presentation, tower, S) so far at the end of
+    each round through `last`, driving next_round(limit)."""
+    enum = LimitEnumeration()
+    ends, emissions = {}, []
+    while True:
+        got = enum.next_round(limit)
+        if enum.round > last:
+            return ends  # this call opened the next round
+        emissions += [
+            (serialize(e.presentation), tower_to_json(e.tower), e.s_words) for e in got
+        ]
+        ends[enum.round] = (enum.steps, tuple(emissions))
+        if limit is None and enum.round == last:
+            return ends
+
+
+@pytest.mark.parametrize("limit", [1, 7, 64])
+def test_sliced_rounds_match_whole_rounds(limit):
+    """A round cut into next_round(limit) calls, mid-pair where the limit
+    falls, emits and spends exactly what whole next_round() calls do.
+    Round 7 is the first to leave pairs unfinished, so round 8 also
+    resumes pairs on their ROUND_STEPS allowance."""
+    assert _round_ends(limit) == _round_ends(None)

@@ -1,6 +1,10 @@
 """Recognition: bounded refutation, witness schemas, the two verdict engines."""
 
 import hashlib
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,6 +195,34 @@ def test_certify_inversion_on_klein():
 def test_certify_finds_nothing_on_limit_groups():
     wp = free_abelian_oracle(Z2)
     assert CertifySearch(Z2, wp).run(4000) is None
+
+
+def test_finished_searches_release_their_word_pools():
+    """The word pools belong to the searches that walk them: once a cold
+    witness hunt on genus two and a Z^2 recognition are done, nothing
+    allocated in words.py stays alive.  A fresh interpreter keeps
+    earlier tests from filling any pool first."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = textwrap.dedent(f"""
+        import gc, sys, tracemalloc
+        sys.path.insert(0, {str(src)!r})
+        from limitforge.oracles import oracle_from
+        from limitforge.presentation import parse
+        from limitforge.recognize import CertifySearch, recognize_limit
+        genus2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
+        z2 = parse("< a, b | [a,b] >")
+        tracemalloc.start()
+        CertifySearch(genus2, oracle_from(genus2, "builtin:pinched")).run(10**5)
+        recognize_limit(z2, oracle_from(z2, "builtin:abelian"), 10**4)
+        gc.collect()
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/limitforge/words.py")])
+        print(sum(stat.size for stat in snap.statistics("filename")))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True
+    ).stdout
+    assert int(out) < 4096
 
 
 def test_certify_search_accounts_budget():

@@ -56,16 +56,19 @@ def test_every_module_is_imported_by_the_package():
 
 
 def test_no_module_global_caches():
-    """Caches live on the table, graph, tower or run they describe, so a
-    run frees them with its objects.  The one exception is the pool of
-    words of a given rank and length, which holds no run objects."""
+    """Caches live on the table, graph, tower, atlas or run they
+    describe, so a run frees them with its objects: no module holds an
+    `lru_cache`, nor a dict, list or set that code could fill.
+    `__builtins__` is the interpreter's."""
     found = set()
     for info in pkgutil.iter_modules(limitforge.__path__):
         module = importlib.import_module(f"limitforge.{info.name}")
-        for value in vars(module).values():
+        for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 found.add(f"{value.__module__}.{value.__qualname__}")
-    assert found == {"limitforge.retracts._word_pool"}
+            elif isinstance(value, (dict, list, set)) and name not in ("__all__", "__builtins__"):
+                found.add(f"{module.__name__}.{name}")
+    assert found == set()
 
 
 def test_recognition_budgets_script_runs():
