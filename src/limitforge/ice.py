@@ -548,10 +548,9 @@ class LimitEnumeration:
         self._todo.extend(self._kept)
         self._kept = []
         t, p = next(self._ice)
-        atlas = self._atlases.get(p)
-        if atlas is None:
-            atlas = self._atlases[p] = SubgroupAtlas(p)
-        self._towers.append((t, ice_oracle(t), atlas, _subset_stream(t.rank)))
+        if p not in self._atlases:
+            self._atlases[p] = SubgroupAtlas(p)
+        self._towers.append((t, ice_oracle(t), self._atlases[p], _subset_stream(t.rank)))
         for tower, oracle, atlas, subsets in self._towers:
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
