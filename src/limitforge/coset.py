@@ -68,8 +68,8 @@ class SchreierTree:
     coset table, or a folded subgroup graph of a free group.  The tree
     grows from vertex 0 scanning slots ascending, and reps[v] is the tree
     word from 0 to v.  The non-tree positive edges, ordered by (slot,
-    vertex), number the Schreier basis: edge_index[(v, s)] = i, and
-    basis[i] is the ambient word reps[v] * s * reps[trans[v][s]]^-1.
+    vertex), number the Schreier basis: the i-th is (v, s), and basis[i]
+    is the ambient word reps[v] * s * reps[trans[v][s]]^-1.
     """
 
     def __init__(self, trans, rank: int):
@@ -88,14 +88,12 @@ class SchreierTree:
                     tree.add((v, s))
                     tree.add((d, _inv(s)))
                     bfs.append(d)
-        self.reps = tuple(reps)
         edges = [
             (v, s)
             for s in range(0, n2, 2)
             for v in range(len(trans))
             if trans[v][s] is not None and (v, s) not in tree
         ]
-        self.edge_index = {e: i for i, e in enumerate(edges)}
         self.basis = tuple(
             reps[v] * Word((unslot(s),)) * reps[trans[v][s]].inv() for v, s in edges
         )

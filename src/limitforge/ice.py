@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freegroup import FreeGroup, primitive_root
+from .freegroup import FreeGroup, amalgam_close, amalgam_push, amalgam_reduce, primitive_root
 from .oracles import WordOracle
 from .presentation import Presentation
 from .retracts import (
@@ -33,6 +33,7 @@ from .words import (
     commutator,
     format_word,
     parse_word,
+    reduce_ints,
     validate_word,
     words_of_length,
     words_upto,
@@ -128,127 +129,64 @@ def presentation_of(t: IceTower) -> Presentation:
 # ---------------------------------------------------------------------------
 # Syllable pinching over the top amalgam
 
-_LOW, _BEE = 0, 1
 
-
-class _Syl:
-    __slots__ = ("kind", "word", "vec")
-
-    def __init__(self, kind: int, word: Word, vec):
-        self.kind = kind
-        self.word = word  # for _BEE: the edge-group part, in order
-        self.vec = vec  # _BEE only: exponents of the step generators
-
-
-def _split_syllables(ints: tuple[int, ...], lo: int, n: int) -> list[_Syl]:
-    """Maximal runs of lower letters and of step letters; ints is reduced,
-    so each lower run is a reduced word as it stands.  A word with no
-    step letters comes back as one syllable holding ints itself."""
-    syls: list[_Syl] = []
-    i, end = 0, len(ints)
-    while i < end:
-        j = i
-        if -lo <= ints[i] <= lo:
-            while j < end and -lo <= ints[j] <= lo:
-                j += 1
-            syls.append(_Syl(_LOW, Word(ints[i:j]), None))
-        else:
-            vec = [0] * n
-            while j < end and not -lo <= ints[j] <= lo:
-                x = ints[j]
-                vec[abs(x) - lo - 1] += 1 if x > 0 else -1
-                j += 1
-            syls.append(_Syl(_BEE, EMPTY, vec))
-        i = j
-    return syls
-
-
-def _tee_word(vec, lo: int) -> Word:
-    out: list[int] = []
-    for i, e in enumerate(vec):
-        letter = lo + i + 1
-        out.extend([letter if e > 0 else -letter] * abs(e))
-    return Word.make(out)
-
-
-def _syl_word(s: _Syl, lo: int) -> Word:
-    if s.kind == _LOW:
-        return s.word
-    return s.word * _tee_word(s.vec, lo)
-
-
-def _push(stack: list[_Syl], s: _Syl) -> None:
-    """Put s on the stack: neighbours of one kind multiply, a step
-    syllable whose vector cancels becomes a lower one, and an empty lower
-    syllable drops out, so its neighbours meet at once."""
-    while True:
-        if s.kind == _BEE and not any(s.vec):
-            s = _Syl(_LOW, s.word, None)
-        if s.kind == _LOW and not s.word.ints:
-            return
-        if not stack or stack[-1].kind != s.kind:
-            stack.append(s)
-            return
-        prev = stack.pop()
-        vec = None if s.kind == _LOW else [a + b for a, b in zip(prev.vec, s.vec)]
-        s = _Syl(s.kind, prev.word * s.word, vec)
+def _syl_word(t: IceTower, f: int, body: tuple[int, ...]) -> Word:
+    """A syllable as a word.  A step syllable's body keeps its letters in
+    the order they joined; its lower letters, read in order, multiply to
+    its edge-group part, which commutes with the step letters and comes
+    first, and then each step letter's power follows."""
+    if not f:
+        return Word(body)
+    lo = t.rank - t.steps[-1].n
+    word = Word.make(x for x in body if -lo <= x <= lo)
+    for x in range(lo + 1, t.rank + 1):
+        word = word * Word((x,)) ** (body.count(x) - body.count(-x))
+    return word
 
 
 def _pinch(t: IceTower, w: Word, cyclic: bool):
     """Reduce w to an alternating normal form over the top amalgam.
 
-    Returns (syllables, conjugator); with cyclic=True the form is also
-    cyclically reduced and conj^-1 * w * conj equals the returned word.
-
-    Pass 1 merges on a stack with no edge tests, so every cancellation
-    happens before a lower syllable is tested.  Pass 2 restacks the
-    result and tests each lower syllable once it is final (a step
-    syllable follows it, or the word ends).  Edge elements commute with
-    the step generators, so one joins the step syllable on its left, or
-    the next one if it comes first.
+    Returns (syllables, conjugator): the syllables are amalgam_reduce's
+    (factor, body) pairs, factor 1 for step syllables; with cyclic=True
+    the form is also cyclically reduced and conj^-1 * w * conj equals the
+    returned word.  A lower syllable in the edge group joins a step
+    syllable as it stands, since edge elements commute with the step
+    generators; a step syllable whose step letters cancel is its lower
+    letters.
     """
-    top = t.steps[-1]
-    lo = t.rank - top.n
+    lo = t.rank - t.steps[-1].n
+    tees = range(lo + 1, t.rank + 1)
 
-    def absorb_last() -> None:
-        if len(syls) >= 2 and syls[-1].kind == _LOW and _in_edge(t, syls[-1].word):
-            u = syls.pop().word
-            syls[-1].word = syls[-1].word * u
+    def edge(f: int, body: tuple[int, ...]):
+        if not f:
+            return body if _in_edge(t, body) else None
+        if any(body.count(x) != body.count(-x) for x in tees):
+            return None
+        return reduce_ints(x for x in body if -lo <= x <= lo)
 
-    merged: list[_Syl] = []
-    for s in _split_syllables(w.ints, lo, top.n):
-        _push(merged, s)
-    syls: list[_Syl] = []
-    for s in merged:
-        if s.kind == _BEE and syls and syls[-1].kind == _LOW and _in_edge(t, syls[-1].word):
-            u = syls.pop().word
-            if syls:
-                syls[-1].word = syls[-1].word * u
-            else:
-                s.word = u * s.word
-        _push(syls, s)
-    absorb_last()
+    syls = amalgam_reduce(w.ints, lo, edge)
     conj = EMPTY
-    # Cyclic mode: the stack's bottom is the first syllable.  Every lower
-    # syllable with a step neighbour has failed the edge test, so the ends
-    # reduce only when they have one kind: the first moves onto the top,
-    # merges there, and only the top needs settling.
-    while cyclic and len(syls) >= 2 and syls[0].kind == syls[-1].kind:
-        first = syls.pop(0)
-        conj = conj * _syl_word(first, lo)
-        _push(syls, first)
-        absorb_last()
+    # The stack's bottom is the first syllable.  Every lower syllable with a
+    # step neighbour has failed the edge test, so the ends reduce only when
+    # they have one factor: the first moves onto the top, merges there, and
+    # only the top needs settling.
+    while cyclic and len(syls) >= 2 and syls[0][0] == syls[-1][0]:
+        f, body = syls.pop(0)
+        conj = conj * _syl_word(t, f, body)
+        amalgam_push(syls, f, body, edge)
+        amalgam_close(syls, edge)
     return syls, conj
 
 
-def _in_edge(t: IceTower, u: Word) -> bool:
-    """Whether u, a word of the level below, lies in the edge group of the
-    top step, that is, commutes with its g.  Memoized on the tower; the
-    commutator is decided uncached, since no other path asks for it."""
+def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
+    """Whether the reduced word ints of the level below lies in the edge
+    group of the top step, that is, commutes with its g.  Memoized on the
+    tower; the commutator is decided uncached, since no other path asks."""
     memo = t._edge_memo
-    got = memo.get(u.ints)
+    got = memo.get(ints)
     if got is None:
-        got = memo[u.ints] = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
+        got = memo[ints] = _wp_uncached(t.lower(), commutator(Word(ints), t.steps[-1].g).ints)
     return got
 
 
@@ -270,10 +208,8 @@ def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool:
         return True
     if len(syls) > 1:
         return False
-    s = syls[0]
-    if s.kind == _BEE:
-        return False
-    return _wp(t.lower(), s.word.ints)
+    f, body = syls[0]
+    return not f and _wp(t.lower(), body)
 
 
 def wp_ice(t: IceTower, w: Word) -> bool:
@@ -303,10 +239,10 @@ def _classify(t: IceTower, w: Word) -> Classification:
     syls, conj = _pinch(t, w, cyclic=True)
     if len(syls) >= 2:
         return Classification("hyperbolic")
-    s = syls[0]
-    if s.kind == _BEE:
+    f, body = syls[0]
+    if f:
         return Classification("parabolic", len(t.steps), conj)
-    return _under_top(t, s.word, conj)
+    return _under_top(t, Word(body), conj)
 
 
 def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
@@ -314,7 +250,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
     top = t.steps[-1]
     low = t.lower()
     k = len(t.steps)
-    if _in_edge(t, u):
+    if _in_edge(t, u.ints):
         # u centralizes g, so it sits inside the extended subgroup itself
         return Classification("parabolic", k, conj)
     sub = _classify(low, u)
@@ -330,7 +266,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", sub.level, conj * sub.conjugator)
     if len(top.basis) == 1:
         for c in words_upto(t.rank - top.n, _RESIDUAL_LEN):
-            if _in_edge(t, c.inv() * u * c):
+            if _in_edge(t, (c.inv() * u * c).ints):
                 return Classification("parabolic", k, conj * c)
     return Classification("hyperbolic")
 
@@ -353,16 +289,16 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
     """Maximal root of a hyperbolic word: (r, e) with r^e = w."""
     if not t.steps:
         return primitive_root(w)
-    lo = t.rank - t.steps[-1].n
     syls, conj = _pinch(t, w, cyclic=True)
     if len(syls) == 1:
-        if syls[0].kind == _BEE:
+        f, body = syls[0]
+        if f:
             raise ValueError("root extraction expects a hyperbolic word")
-        root, e = _max_root(t.lower(), syls[0].word)
+        root, e = _max_root(t.lower(), Word(body))
         return conj * root * conj.inv(), e
     core = EMPTY
     for s in syls:
-        core = core * _syl_word(s, lo)
+        core = core * _syl_word(t, *s)
     count = len(syls)
     for d in range(2, count, 2):
         if count % d:
@@ -370,7 +306,7 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
         e = count // d
         prefix = EMPTY
         for s in syls[:d]:
-            prefix = prefix * _syl_word(s, lo)
+            prefix = prefix * _syl_word(t, *s)
         for delta in _edge_corrections(t):
             cands = [prefix * delta]
             if delta.ints:

@@ -9,7 +9,6 @@ finite-quotient actions.
 from __future__ import annotations
 
 import atexit
-import itertools
 import os
 import select
 import subprocess
@@ -17,9 +16,9 @@ import time
 
 from .abelian import exponent_vector
 from .coset import Overflow, low_index, todd_coxeter
-from .freegroup import cyclic_reduce, is_power_of
+from .freegroup import amalgam_reduce, cyclic_reduce, is_power_of
 from .presentation import Presentation, canonical_relator, consequence_stream
-from .words import Word, commutator, format_word, invert_ints, reduce_ints
+from .words import Word, commutator, format_word, invert_ints
 
 __all__ = [
     "WordOracle",
@@ -254,44 +253,20 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
         raise ValueError("pinched relator halves must be nontrivial")
     if u.max_index() > rank1:
         raise ValueError("u must use only the first generator block")
-    if any(abs(x) <= rank1 for x in v.ints):
+    if any(abs(x) <= rank1 for x in v.ints) or v.max_index() > rank1 + rank2:
         raise ValueError("v must use only the second generator block")
-
-    def block(letter: int) -> int:
-        return 0 if abs(letter) <= rank1 else 1
-
     sides = (u, v)
     # a nonempty word shorter than a side's cyclic core is no power of it
     core_lens = tuple(len(cyclic_reduce(side)[0]) for side in sides)
 
-    def merge(syllables):
-        # multiply adjacent same-block syllables; a product that cancels
-        # to 1 drops out and lets its two neighbours meet in turn
-        out: list[tuple[int, tuple[int, ...]]] = []
-        for b, body in syllables:
-            if out and out[-1][0] == b:
-                body = reduce_ints(out.pop()[1] + body)
-            if body:
-                out.append((b, body))
-        return out
+    def edge(f: int, body: tuple[int, ...]):
+        if len(body) < core_lens[f]:
+            return None
+        k = is_power_of(Word(body), sides[f])
+        return None if k is None else (sides[1 - f] ** k).ints
 
-    def fn(w: Word) -> bool:
-        # w is reduced, so each maximal one-block run is a reduced syllable
-        syllables = [(b, tuple(run)) for b, run in itertools.groupby(w.ints, block)]
-        while len(syllables) >= 2:
-            for idx, (b, body) in enumerate(syllables):
-                if len(body) < core_lens[b]:
-                    continue
-                k = is_power_of(Word(body), sides[b])
-                if k is not None:
-                    syllables[idx] = (1 - b, (sides[1 - b] ** k).ints)
-                    syllables = merge(syllables)
-                    break
-            else:
-                return False  # amalgam normal form with >= 2 syllables
-        return not syllables  # free factors embed
-
-    return WordOracle(fn, True, "pinched")
+    # w is reduced; the free factors embed, so a lone syllable is nontrivial
+    return WordOracle(lambda w: not amalgam_reduce(w.ints, rank1, edge), True, "pinched")
 
 
 def _detect_pinched(p: Presentation):

@@ -446,7 +446,6 @@ class _MatchBranch:
     EXPAND_WEIGHT = 8  # one presentation-enumeration node ~ this many steps
 
     def __init__(self, target: Presentation):
-        self.target = target
         try:
             self._key = normalize_key(target)
         except NormalizeCapError:

@@ -330,14 +330,12 @@ def find_retraction(
 
 @dataclass(frozen=True)
 class RetractResult:
-    """Presentation of a retract, with its generators expressed in the input.
-
-    gen_exprs[j]: output generator j as a word over the input generators;
-    kept[j]: the input generator whose image class output generator j names.
+    """Presentation of a retract, with the input generator behind each of
+    its generators: kept[j] is the input generator whose image class
+    output generator j names.
     """
 
     presentation: Presentation
-    gen_exprs: tuple[Word, ...]
     kept: tuple[int, ...]
 
 
@@ -368,7 +366,7 @@ def retract_presentation(p: Presentation, images, wp: WordOracle):
     quotient = Presentation(p.names, list(p.relators) + extra)
     simplified, trace = tietze_simplify(quotient)
     out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
-    return RetractResult(out, tuple(images[k] for k in trace.kept), trace.kept)
+    return RetractResult(out, trace.kept)
 
 
 @dataclass(frozen=True)

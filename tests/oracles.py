@@ -21,7 +21,7 @@ from collections import deque
 
 from limitforge.coset import _standardize
 from limitforge.freegroup import eval_hom
-from limitforge.ice import _BEE, _LOW, _split_syllables, _syl_word, _wp
+from limitforge.ice import _wp
 from limitforge.presentation import (
     _CHILD_CAP,
     _CONSEQ_CAP,
@@ -376,19 +376,39 @@ def split_syllables_reference(ints, lo: int, n: int) -> list:
     return [tuple(s) for s in syls]
 
 
+def syllable_word_reference(s, lo: int) -> Word:
+    """A (kind, word, vec) syllable as a word: a step syllable's edge-group
+    part first, then each step letter's power in turn."""
+    kind, word, vec = s
+    if kind == 0:
+        return word
+    for i, e in enumerate(vec):
+        word = word * Word((lo + i + 1,)) ** e
+    return word
+
+
+class _Syl:
+    """A syllable that pinch_reference rewrites in place."""
+
+    def __init__(self, kind: int, word: Word, vec):
+        self.kind, self.word, self.vec = kind, word, vec
+
+
 def pinch_reference(t, w: Word, cyclic: bool):
     """(syllables, conjugator) of w over the top amalgam of tower t, by a
     fixed-point loop that rescans from the first syllable after every
     merge or pinch, and tests edge membership through the word problem
-    one level down."""
+    one level down.  Syllables carry kind, word and vec as in
+    split_syllables_reference."""
     top = t.steps[-1]
     lo = t.rank - top.n
     low = t.lower()
+    _LOW, _BEE = 0, 1
 
     def in_edge(u: Word) -> bool:
         return _wp(low, commutator(u, top.g).ints)
 
-    syls = _split_syllables(w.ints, lo, top.n)
+    syls = [_Syl(*s) for s in split_syllables_reference(w.ints, lo, top.n)]
     conj = EMPTY
     while True:
         changed = True
@@ -437,7 +457,7 @@ def pinch_reference(t, w: Word, cyclic: bool):
             break
         first, last = syls[0], syls[-1]
         if first.kind == last.kind:
-            conj = conj * _syl_word(first, lo)
+            conj = conj * syllable_word_reference((first.kind, first.word, first.vec), lo)
             syls.append(syls.pop(0))
             continue
         if first.kind == _LOW and in_edge(first.word):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge import ice
+from limitforge.freegroup import amalgam_reduce
 from limitforge.ice import (
     _pinch,
-    _split_syllables,
     centralizer_ice,
     extend_centralizer,
     ice_oracle,
@@ -165,7 +165,7 @@ def test_split_syllables_matches_reference(xs):
         while t.steps:
             n = t.steps[-1].n
             ints = Word.make(x for x in xs if abs(x) <= t.rank).ints
-            got = [(s.kind, s.word, s.vec) for s in _split_syllables(ints, t.rank - n, n)]
+            got = _syllables(t, amalgam_reduce(ints, t.rank - n, _no_edge))
             assert got == split_syllables_reference(ints, t.rank - n, n)
             t = t.lower()
 
@@ -176,14 +176,30 @@ def test_split_syllables_keeps_an_all_lower_word():
     for t in _fresh_towers():
         lo = t.rank - t.steps[-1].n
         ints = Word.make((1, 2, -1, 2, 2)).ints
-        syls = _split_syllables(ints, lo, t.steps[-1].n)
-        assert len(syls) == 1 and syls[0].word.ints is ints
+        syls = amalgam_reduce(ints, lo, _no_edge)
+        assert len(syls) == 1 and syls[0][1] is ints
         wp_ice(t, Word(ints))
         assert any(key is ints for key in t.lower()._wp_memo)
 
 
-def _syllables(syls):
-    return [(s.kind, s.word, s.vec) for s in syls]
+def _no_edge(f, body):
+    """An edge test that never fires, so amalgam_reduce returns its cut."""
+    return None
+
+
+def _syllables(t, syls):
+    """Library (factor, body) syllables in the reference's (kind, word,
+    vec) form: a step syllable's word is its lower letters, reduced, and
+    vec its step-letter exponents."""
+    lo = t.rank - t.steps[-1].n
+    out = []
+    for f, body in syls:
+        if not f:
+            out.append((0, Word(body), None))
+            continue
+        vec = [body.count(x) - body.count(-x) for x in range(lo + 1, t.rank + 1)]
+        out.append((1, Word.make(x for x in body if abs(x) <= lo), vec))
+    return out
 
 
 def _pinch_words(t, rng, count):
@@ -240,7 +256,7 @@ def test_pinch_matches_reference():
         for cyclic in (False, True):
             got, conj = _pinch(t, w, cyclic)
             want, want_conj = pinch_reference(t, w, cyclic)
-            assert _syllables(got) == _syllables(want), (t, w, cyclic)
+            assert _syllables(t, got) == [(s.kind, s.word, s.vec) for s in want], (t, w, cyclic)
             assert conj == want_conj, (t, w, cyclic)
 
 

@@ -2,13 +2,15 @@
 
 import itertools
 import os
+import random
 import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge import oracles
-from limitforge.ice import ice_oracle, tower_from_json
+from limitforge.freegroup import eval_hom
+from limitforge.ice import ice_oracle, tower_from_json, wp_ice
 from limitforge.oracles import (
     OracleProtocolError,
     auto_oracle,
@@ -25,7 +27,13 @@ from limitforge.oracles import (
 from limitforge.presentation import parse
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import conjugate, perm_eval, pinched_reference, FINITE_CORPUS
+from oracles import (
+    FINITE_CORPUS,
+    conjugate,
+    perm_eval,
+    pinched_reference,
+    random_reduced_word,
+)
 
 
 def w(text, p):
@@ -104,6 +112,9 @@ def test_pinched_oracle_trivialities():
     assert genus2(Word((1, 3, -1, -2, 1, 2, -4, -3, 4))) is False
     with pytest.raises(ValueError):
         pinched_oracle(2, 2, u, Word((1,)))
+    # letter 7 lies beyond the rank1 + rank2 = 4 letters of the amalgam
+    with pytest.raises(ValueError):
+        pinched_oracle(2, 2, commutator(Word((1,)), Word((2,))), Word((7,)))
     # sides with a conjugating prefix: u = a^2 [a,b] a^-2 has cyclic core
     # b^-1 a b a^-1 (4 letters, 6 in u), v = d c^3 d^-1 has core c^3
     a, b, c, d = (Word((k,)) for k in (1, 2, 3, 4))
@@ -155,6 +166,39 @@ def test_pinched_oracle_matches_reference(parts):
         fn = pinched_oracle(rank1, rank2, u, v).fn
         assert fn(acc) == pinched_reference(rank1, u, v, acc)
         assert fn(acc * u * v.inv() * acc.inv()) is True
+
+
+def test_pinched_engine_agrees_with_the_tower_engine():
+    """The genus-two double < a, b, c, d | [a,b] = [c,d] > embeds in the
+    tower < a, b, t | [[a,b], t] > by c -> t a t^-1, d -> t b t^-1, so the
+    pinched engine on a word and the tower engine on its image agree.
+    Half the words are products of conjugates of the relator, so both
+    answers are exercised."""
+    g2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
+    pinched = oracle_from(g2, "builtin:pinched")
+    tower = tower_from_json({"base_rank": 2, "steps": [{"g": "[a,b]", "n": 1}]})
+    a, b, t = Word((1,)), Word((2,)), Word((3,))
+    images = (a, b, conjugate(a, t), conjugate(b, t))
+    rng = random.Random(20261018)
+    relator = g2.relators[0]
+    cases = []
+    for i in range(600):
+        word = random_reduced_word(rng, 4, rng.randint(1, 14))
+        if i % 2:
+            word = Word(())
+            for _ in range(rng.randint(1, 3)):
+                c = random_reduced_word(rng, 4, rng.randint(0, 5))
+                word = word * conjugate(relator ** rng.choice((1, -1)), c)
+            if i % 3 == 0:
+                # splice a letter in, which usually makes it nontrivial
+                k = rng.randint(0, len(word))
+                word = Word.make(word.ints[:k] + (rng.choice((1, -1, 2, -2, 3, 4)),) + word.ints[k:])
+        cases.append(word)
+    answers = [pinched(word) for word in cases]
+    for word, answer in zip(cases, answers):
+        assert answer is wp_ice(tower, eval_hom(images, word)), word
+    assert 3 * answers.count(True) >= len(cases)
+    assert answers.count(False) >= len(cases) // 3
 
 
 def test_ice_oracle_agrees_with_tower():

@@ -200,3 +200,36 @@ def test_every_public_name_is_referenced():
     }
     assert unused <= ENTRY_POINTS, f"public names nothing calls: {sorted(unused - ENTRY_POINTS)}"
     assert unused == ENTRY_POINTS, f"entry points now used: {sorted(ENTRY_POINTS - unused)}"
+
+
+def test_every_stored_attribute_is_read():
+    """Every `self.<name> = ...` in a class of the package has a read of
+    `.<name>` somewhere in the package: state that nothing reads lives as
+    long as its object for nothing.  `WordSyntaxError.pos` is exempt, the
+    position that the exception carries to its catcher."""
+    package = pathlib.Path(limitforge.__file__).parent
+    stored, loaded = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [stmt.target]
+                else:
+                    continue
+                for target in targets:
+                    for attr in ast.walk(target):
+                        if (
+                            isinstance(attr, ast.Attribute)
+                            and isinstance(attr.value, ast.Name)
+                            and attr.value.id == "self"
+                        ):
+                            stored.add((f"{path.stem}.{node.name}.{attr.attr}", attr.attr))
+    unread = {qualified for qualified, name in stored if name not in loaded}
+    assert unread == {"words.WordSyntaxError.pos"}, f"stored, never read: {sorted(unread)}"
