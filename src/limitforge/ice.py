@@ -161,8 +161,9 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     def edge(f: int, body: tuple[int, ...]):
         if not f:
             return body if _in_edge(t, body) else None
-        if any(body.count(x) != body.count(-x) for x in tees):
-            return None
+        for x in tees:
+            if body.count(x) != body.count(-x):
+                return None
         return reduce_ints(x for x in body if -lo <= x <= lo)
 
     syls = amalgam_reduce(w.ints, lo, edge)

@@ -376,22 +376,18 @@ def split_syllables_reference(ints, lo: int, n: int) -> list:
     return [tuple(s) for s in syls]
 
 
-def syllable_word_reference(s, lo: int) -> Word:
-    """A (kind, word, vec) syllable as a word: a step syllable's edge-group
-    part first, then each step letter's power in turn."""
-    kind, word, vec = s
-    if kind == 0:
-        return word
-    for i, e in enumerate(vec):
-        word = word * Word((lo + i + 1,)) ** e
-    return word
-
-
 class _Syl:
     """A syllable that pinch_reference rewrites in place."""
 
     def __init__(self, kind: int, word: Word, vec):
         self.kind, self.word, self.vec = kind, word, vec
+
+    def as_word(self, lo: int) -> Word:
+        """The edge-group part first, then each step letter's power."""
+        word = self.word
+        for i, e in enumerate(self.vec or ()):
+            word = word * Word((lo + i + 1,)) ** e
+        return word
 
 
 def pinch_reference(t, w: Word, cyclic: bool):
@@ -457,7 +453,7 @@ def pinch_reference(t, w: Word, cyclic: bool):
             break
         first, last = syls[0], syls[-1]
         if first.kind == last.kind:
-            conj = conj * syllable_word_reference((first.kind, first.word, first.vec), lo)
+            conj = conj * first.as_word(lo)
             syls.append(syls.pop(0))
             continue
         if first.kind == _LOW and in_edge(first.word):

@@ -172,8 +172,8 @@ def test_pinched_engine_agrees_with_the_tower_engine():
     """The genus-two double < a, b, c, d | [a,b] = [c,d] > embeds in the
     tower < a, b, t | [[a,b], t] > by c -> t a t^-1, d -> t b t^-1, so the
     pinched engine on a word and the tower engine on its image agree.
-    Half the words are products of conjugates of the relator, so both
-    answers are exercised."""
+    Half the words are products of conjugates of the relator, a third of
+    those with one letter spliced in, so both answers are common."""
     g2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
     pinched = oracle_from(g2, "builtin:pinched")
     tower = tower_from_json({"base_rank": 2, "steps": [{"g": "[a,b]", "n": 1}]})
