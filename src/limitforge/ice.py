@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+from .abelian import exponent_vector
 from .freegroup import FreeGroup, amalgam_close, amalgam_push, amalgam_reduce, primitive_root
 from .oracles import WordOracle
 from .presentation import Presentation
@@ -67,7 +68,7 @@ class IceTower:
             raise ValueError("base rank must be positive")
         object.__setattr__(self, "steps", tuple(self.steps))
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return self.base_rank + sum(s.n for s in self.steps)
 
@@ -265,11 +266,24 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
                 h = conj * sub.conjugator * edge.conjugator.inv()
                 return Classification("parabolic", k, h)
         return Classification("parabolic", sub.level, conj * sub.conjugator)
-    if len(top.basis) == 1:
-        for c in words_upto(t.rank - top.n, _RESIDUAL_LEN):
+    if len(top.basis) == 1 and _parallel(u, top.g, low.rank):
+        for c in words_upto(low.rank, _RESIDUAL_LEN):
             if _in_edge(t, (c.inv() * u * c).ints):
                 return Classification("parabolic", k, conj * c)
     return Classification("hyperbolic")
+
+
+def _parallel(u: Word, g: Word, rank: int) -> bool:
+    """Whether u's exponent vector is a rational multiple of g's; when g's
+    is zero, whether u's is zero too.  Exponent sums are a homomorphism of
+    every tower, since its relators are commutators, and conjugation keeps
+    them; a hyperbolic conjugate of u inside the cyclic edge group shares
+    a root with g, so its vector is parallel to g's."""
+    vu, vg = exponent_vector(u, rank), exponent_vector(g, rank)
+    k = next((i for i, x in enumerate(vg) if x), None)
+    if k is None:
+        return not any(vu)
+    return all(a * vg[k] == b * vu[k] for a, b in zip(vu, vg))
 
 
 def _edge_corrections(t: IceTower):
@@ -301,8 +315,14 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
     for s in syls:
         core = core * _syl_word(t, *s)
     count = len(syls)
+    # Reduced forms of one element differ by edge elements between
+    # neighbouring syllables, and those carry no top step letters; so the
+    # syllables' step-letter exponents of a d-th root's power repeat with
+    # period d, and a d whose sequence does not repeat has no root.
+    lo = t.rank - t.steps[-1].n
+    vecs = [exponent_vector(Word(body), t.rank)[lo:] for _, body in syls]
     for d in range(2, count, 2):
-        if count % d:
+        if count % d or vecs[d:] != vecs[:-d]:
             continue
         e = count // d
         prefix = EMPTY

@@ -1,15 +1,41 @@
 """Centralizer computation in towers.
 
 The height-one tower over F2 extended along a: centralizers of base
-elements either stay cyclic or pick up the new letter.
+elements either stay cyclic or pick up the new letter.  The exponent-vector
+pre-tests of the root and conjugator searches are checked against the
+unpruned searches and on their own.
 """
 
-from limitforge.ice import centralizer_ice, tower_from_json, wp_ice
+import itertools
+import random
+import sys
+
+from hypothesis import assume, given, settings, strategies as st
+
+from limitforge import ice
+from limitforge.abelian import exponent_vector
+from limitforge.ice import (
+    _classify,
+    _pinch,
+    _syl_word,
+    centralizer_ice,
+    enumerate_ice,
+    extend_centralizer,
+    presentation_of,
+    tower_from_json,
+    wp_ice,
+)
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import conjugate, t1_specialize
+from oracles import conjugate, random_reduced_word, t1_specialize
 
-T1 = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 1}]})
+T1_DOC = {"base_rank": 2, "steps": [{"g": "a", "n": 1}]}
+T3_DOC = {
+    "base_rank": 2,
+    "steps": [{"g": "a", "n": 1}, {"g": "b*t", "n": 2}, {"g": "[a,b]", "n": 1}],
+}
+T1 = tower_from_json(T1_DOC)
+T3 = tower_from_json(T3_DOC)
 A, B, T = Word((1,)), Word((2,)), Word((3,))
 
 
@@ -94,3 +120,84 @@ def test_centralizer_members_die_under_specialization_with_target():
             for k in (0, 1, 2, 5):
                 img = t1_specialize(comm(b, target), k)
                 assert img == Word(()), (target, b, k)
+
+
+def _pretest_towers():
+    """The first 300 towers of enumerate_ice, T3, and T1 extended along
+    b^k a b^-k for k = 1..6, built afresh so that every edge basis comes
+    from the centralizer search in force."""
+    out = [t for t, _ in itertools.islice(enumerate_ice(), 300)]
+    out.append(tower_from_json(T3_DOC))
+    t1 = tower_from_json(T1_DOC)
+    out += [extend_centralizer(t1, B**k * A * B**-k, 1) for k in range(1, 7)]
+    return out
+
+
+def _answers(towers):
+    """wp_ice answers and centralizer_ice bases of 30 seeded words a tower."""
+    out = []
+    for t in towers:
+        rng = random.Random(20261018)
+        rels = presentation_of(t).relators
+        for i in range(30):
+            w = random_reduced_word(rng, t.rank, rng.randint(1, 10))
+            if i % 2 and rels:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 4))
+                w = w * conjugate(rng.choice(rels), c)
+            trivial = wp_ice(t, w)
+            out.append((w, trivial, None if trivial else centralizer_ice(t, w)))
+    return out
+
+
+def test_pretests_keep_every_answer(monkeypatch):
+    # zero exponent vectors pass both pre-tests, which recovers the
+    # unpruned root and conjugator searches
+    towers = _pretest_towers()
+    pruned = _answers(towers)
+    monkeypatch.setattr(ice, "exponent_vector", lambda w, n: [0] * n)
+    unpruned_towers = _pretest_towers()
+    assert unpruned_towers == towers
+    assert _answers(unpruned_towers) == pruned
+
+
+PREFIX = [t for t, _ in itertools.islice(enumerate_ice(), 60) if t.steps]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([T3] + PREFIX),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=2, max_size=14),
+)
+def test_step_vectors_of_a_power_repeat_with_the_root_period(t, letters):
+    w = Word.make(x // abs(x) * ((abs(x) - 1) % t.rank + 1) for x in letters)
+    syls, _ = _pinch(t, w, cyclic=True)
+    assume(len(syls) >= 2)
+    # the cyclically reduced form, a hyperbolic word of the top amalgam
+    r = Word()
+    for s in syls:
+        r = r * _syl_word(t, *s)
+    d = len(_pinch(t, r, cyclic=True)[0])
+    lo = t.rank - t.steps[-1].n
+    for e in (2, 3):
+        syls, _ = _pinch(t, r**e, cyclic=True)
+        vecs = [exponent_vector(Word(body), t.rank)[lo:] for _, body in syls]
+        assert len(vecs) == e * d
+        assert vecs[d:] == vecs[:-d], (t, r, e)
+
+
+def test_top_free_word_off_the_edge_line_skips_the_conjugator_search(monkeypatch):
+    # a*b lies below T3's top step, its exponent vector is nonzero and the
+    # top step's g = [a,b] has the zero vector, so no conjugate of it lies
+    # in the cyclic edge group
+    u = Word((1, 2))
+    calls = []
+    in_edge = ice._in_edge
+
+    def counting(t, ints):
+        if t is T3 and sys._getframe(1).f_code.co_name == "_under_top":
+            calls.append(ints)
+        return in_edge(t, ints)
+
+    monkeypatch.setattr(ice, "_in_edge", counting)
+    assert _classify(T3, u).kind == "hyperbolic"
+    assert calls == [u.ints]  # the membership test of u itself

@@ -58,7 +58,10 @@ def W(*ints):
 def test_tower_shape():
     assert tower_names(T1) == ("a", "b", "t")
     assert serialize(presentation_of(T1)) == "< a, b, t | a*t*a^-1*t^-1 >"
-    assert tower_from_json(tower_to_json(T1)) == T1
+    # the rank is cached on the tower once read, outside ==, hash and repr
+    fresh = tower_from_json(tower_to_json(T1))
+    assert T1.rank == 3 and "rank" not in vars(fresh)
+    assert fresh == T1 and hash(fresh) == hash(T1) and repr(fresh) == repr(T1)
 
 
 def test_extend_centralizer_builds_the_same_tower():
