@@ -475,13 +475,18 @@ class LimitEnumeration:
 
     Round i admits tower i, with the first set of its subset stream;
     each later round draws the next S_PER_UNIT sets of every admitted
-    tower.  A fresh pair's retraction search gets FRESH_STEPS;
-    unfinished pairs get ROUND_STEPS more each later round, so every
-    pair eventually receives an unbounded budget while rounds stay
-    linear in the number of pending pairs.  Each tower keeps one
-    record, (tower, oracle, atlas, subset stream), and each pair one
-    list, [tower, search, steps owed], since the search holds S and
-    the oracle.
+    tower.  A tower whose presentation an earlier tower already has
+    (towers over g and g^-1, say) is not admitted, though round i is
+    still its round: the earlier tower draws every S from the same
+    stream in the same or an earlier round, and a search on the same
+    presentation and S takes the same steps to the same retraction,
+    so no emitted group is lost.  A fresh pair's retraction search
+    gets FRESH_STEPS; unfinished pairs get ROUND_STEPS more each later
+    round, so every pair eventually receives an unbounded budget while
+    rounds stay linear in the number of pending pairs.  Each admitted
+    tower keeps one record, (tower, oracle, atlas, subset stream), and
+    each pair one list, [tower, search, steps owed], since the search
+    holds S and the oracle.
     """
 
     S_PER_UNIT = 8
@@ -491,8 +496,7 @@ class LimitEnumeration:
     def __init__(self):
         self._ice = enumerate_ice()
         self._towers: list[tuple] = []
-        # equal presentations (towers over g and g^-1, say) share one atlas
-        self._atlases: dict[Presentation, SubgroupAtlas] = {}
+        self._presented: set[Presentation] = set()
         self._todo: deque[list] = deque()  # pairs yet to run this round
         self._kept: list[list] = []  # pairs of this round still searching
         self.round = 0
@@ -505,9 +509,9 @@ class LimitEnumeration:
         self._todo.extend(self._kept)
         self._kept = []
         t, p = next(self._ice)
-        if p not in self._atlases:
-            self._atlases[p] = SubgroupAtlas(p)
-        self._towers.append((t, ice_oracle(t), self._atlases[p], _subset_stream(t.rank)))
+        if p not in self._presented:
+            self._presented.add(p)
+            self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), _subset_stream(t.rank)))
         for tower, oracle, atlas, subsets in self._towers:
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
@@ -548,7 +552,9 @@ class LimitEnumeration:
 
 def enumerate_limit_groups():
     """Fair stream of limit-group presentations, each from a verified
-    (tower, generating set, retraction) witness."""
+    (tower, generating set, retraction) witness.  A tower that repeats
+    an earlier tower's presentation adds no pairs: the earlier tower's
+    pairs emit the same presentations no later."""
     enum = LimitEnumeration()
     while True:
         for emission in enum.next_round():

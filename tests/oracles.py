@@ -9,7 +9,9 @@ syllable reduction, which keeps the tower word problem for its edge
 tests.  The Stallings folder shares only the breadth-first renumbering
 with the package.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
-stream bookkeeping that the package does lazily.
+stream bookkeeping that the package does lazily.  The limit-enumeration
+reference keeps the package's rounds and searches and changes only which
+towers get pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import deque
 
 from limitforge.coset import _standardize
 from limitforge.freegroup import eval_hom
-from limitforge.ice import _wp
+from limitforge.ice import LimitEnumeration, _subset_stream, _wp, ice_oracle
 from limitforge.presentation import (
     _CHILD_CAP,
     _CONSEQ_CAP,
@@ -34,6 +36,7 @@ from limitforge.presentation import (
     _single_occurrence_pairs,
     serialize,
 )
+from limitforge.retracts import RetractionSearch, SubgroupAtlas
 from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
@@ -681,3 +684,30 @@ def consequence_stream_reference(p: Presentation):
                     if prod not in seen:
                         seen.add(prod)
                         yield Word(prod)
+
+
+# ---------------------------------------------------------------------------
+# The limit-group enumeration before towers with an earlier tower's
+# presentation were dropped: every tower from enumerate_ice() gets pairs,
+# and towers with equal presentations share one atlas.
+
+
+class LimitEnumerationReference(LimitEnumeration):
+    def __init__(self):
+        super().__init__()
+        self._atlases: dict[Presentation, SubgroupAtlas] = {}
+
+    def _open_round(self) -> None:
+        self.round += 1
+        for pair in self._kept:
+            pair[2] = self.ROUND_STEPS
+        self._todo.extend(self._kept)
+        self._kept = []
+        t, p = next(self._ice)
+        if p not in self._atlases:
+            self._atlases[p] = SubgroupAtlas(p)
+        self._towers.append((t, ice_oracle(t), self._atlases[p], _subset_stream(t.rank)))
+        for tower, oracle, atlas, subsets in self._towers:
+            for _ in range(1 if tower is t else self.S_PER_UNIT):
+                search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
+                self._todo.append([tower, search, self.FRESH_STEPS])

@@ -324,9 +324,9 @@ def test_criterion_09(recognition_runs):
 RECOGNITION_STEPS = {
     "F1": 171,
     "F2": 421,
-    "Z^2": 825,
-    "Z^3": 59_053,
-    "height-one tower": 158_498,
+    "Z^2": 823,
+    "Z^3": 39_540,
+    "height-one tower": 97_836,
     "Z/2": 4,
     "F2 x Z": 441,
     "Klein bottle": 16,

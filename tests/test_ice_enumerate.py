@@ -12,6 +12,7 @@ from limitforge.ice import (
     tower_to_json,
 )
 from limitforge.presentation import abelianization, normalize_key, parse, serialize
+from oracles import LimitEnumerationReference
 
 
 def take_towers(n):
@@ -112,3 +113,44 @@ def test_sliced_rounds_match_whole_rounds(limit):
     Round 7 is the first to leave pairs unfinished, so round 8 also
     resumes pairs on their ROUND_STEPS allowance."""
     assert _round_ends(limit) == _round_ends(None)
+
+
+def _emissions_by_round(enum, last):
+    """Emissions (presentation, tower, S) of each round through `last`,
+    the tower written as its JSON string."""
+    rounds = []
+    while enum.round < last:
+        got = enum.next_round()
+        rounds.append(
+            [(e.presentation, str(tower_to_json(e.tower)), e.s_words) for e in got]
+        )
+    return rounds
+
+
+def test_repeated_presentations_lose_no_emission():
+    """A tower whose presentation an earlier tower has gets no pairs.
+    Against the schedule where every tower gets pairs: each round emits
+    the same, less the repeated towers' emissions, and each of those was
+    already emitted, in that round or before, by the first tower with
+    that presentation on the same S."""
+    last = 10
+    first_tower, repeated = {}, {}  # presentation -> its first tower; tower -> that
+    for t, p in itertools.islice(enumerate_ice(), last):
+        tower = str(tower_to_json(t))
+        if p in first_tower:
+            repeated[tower] = first_tower[p]
+        else:
+            first_tower[p] = tower
+    assert len(repeated) == 4  # towers 4, 7, 8 and 9
+    got = _emissions_by_round(LimitEnumeration(), last)
+    ref = _emissions_by_round(LimitEnumerationReference(), last)
+    emitted = set()
+    dropped = 0
+    for got_round, ref_round in zip(got, ref, strict=True):
+        assert got_round == [e for e in ref_round if e[1] not in repeated]
+        emitted.update(got_round)
+        for p, tower, s in ref_round:
+            if tower in repeated:
+                assert (p, repeated[tower], s) in emitted
+                dropped += 1
+    assert dropped > 0

@@ -101,8 +101,8 @@ def test_benchmark_tracer_installs():
     subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
 
 
-def _load_bench_script():
-    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -124,7 +124,7 @@ def _canned_run_output(workload: str, digest: str) -> str:
 
 
 def test_bench_script_writes_its_schema(tmp_path):
-    bench = _load_bench_script()
+    bench = _load_script("bench")
     outputs = {w: _canned_run_output(w, "abcdef0123456789") for w in bench.WORKLOADS}
     path = tmp_path / "BENCH_x.json"
     bench.write_bench(path, "x", outputs)
@@ -141,11 +141,21 @@ def test_bench_script_writes_its_schema(tmp_path):
 
 
 def test_bench_script_refuses_mixed_sources(tmp_path):
-    bench = _load_bench_script()
+    bench = _load_script("bench")
     outputs = {"tower-wp": _canned_run_output("tower-wp", "a" * 16),
                "witness-race": _canned_run_output("witness-race", "b" * 16)}
     with pytest.raises(ValueError):
         bench.write_bench(tmp_path / "BENCH_x.json", "x", outputs)
+
+
+def test_goldens_regenerate_from_their_script(tmp_path):
+    """scripts/make_goldens.py writes tests/golden/ byte for byte, so the
+    goldens stay a record of the enumeration the script sees."""
+    goldens = _load_script("make_goldens")
+    goldens.GOLDEN_DIR = tmp_path
+    goldens.main()
+    for name in ("ice_prefix.json", "limit_prefix.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "golden" / name).read_bytes()
 
 
 # Library entry points that only the tests and the acceptance criteria call.
