@@ -136,6 +136,28 @@ def solve(rows, b, ncols: int | None = None):
     return x0, kernel
 
 
+class Lattice:
+    """The integer span of `rows`, vectors of length n, with a memoized
+    membership test: `vec in lattice`."""
+
+    def __init__(self, rows, n: int):
+        self.rows = list(rows)
+        # v is in the span when cols * x = v has an integer solution x
+        self._cols = [[row[i] for row in self.rows] for i in range(n)]
+        self._memo: dict[tuple[int, ...], bool] = {}
+
+    def __contains__(self, vec) -> bool:
+        key = tuple(vec)
+        got = self._memo.get(key)
+        if got is None:
+            if not self.rows:
+                got = not any(key)
+            else:
+                got = solve(self._cols, list(key), ncols=len(self.rows)) is not None
+            self._memo[key] = got
+        return got
+
+
 def exponent_vector(w: Word, ngens: int) -> list[int]:
     v = [0] * ngens
     for x in w.ints:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .abelian import Lattice, exponent_vector
 from .freegroup import FreeGroup
 from .ice import LimitEnumeration, LimitGroupEmission, ice_oracle
 from .oracles import WordOracle, pinched_oracle
@@ -182,15 +183,27 @@ def witness_sentence(p: Presentation, w: Witness) -> Sentence:
     return Sentence(p.names, p.relators, w.elements)
 
 
+def _relator_lattice(p: Presentation) -> Lattice:
+    """The span L of the relator exponent vectors.  Abelianization maps
+    the presented group onto Z^rank / L, so a word whose exponent vector
+    is not in L is nontrivial."""
+    return Lattice([exponent_vector(r, p.rank) for r in p.relators], p.rank)
+
+
 def check_witness(p: Presentation, wp: WordOracle, w: Witness):
     """Re-verify a witness against the oracle.  True when the schema's
     premises are trivial and the elements nontrivial; None if the
-    oracle cannot decide some check."""
+    oracle cannot decide some check.  A premise whose exponent vector
+    is outside the relator lattice is nontrivial, so its witness is
+    refused before the oracle is asked."""
     triv, nontriv = _witness_checks(w)
     if {x.ints for x in w.elements} != {x.ints for x in nontriv}:
         return False
     for x in triv + nontriv:
         validate_word(x, p.rank)
+    lattice = _relator_lattice(p)
+    if any(exponent_vector(x, p.rank) not in lattice for x in triv):
+        return False
     out = True
     for x in triv:
         v = wp(x)
@@ -232,11 +245,22 @@ class CertifySearch:
     Candidates are ordered by total certificate length and charged that
     length in budget units, so deep tiers cannot starve a competing
     branch running under the same budget.
+
+    Torsion and inversion candidates are first tested in the
+    abelianization, which maps the group onto Z^rank / L, L the span of
+    the relator exponent vectors.  If g**n = 1 then n*ab(g) lies in L,
+    and if h*g*h^-1*g = 1 then 2*ab(g) does, whatever h is.  A candidate
+    that fails its test could never have a trivial premise under any
+    correct oracle, total or partial, so it is charged as usual but
+    asks the oracle nothing.  The test is exact: it skips no candidate
+    the oracle could accept, so every charge, run() boundary and
+    witness is what the plain loops over every candidate give.
     """
 
     def __init__(self, p: Presentation, wp: WordOracle):
         self.p = p
         self.wp = wp
+        self._lattice = _relator_lattice(p)
         self.spent = 0
         self.candidates = 0
         self.max_cost = 0
@@ -282,7 +306,7 @@ class CertifySearch:
                 for g in pools[lg]:
                     self.spent += cost
                     self.candidates += 1
-                    yield self._torsion(g, n)
+                    yield self._torsion(g, n) if self._may_die(g, n) else None
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
@@ -302,13 +326,19 @@ class CertifySearch:
             for lg in range(1, cost):
                 lh = cost - lg
                 for g in pools[lg]:
-                    alive = None  # as pair above, for the premise on g
+                    # as pair above, for the premise on g; h*g*h^-1*g = 1
+                    # needs 2*ab(g) in L, so a g that fails is never alive
+                    alive = None if self._may_die(g, 2) else False
                     for h in pools[lh]:
                         self.spent += cost
                         self.candidates += 1
                         if alive is None:
                             alive = self._nontrivial(g)
                         yield self._inversion(g, h) if alive else None
+
+    def _may_die(self, g: Word, n: int) -> bool:
+        """Whether n*ab(g) lies in L, as g**n = 1 requires."""
+        return [n * x for x in exponent_vector(g, self.p.rank)] in self._lattice
 
     def _torsion(self, g: Word, n: int):
         wp = self.wp

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import exponent_vector, solve
+from .abelian import Lattice, exponent_vector
 from .coset import CosetTable, RSResult, low_index, rs_presentation
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
@@ -98,8 +98,8 @@ def _weak_compositions(total: int, parts: int):
 class _Subgroup:
     """What one finite-index subgroup gives every search on its presentation.
 
-    The Reidemeister-Schreier result, the relator exponent rows and the
-    lattice memo depend on the coset table alone, not on S.
+    The Reidemeister-Schreier result and the lattice spanned by the
+    relator exponent rows depend on the coset table alone, not on S.
     """
 
     def __init__(self, rs: RSResult):
@@ -107,22 +107,8 @@ class _Subgroup:
         self.index = rs.table.index
         pres = rs.presentation
         self.rank = pres.rank
-        self.rel_rows = [exponent_vector(r, pres.rank) for r in pres.relators]
-        # columns of the transposed relator matrix, for lattice membership
-        self._cols = [[row[i] for row in self.rel_rows] for i in range(pres.rank)]
-        self._lat_memo: dict[tuple[int, ...], bool] = {}
-
-    def lattice_contains(self, vec) -> bool:
-        """Is vec in the integer span of the relator exponent vectors?"""
-        key = tuple(vec)
-        got = self._lat_memo.get(key)
-        if got is None:
-            if not self.rel_rows:
-                got = not any(vec)
-            else:
-                got = solve(self._cols, list(vec), ncols=len(self.rel_rows)) is not None
-            self._lat_memo[key] = got
-        return got
+        rows = [exponent_vector(r, pres.rank) for r in pres.relators]
+        self.lattice = Lattice(rows, pres.rank)
 
 
 class SubgroupAtlas:
@@ -191,7 +177,7 @@ class _Branch:
                 for i in range(rank):
                     v[i] += sign * row[i]
             rho.append(v)
-        for row in self.sub.rel_rows:
+        for row in self.sub.lattice.rows:
             yield _combine(row, rho, rank)
         for e_row in s_rows:
             v = _combine(e_row, rho, rank)
@@ -278,7 +264,7 @@ class RetractionSearch:
         # the abelian lattice test rejects almost every candidate, so it
         # runs on integer vectors and words are built only for survivors
         for vec in branch.check_vectors(y):
-            if not branch.sub.lattice_contains(vec):
+            if vec not in branch.sub.lattice:
                 return None
         retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
         for w in retraction.check_words():

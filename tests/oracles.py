@@ -11,7 +11,8 @@ with the package.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
-towers get pairs.
+towers get pairs.  The witness-search reference keeps the package's
+candidate checks and asks the oracle about every candidate.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from limitforge.presentation import (
     _single_occurrence_pairs,
     serialize,
 )
+from limitforge.recognize import _TIER, CertifySearch
 from limitforge.retracts import RetractionSearch, SubgroupAtlas
 from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
@@ -711,3 +713,54 @@ class LimitEnumerationReference(LimitEnumeration):
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
                 self._todo.append([tower, search, self.FRESH_STEPS])
+
+
+# ---------------------------------------------------------------------------
+# The witness search before the abelian pre-tests: the same candidates,
+# charges and checks, with every torsion and inversion candidate put to
+# the oracle.
+
+
+class CertifySearchReference(CertifySearch):
+    def _stream(self):
+        rank = self.p.rank
+        if rank == 0:
+            self._tier = 1
+            yield _TIER
+            while True:
+                self.spent += 1
+                yield None
+        pools = [(EMPTY,)]
+        for cost in itertools.count(2):
+            self._tier = cost
+            yield _TIER
+            self.max_cost = cost
+            pools.append(tuple(words_of_length(rank, cost - 1)))
+            for lg in range(1, cost):
+                n = cost - lg + 1
+                for g in pools[lg]:
+                    self.spent += cost
+                    self.candidates += 1
+                    yield self._torsion(g, n)
+            for la in range(1, cost - 1):
+                for lb in range(1, cost - la):
+                    lc = cost - la - lb
+                    for a in pools[la]:
+                        for b in pools[lb]:
+                            pair = None
+                            for c in pools[lc]:
+                                self.spent += cost
+                                self.candidates += 1
+                                if pair is None:
+                                    pair = self._ct_pair(a, b)
+                                yield self._ct(a, b, c) if pair else None
+            for lg in range(1, cost):
+                lh = cost - lg
+                for g in pools[lg]:
+                    alive = None
+                    for h in pools[lh]:
+                        self.spent += cost
+                        self.candidates += 1
+                        if alive is None:
+                            alive = self._nontrivial(g)
+                        yield self._inversion(g, h) if alive else None

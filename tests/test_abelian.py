@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import (
+    Lattice,
     abelian_invariants,
     exponent_vector,
     matvec,
@@ -96,3 +97,42 @@ def test_solve_verifies(rows, x_true):
     assert matvec(rows, x) == b
     for k in kernel:
         assert matvec(rows, k) == [0] * len(rows)
+
+
+def test_lattice_examples():
+    # Klein's relator b*a*b^-1*a: torsion, 2*ab(a) is in L but ab(a) is not
+    klein = Lattice([[2, 0]], 2)
+    assert [0, 0] in klein and [2, 0] in klein and [-4, 0] in klein
+    assert [1, 0] not in klein and [0, 1] not in klein
+    # no rows and zero rows both span {0}
+    for lat in (Lattice([], 2), Lattice([[0, 0], [0, 0]], 2)):
+        assert (0, 0) in lat
+        assert (1, 0) not in lat and (0, -2) not in lat
+    assert () in Lattice([], 0)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(
+    st.lists(
+        st.one_of(
+            st.just([0, 0, 0]),
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
+        ),
+        max_size=4,
+    ),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=3, max_size=3),
+)
+def test_lattice_matches_solve(rows, coeffs, vec):
+    lat = Lattice(rows, 3)
+    # every integer combination of the rows is in the span
+    combo = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(3)]
+    assert combo in lat
+    # vec is in it exactly when solve finds coefficients that give vec
+    cols = [[row[i] for row in rows] for i in range(3)]
+    got = solve(cols, vec, ncols=len(rows)) if rows else None
+    if got is not None:
+        assert matvec(cols, got[0]) == vec
+    inside = got is not None or not any(vec)
+    assert (vec in lat) is inside
+    assert (tuple(vec) in lat) is inside  # the memo answers the same

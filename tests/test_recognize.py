@@ -1,7 +1,10 @@
 """Recognition: bounded refutation, witness schemas, the two verdict engines."""
 
+import collections
 import hashlib
+import itertools
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -9,8 +12,10 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitforge.abelian import Lattice, exponent_vector
 from limitforge.ice import ice_oracle, tower_from_json
 from limitforge.oracles import (
+    WordOracle,
     dovetail_oracle,
     finite_oracle,
     free_abelian_oracle,
@@ -39,7 +44,12 @@ from limitforge.recognize import (
 )
 from limitforge.words import Word, commutator
 
-from oracles import refute_sentence_reference
+from oracles import (
+    CertifySearchReference,
+    conjugate,
+    random_reduced_word,
+    refute_sentence_reference,
+)
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
@@ -118,6 +128,20 @@ def test_torsion_witness_checks():
     assert check_witness(TORSION, wp, bad) is False
 
 
+def test_check_witness_refuses_premises_the_abelianization_rules_out():
+    """In Z^2, a^2 and b*a*b^-1*a have exponent vectors outside the
+    relator lattice {0}, so they are nontrivial whatever an oracle says;
+    a lying oracle that calls them trivial is not believed."""
+    lying = WordOracle(lambda w: w.ints in {(1, 1), (2, 1, -2, 1)}, True, "lying")
+    torsion = Witness((W(1),), "torsion", {"g": W(1), "n": 2})
+    inversion = Witness((W(1),), "inversion", {"g": W(1), "h": W(2)})
+    for w in (torsion, inversion):
+        assert check_witness(F2, lying, w) is False
+        assert check_witness(Z2, lying, w) is False
+    # the lattice of < a | a^2 > holds 2*ab(a), so there the oracle decides
+    assert check_witness(TORSION, lying, torsion) is True
+
+
 def test_torsion_witness_needs_real_exponent():
     w = Witness((W(1),), "torsion", {"g": W(1), "n": 1})
     with pytest.raises(ValueError):
@@ -192,6 +216,38 @@ def test_certify_inversion_on_klein():
     assert w.data["h"] == W(2)
 
 
+def test_abelian_premises_are_sound():
+    """Abelianization is a homomorphism onto Z^rank / L, so whenever an
+    oracle says g**n = 1, n*ab(g) lies in the relator lattice L, and
+    whenever it says h*g*h^-1*g = 1, 2*ab(g) does.  The seeded words
+    include relator conjugates, so that some premises hold."""
+    s3 = parse("< a, b | a^3, b^2, a*b*a*b >")
+    cases = [
+        (Z2, free_abelian_oracle(Z2)),
+        (KLEIN, klein_oracle(KLEIN)),
+        (s3, finite_oracle(s3)),
+        (PRODUCT, product_oracle(PRODUCT)),
+        (GENUS2, oracle_from(GENUS2, "builtin:pinched")),
+    ]
+    rng = random.Random(20261018)
+    for pres, wp in cases:
+        lattice = Lattice([exponent_vector(r, pres.rank) for r in pres.relators], pres.rank)
+        words = [random_reduced_word(rng, pres.rank, rng.randint(0, 6)) for _ in range(60)]
+        words += [conjugate(r, u) for r in pres.relators for u in words[:10]]
+        held = 0
+        for g in words:
+            ab = exponent_vector(g, pres.rank)
+            for n in (2, 3):
+                if wp(g**n) is True:
+                    held += 1
+                    assert [n * x for x in ab] in lattice
+            for h in words[:8]:
+                if wp(h * g * h.inv() * g) is True:
+                    held += 1
+                    assert [2 * x for x in ab] in lattice
+        assert held > 0
+
+
 def test_certify_finds_nothing_on_limit_groups():
     wp = free_abelian_oracle(Z2)
     assert CertifySearch(Z2, wp).run(4000) is None
@@ -262,42 +318,136 @@ def _query_digest(log) -> str:
 
 GENUS2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
 
+# name: (presentation, oracle, units, spent, candidates)
+CERTIFY_CASES = {
+    # genus two has no witness: the stream walks every tier
+    "genus2-pinched": (GENUS2, lambda p: oracle_from(p, "builtin:pinched"), 2 * 10**5,
+                       199999, 44755),
+    # F2 x Z: a commutation-transitivity witness is found
+    "F2xZ-product": (PRODUCT, product_oracle, 10**6, 273, 105),
+    # a small-budget dovetail oracle answers None to some words, and
+    # such a word must be asked again whenever the search needs it
+    "Z2-dovetail": (Z2, lambda p: dovetail_oracle(p, 8), 6000, 5998, 1494),
+    "genus2-dovetail": (GENUS2, lambda p: dovetail_oracle(p, 2), 3000, 3000, 1024),
+    # the inversion premise "a is nontrivial" is left undecided for
+    # h = a and h = a^-1, and decided for h = b, which is the witness
+    "klein-dovetail": (KLEIN, lambda p: dovetail_oracle(p, 2), 100, 14, 7),
+}
 
-@pytest.mark.parametrize(
-    "pres, make_oracle, units, spent, candidates, queries, digest",
-    [
-        # genus two has no witness: the stream walks every tier
-        (GENUS2, lambda p: oracle_from(p, "builtin:pinched"), 2 * 10**5,
-         199999, 44755, 17501,
-         "2d1551c70e754a3b6db5cbb51261058e5ec45b2b750f78107371e664936b92dc"),
-        # F2 x Z: a commutation-transitivity witness is found
-        (PRODUCT, product_oracle, 10**6, 273, 105, 108,
-         "ebbe971328291075b8de82023988b8d79abe3670a8df5374cc86ce4bf6265ca1"),
-        # a small-budget dovetail oracle answers None to some words, and
-        # such a word must be asked again whenever the search needs it
-        (Z2, lambda p: dovetail_oracle(p, 8), 6000, 5998, 1494, 813,
-         "c350376165fc7050628460b99c34fdab3b6fc611125d5d768f125a28e580632b"),
-        # here some inversion candidates g are left undecided
-        (GENUS2, lambda p: dovetail_oracle(p, 2), 3000, 3000, 1024, 548,
-         "5f8f79977014e55b1455eba55df51d9ddcaaa8a4802c7de1c698a7ca4b183c49"),
-    ],
-    ids=["genus2-pinched", "F2xZ-product", "Z2-dovetail", "genus2-dovetail"],
-)
-def test_certify_query_stream_is_pinned(
-    pres, make_oracle, units, spent, candidates, queries, digest
-):
-    """The witness search asks its oracle the same words in the same
-    order, and charges the same units, as the plain nested loops over
-    every candidate."""
+
+def _run_pinned(search_class, case):
+    pres, make_oracle, units, spent, candidates = CERTIFY_CASES[case]
     wp = make_oracle(pres)
     log = _record_queries(wp)
-    search = CertifySearch(pres, wp)
+    search = search_class(pres, wp)
     search.run(units)
     assert (search.spent, search.candidates) == (spent, candidates)
-    assert len(log) == queries
-    assert _query_digest(log) == digest
     if not wp.total:
         assert any(v is None for _, v in log)
+    return log
+
+
+# case: (engine queries, sha256 of the query log)
+CERTIFY_STREAMS = {
+    "genus2-pinched": (2285, "1af63bc8abb085e23e4857cfc5f8f3a5cc563bf529a36519db1a89743178b0bd"),
+    "F2xZ-product": (17, "b3a279535ace5ae5458a4d65e0071c9a424e136b4edbe100ce6fdca195716202"),
+    "Z2-dovetail": (182, "70116b2e572bdb60f7a25dc8b990a031cebdd84f6ee231f1ed4ae2d5ad8a37f2"),
+    "genus2-dovetail": (105, "b0ba042816866e78abf1661d754b941671c97146d74e82086644d417eff189cc"),
+    "klein-dovetail": (6, "6b6c459adb0603c0738925d2c5efaffad783109b103f07983030c60c6d5ca057"),
+}
+
+# the same for CertifySearchReference, as the search asked before the
+# abelian pre-tests
+REFERENCE_STREAMS = {
+    "genus2-pinched": (17501, "2d1551c70e754a3b6db5cbb51261058e5ec45b2b750f78107371e664936b92dc"),
+    "F2xZ-product": (108, "ebbe971328291075b8de82023988b8d79abe3670a8df5374cc86ce4bf6265ca1"),
+    "Z2-dovetail": (813, "c350376165fc7050628460b99c34fdab3b6fc611125d5d768f125a28e580632b"),
+    "genus2-dovetail": (548, "5f8f79977014e55b1455eba55df51d9ddcaaa8a4802c7de1c698a7ca4b183c49"),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFY_STREAMS))
+def test_certify_query_stream_is_pinned(case):
+    """The witness search asks its oracle the same words in the same
+    order, and charges the same units, as when these counts were
+    taken.  The abelian pre-tests cut the queries; the charges are
+    those of the reference below."""
+    log = _run_pinned(CertifySearch, case)
+    assert (len(log), _query_digest(log)) == CERTIFY_STREAMS[case]
+    if case == "klein-dovetail":
+        # torsion (a, 2) asks "a" once, the inversion premise three times
+        assert [v for ints, v in log if ints == (1,)] == [None, None, None, False]
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_STREAMS))
+def test_certify_reference_query_stream_is_pinned(case):
+    """The plain nested loops over every candidate, with no pre-test,
+    ask exactly what the witness search asked before the pre-tests."""
+    log = _run_pinned(CertifySearchReference, case)
+    assert (len(log), _query_digest(log)) == REFERENCE_STREAMS[case]
+
+
+def _answers(log) -> dict:
+    out = collections.defaultdict(set)
+    for ints, v in log:
+        out[ints].add(v)
+    return out
+
+
+# name: (presentation, oracle, units), besides CERTIFY_CASES: the corpus's
+# negative inputs with their corpus oracles, and F2 through its cost-6
+# tier, where nontrivial commutators pass the torsion and inversion
+# pre-tests
+DIFFERENTIAL_CASES = {
+    "order2-finite": (TORSION, lambda p: oracle_from(p, "builtin:finite"), 10**4),
+    "F2xZ-builtin": (PRODUCT, lambda p: oracle_from(p, "builtin:product"), 10**4),
+    "klein-builtin": (KLEIN, lambda p: oracle_from(p, "builtin:klein"), 10**4),
+    "F2-free": (F2, free_oracle, 180000),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFY_CASES) + list(DIFFERENTIAL_CASES))
+def test_certify_search_matches_reference(case):
+    """The pre-tests change the oracle traffic and nothing else.
+
+    Both searches run in the same slices and agree on every charge and
+    witness after each.  The new search sends no word the reference
+    does not send.  The words only the reference sends belong to the
+    candidates the pre-tests skip, and the reference's oracle answered
+    none of them True.  A total engine here answers from the word
+    alone, so the words the reference sends whose exponent vector lies
+    in the relator lattice, which no pre-test skips, are sent by both
+    with the same answers.  The dovetail engine answers from what it
+    has enumerated so far, so there the searches may see different
+    verdicts on one word, but never conflicting ones.
+    """
+    if case in DIFFERENTIAL_CASES:
+        pres, make_oracle, units = DIFFERENTIAL_CASES[case]
+    else:
+        pres, make_oracle, units, _, _ = CERTIFY_CASES[case]
+    wp_new, wp_ref = make_oracle(pres), make_oracle(pres)
+    log_new, log_ref = _record_queries(wp_new), _record_queries(wp_ref)
+    new = CertifySearch(pres, wp_new)
+    ref = CertifySearchReference(pres, wp_ref)
+    slices = itertools.cycle((1, 5, 128, 1000))
+    given = 0
+    while given < units and ref.found is None:
+        k = min(next(slices), units - given)
+        given += k
+        assert new.run(k) == ref.run(k)
+        for attr in ("spent", "candidates", "max_cost", "found"):
+            assert getattr(new, attr) == getattr(ref, attr)
+    sent, asked = _answers(log_new), _answers(log_ref)
+    assert sent.keys() <= asked.keys()
+    assert all(True not in asked[w] for w in asked.keys() - sent.keys())
+    if wp_new.total:
+        assert all(sent[w] == asked[w] for w in sent)
+        lattice = Lattice([exponent_vector(r, pres.rank) for r in pres.relators], pres.rank)
+        for w in asked:
+            if exponent_vector(Word(w), pres.rank) in lattice:
+                assert w in sent
+    else:
+        assert all(len((sent[w] | asked[w]) - {None}) <= 1 for w in sent)
 
 
 # --- the verdict engines ----------------------------------------------------

@@ -209,7 +209,7 @@ def _admit_with_words(search: RetractionSearch, br: _Branch, y):
     retraction = Retraction(br.rs.presentation, y, br.s_exprs)
     checks = retraction.check_words()
     for w in checks:
-        if not br.sub.lattice_contains(exponent_vector(w, br.rank)):
+        if exponent_vector(w, br.rank) not in br.sub.lattice:
             return None
     for w in checks:
         if w.ints and search.oracle(br.rs.embed(w)) is not True:
