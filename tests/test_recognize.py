@@ -430,10 +430,10 @@ def test_certify_search_matches_reference(case):
     new = CertifySearch(pres, wp_new)
     ref = CertifySearchReference(pres, wp_ref)
     slices = itertools.cycle((1, 5, 128, 1000))
-    given = 0
-    while given < units and ref.found is None:
-        k = min(next(slices), units - given)
-        given += k
+    offered = 0
+    while offered < units and ref.found is None:
+        k = min(next(slices), units - offered)
+        offered += k
         assert new.run(k) == ref.run(k)
         for attr in ("spent", "candidates", "max_cost", "found"):
             assert getattr(new, attr) == getattr(ref, attr)
