@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .words import Word
 
 
@@ -142,9 +144,19 @@ class Lattice:
 
     def __init__(self, rows, n: int):
         self.rows = list(rows)
-        # v is in the span when cols * x = v has an integer solution x
-        self._cols = [[row[i] for row in self.rows] for i in range(n)]
+        self._n = n
         self._memo: dict[tuple[int, ...], bool] = {}
+
+    @cached_property
+    def _smith(self) -> tuple[list[int], list[list[int]]]:
+        # v is in the span when cols * x = v has an integer solution x.
+        # With U * cols * V = D, that holds when each entry of U * v is a
+        # multiple of D's diagonal entry in its row, 0 past the diagonal;
+        # so the form is computed once, not once per vector.
+        cols = [[row[i] for row in self.rows] for i in range(self._n)]
+        D, U, _ = smith_normal_form(cols, len(self.rows))
+        diag = [D[i][i] if i < len(self.rows) else 0 for i in range(self._n)]
+        return diag, U
 
     def __contains__(self, vec) -> bool:
         key = tuple(vec)
@@ -153,7 +165,8 @@ class Lattice:
             if not self.rows:
                 got = not any(key)
             else:
-                got = solve(self._cols, list(key), ncols=len(self.rows)) is not None
+                diag, U = self._smith
+                got = all(c % d == 0 if d else not c for c, d in zip(matvec(U, key), diag))
             self._memo[key] = got
         return got
 

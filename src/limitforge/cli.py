@@ -565,7 +565,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, OracleProtocolError) as exc:
+    except (ValueError, NotImplementedError, OSError, OracleProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

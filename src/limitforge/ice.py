@@ -13,13 +13,21 @@ tower groups.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abelian import exponent_vector
-from .freegroup import FreeGroup, amalgam_close, amalgam_push, amalgam_reduce, primitive_root
+from .abelian import Lattice, exponent_vector, solve
+from .freegroup import (
+    FreeGroup,
+    amalgam_close,
+    amalgam_push,
+    amalgam_reduce,
+    cyclic_reduce,
+    eval_hom,
+    is_power_of,
+    primitive_root,
+)
 from .oracles import WordOracle
 from .presentation import Presentation
 from .retracts import (
@@ -41,11 +49,6 @@ from .words import (
 )
 
 _EXT_POOL = "tuvwxyz"
-
-# caps for the two bounded searches (conjugators into a cyclic edge
-# group, and edge corrections during root extraction)
-_RESIDUAL_LEN = 3
-_ROOT_GRID = 2
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,12 @@ class IceTower:
     def _edge_memo(self) -> dict[tuple[int, ...], bool]:
         # lower-level word -> whether it lies in the top step's edge group
         return {}
+
+    @cached_property
+    def _edge_lattice(self) -> Lattice:
+        # the exponent vectors of the top step's basis; the edge group is
+        # generated by that basis, so its elements' vectors are their span
+        return Lattice([exponent_vector(b, self.rank) for b in self.steps[-1].basis], self.rank)
 
 
 def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
@@ -183,13 +192,39 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
 
 def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
     """Whether the reduced word ints of the level below lies in the edge
-    group of the top step, that is, commutes with its g.  Memoized on the
-    tower; the commutator is decided uncached, since no other path asks."""
+    group E of the top step, memoized on the tower.  Over a free level E
+    is the cyclic group of the basis root.  Higher up, a word whose
+    exponent vector is outside the span of the basis vectors is not in E,
+    and any other is when it commutes with the step's g, decided
+    uncached, since no other path asks."""
     memo = t._edge_memo
     got = memo.get(ints)
     if got is None:
-        got = memo[ints] = _wp_uncached(t.lower(), commutator(Word(ints), t.steps[-1].g).ints)
+        u = Word(ints)
+        if len(t.steps) == 1:
+            got = is_power_of(u, t.steps[-1].basis[0]) is not None
+        elif not _in_span(t, exponent_vector(u, t.rank)):
+            got = False
+        else:
+            got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
+        memo[ints] = got
     return got
+
+
+def _in_span(t: IceTower, vec) -> bool:
+    """Whether vec is in the integer span of the exponent vectors of the
+    top step's basis.  Exponent sums are a homomorphism of every tower,
+    since its relators are commutators, so this is necessary for the
+    edge group, and conjugation keeps it."""
+    lattice = t._edge_lattice
+    if len(lattice.rows) > 1:
+        return vec in lattice
+    g = lattice.rows[0]
+    k = next((i for i, x in enumerate(g) if x), None)
+    if k is None:
+        return not any(vec)
+    e, rest = divmod(vec[k], g[k])
+    return not rest and all(a == e * b for a, b in zip(vec, g))
 
 
 def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
@@ -259,45 +294,186 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
     if sub.kind == "parabolic":
         edge = _classify(low, top.g)
         if edge.kind == "parabolic" and edge.level == sub.level:
-            # same maximal abelian iff the conjugators differ by a member
-            x = edge.conjugator.inv() * sub.conjugator
-            probe = low.steps[sub.level - 1].basis[0]
-            if _wp(low, commutator(x, probe).ints):
-                h = conj * sub.conjugator * edge.conjugator.inv()
-                return Classification("parabolic", k, h)
+            # u and g lie in conjugates of one maximal abelian subgroup,
+            # and the edge group is g's conjugate of it
+            h = conj * sub.conjugator * edge.conjugator.inv()
+            return Classification("parabolic", k, h)
         return Classification("parabolic", sub.level, conj * sub.conjugator)
-    if len(top.basis) == 1 and _parallel(u, top.g, low.rank):
-        for c in words_upto(low.rank, _RESIDUAL_LEN):
-            if _in_edge(t, (c.inv() * u * c).ints):
-                return Classification("parabolic", k, conj * c)
+    # a one-element basis is the root of a hyperbolic g, and a conjugate
+    # of u inside its group has u's exponent vector
+    if len(top.basis) == 1 and _in_span(t, exponent_vector(u, t.rank)):
+        c = _conj_into(low, u, top.basis[0])
+        if c is not None:
+            return Classification("parabolic", k, conj * c)
     return Classification("hyperbolic")
 
 
-def _parallel(u: Word, g: Word, rank: int) -> bool:
-    """Whether u's exponent vector is a rational multiple of g's; when g's
-    is zero, whether u's is zero too.  Exponent sums are a homomorphism of
-    every tower, since its relators are commutators, and conjugation keeps
-    them; a hyperbolic conjugate of u inside the cyclic edge group shares
-    a root with g, so its vector is parallel to g's."""
-    vu, vg = exponent_vector(u, rank), exponent_vector(g, rank)
-    k = next((i for i, x in enumerate(vg) if x), None)
-    if k is None:
-        return not any(vu)
-    return all(a * vg[k] == b * vu[k] for a, b in zip(vu, vg))
+# ---------------------------------------------------------------------------
+# Edge equations
+#
+# The edge group E of a step is maximal abelian in the level below, and
+# limit groups are CSA, so E is malnormal there.  Roots and conjugators
+# therefore come from one equation p = a q b with a, b in E and q outside
+# E, whose a is unique when it exists.  Over a free level it is solved by
+# peeling powers of E's root; higher up, through retractions onto the
+# base free group, which give linear equations on a's exponents in E's
+# basis, and one word problem checks the only candidate.
 
 
-def _edge_corrections(t: IceTower):
-    """Small edge-group elements, identity first, for root candidates."""
-    basis = t.steps[-1].basis[:3]
-    vecs = sorted(
-        itertools.product(range(-_ROOT_GRID, _ROOT_GRID + 1), repeat=len(basis)),
-        key=lambda v: (max(map(abs, v), default=0), v),
+def _along(core: Word, ints: tuple[int, ...]) -> int:
+    """Signed length of the longest common prefix of ints with core^N
+    (positive) or core^-N (negative), for cyclically reduced core."""
+    for sign, rep in ((1, core.ints), (-1, core.inv().ints)):
+        n = len(rep)
+        k = 0
+        while k < len(ints) and ints[k] == rep[k % n]:
+            k += 1
+        if k:
+            return sign * k
+    return 0
+
+
+def _peel(r: Word, p: Word, q: Word) -> int | None:
+    """x with p = r^x q r^y for some y in a free group, or None; r is a
+    primitive root and q lies outside <r>.
+
+    Conjugated so that r is cyclically reduced, r translates the Cayley
+    tree by |r| along the line of its powers through 1, and a vertex w
+    projects onto that line where w stops following r's powers.  p
+    projects x steps beyond some vertex of the line q<r>, and the whole
+    of that line projects within one step of q's projection: lines
+    sharing a whole step would give commuting conjugates of r.  So only
+    the x next to the difference of the two projections can work, and a
+    power test checks each."""
+    core, c = cyclic_reduce(r)
+    p, q = c.inv() * p * c, c.inv() * q * c
+    near = (_along(core, p.ints) - _along(core, q.ints)) // len(core)
+    for x in range(near - 1, near + 3):
+        if is_power_of(q.inv() * core ** -x * p, core) is not None:
+            return x
+    return None
+
+
+def _retraction(t: IceTower, sigma: int) -> list[Word]:
+    """Images of t's generators in its base free group: the i-th
+    extension letter (0-based over all steps) goes to the image of its
+    step's g to the power (i + 2) ** sigma.  This is a homomorphism, since
+    each edge group is abelian and holds its g, so its image commutes
+    with g's; the exponents make the images of different letters
+    independent over a few sigmas."""
+    images = [Word((x,)) for x in range(1, t.base_rank + 1)]
+    for step in t.steps:
+        g = eval_hom(images, step.g)
+        for _ in range(step.n):
+            images.append(g ** ((len(images) - t.base_rank + 2) ** sigma))
+    return images
+
+
+def _double_coset(t: IceTower, p: Word, q: Word) -> Word | None:
+    """a in the top step's edge group E with p = a q b for some b in E,
+    or None; p and q are words of the level below, q outside E.
+
+    Raises NotImplementedError when the retractions tried leave a's
+    exponents undetermined: the solver never guesses."""
+    basis = t.steps[-1].basis
+    low = t.lower()
+    if not low.steps:
+        x = _peel(basis[0], p, q)
+        return None if x is None else basis[0] ** x
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for sigma in range(len(basis) + 2):
+        images = _retraction(low, sigma)
+        ks = [eval_hom(images, k) for k in basis]
+        r = next((primitive_root(k)[0] for k in ks if k), None)
+        fq = eval_hom(images, q)
+        if r is None or is_power_of(fq, r) is not None:
+            continue  # this image says nothing about a
+        # E's image is abelian, so it lies in the cyclic group of r, and
+        # the image equation has at most one solution
+        x = _peel(r, eval_hom(images, p), fq)
+        if x is None:
+            return None
+        rows.append([is_power_of(k, r) for k in ks])
+        rhs.append(x)
+        got = solve(rows, rhs, len(basis))
+        if got is None:
+            return None
+        exps, kernel = got
+        if not kernel:
+            a = EMPTY
+            for k, e in zip(basis, exps):
+                a = a * k**e
+            return a if _in_edge(t, (q.inv() * a.inv() * p).ints) else None
+    raise NotImplementedError(
+        f"edge equation over a {len(t.steps) - 1}-step tower: "
+        f"its retractions leave the {len(basis)} exponents undetermined"
     )
-    for v in vecs:
-        w = EMPTY
-        for b, e in zip(basis, v):
-            w = w * b**e
-        yield w
+
+
+def _conj_free(u: Word, r: Word) -> Word | None:
+    """c with c^-1 u c a power of r in a free group, or None."""
+    core, cu = cyclic_reduce(u)
+    rcore, cr = cyclic_reduce(r)
+    m, rest = divmod(len(core), len(rcore))
+    if rest or not m:
+        return None
+    doubled = core.ints * 2
+    for target in ((rcore**m).ints, (rcore**-m).ints):
+        for k in range(len(core)):
+            if doubled[k : k + len(core)] == target:
+                # core = X Y with Y X = target, so X^-1 core X = target
+                return cu * Word(core.ints[:k]) * cr.inv()
+    return None
+
+
+def _conj_into(t: IceTower, u: Word, r: Word) -> Word | None:
+    """c with c^-1 u c a power of r, or None, for a hyperbolic u and a
+    root r of a hyperbolic word.
+
+    Cyclically reduced conjugates of one element of an amalgam are
+    cyclic permutations of each other's syllables, conjugated by an edge
+    element.  If r's reduced form is one lower syllable, so are the forms
+    of its powers' conjugates, and the question moves down a level.
+    Otherwise u must have m times r's syllables; for each rotation of
+    u's that starts at a lower syllable, the edge element is the a of
+    one edge equation between first syllables, and one word problem
+    checks it."""
+    if not t.steps:
+        return _conj_free(u, r)
+    syls, hu = _pinch(t, u, cyclic=True)
+    rsyls, hr = _pinch(t, r, cyclic=True)
+    if len(rsyls) == 1:
+        if len(syls) != 1 or syls[0][0]:
+            return None
+        c = _conj_into(t.lower(), Word(syls[0][1]), Word(rsyls[0][1]))
+        return None if c is None else hu * c * hr.inv()
+    m, rest = divmod(len(syls), len(rsyls))
+    if rest:
+        return None
+    words = [_syl_word(t, *s) for s in syls]
+    rcore = _product(t, rsyls)
+    for y in (rcore**m, rcore**-m):
+        ysyls, hy = _pinch(t, y, cyclic=True)
+        if ysyls[0][0]:
+            hy = hy * _syl_word(t, *ysyls[0])
+            ysyls = ysyls[1:] + ysyls[:1]
+        target = _product(t, ysyls)
+        head = Word(ysyls[0][1])
+        prefix = EMPTY
+        for k, (f, _) in enumerate(syls):
+            if not f:
+                a = _double_coset(t, words[k], head)
+                if a is not None:
+                    rotated = _product(t, syls[k:] + syls[:k])
+                    if _wp(t, (a.inv() * rotated * a * target.inv()).ints):
+                        return hu * prefix * a * hy.inv() * hr.inv()
+            prefix = prefix * words[k]
+    return None
+
+
+def _product(t: IceTower, syls) -> Word:
+    return Word(reduce_ints(x for s in syls for x in _syl_word(t, *s).ints))
 
 
 def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
@@ -311,31 +487,33 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
             raise ValueError("root extraction expects a hyperbolic word")
         root, e = _max_root(t.lower(), Word(body))
         return conj * root * conj.inv(), e
-    core = EMPTY
-    for s in syls:
-        core = core * _syl_word(t, *s)
+    core = _product(t, syls)
     count = len(syls)
-    # Reduced forms of one element differ by edge elements between
-    # neighbouring syllables, and those carry no top step letters; so the
-    # syllables' step-letter exponents of a d-th root's power repeat with
-    # period d, and a d whose sequence does not repeat has no root.
-    lo = t.rank - t.steps[-1].n
-    vecs = [exponent_vector(Word(body), t.rank)[lo:] for _, body in syls]
-    for d in range(2, count, 2):
-        if count % d or vecs[d:] != vecs[:-d]:
+    # A d-th root's e-th power has a reduced form of its d syllables
+    # repeated, and reduced forms of one element differ by edge elements
+    # between neighbouring syllables.  So syllable vectors d apart differ
+    # by a vector in the edge basis's span, and the root is s1...sd*c for
+    # the one c in E that the edge equation at the first lower syllable
+    # allows.  The least such d gives the maximal root.
+    periods = [d for d in range(2, count, 2) if not count % d]
+    vecs = [exponent_vector(Word(body), t.rank) for _, body in syls] if periods else []
+    i = 1 if syls[0][0] else 0
+    for d in periods:
+        if not all(_in_span(t, [x - y for x, y in zip(vecs[j + d], vecs[j])]) for j in range(count - d)):
             continue
+        a = _double_coset(t, _syl_word(t, *syls[i + d]), _syl_word(t, *syls[i]))
+        if a is None:
+            continue
+        if i:
+            # s_{d+1} and s_1 are step syllables with equal step letters;
+            # their edge parts carry the correction from s_2 back to s_1
+            a = _syl_word(t, *syls[d]) * _syl_word(t, *syls[0]).inv() * a
+            if a.ints and _wp(t.lower(), a.ints):
+                a = EMPTY
+        root = _product(t, syls[:d]) * a
         e = count // d
-        prefix = EMPTY
-        for s in syls[:d]:
-            prefix = prefix * _syl_word(t, *s)
-        for delta in _edge_corrections(t):
-            cands = [prefix * delta]
-            if delta.ints:
-                cands.append(delta * prefix)
-            for cand in cands:
-                if cand.ints and _wp(t, (cand**e * core.inv()).ints):
-                    root, e2 = _max_root(t, cand)
-                    return conj * root * conj.inv(), e * e2
+        if _wp(t, (root**e * core.inv()).ints):
+            return conj * root * conj.inv(), e
     return conj * core * conj.inv(), 1
 
 

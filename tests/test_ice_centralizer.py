@@ -1,21 +1,26 @@
 """Centralizer computation in towers.
 
 The height-one tower over F2 extended along a: centralizers of base
-elements either stay cyclic or pick up the new letter.  The exponent-vector
-pre-tests of the root and conjugator searches are checked against the
-unpruned searches and on their own.
+elements either stay cyclic or pick up the new letter.  Roots and
+conjugators into cyclic edge groups come from edge equations; the
+exponent-vector tests in front of them and of edge membership are checked
+against the unpruned paths and on their own, and every edge basis against
+the finite quotients of its tower's presentation.
 """
 
 import itertools
 import random
 import sys
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from limitforge import ice
 from limitforge.abelian import exponent_vector
+from limitforge.coset import low_index
 from limitforge.ice import (
     _classify,
+    _max_root,
     _pinch,
     _syl_word,
     centralizer_ice,
@@ -122,15 +127,24 @@ def test_centralizer_members_die_under_specialization_with_target():
                 assert img == Word(()), (target, b, k)
 
 
+def _regression_towers():
+    """T1 extended along b^k a b^-k for k = 1..6, along (b t a^-4)^e for
+    e = 2, 3, and along b a b^-1 and then a: towers whose edge bases came
+    out too small before the edge equations were solved exactly."""
+    t1 = tower_from_json(T1_DOC)
+    out = [extend_centralizer(t1, B**k * A * B**-k, 1) for k in range(1, 7)]
+    out += [extend_centralizer(t1, (B * T * A**-4) ** e, 1) for e in (2, 3)]
+    out.append(extend_centralizer(extend_centralizer(t1, B * A * B.inv(), 1), A, 1))
+    return out
+
+
 def _pretest_towers():
-    """The first 300 towers of enumerate_ice, T3, and T1 extended along
-    b^k a b^-k for k = 1..6, built afresh so that every edge basis comes
-    from the centralizer search in force."""
+    """The first 300 towers of enumerate_ice, T3 and the regression
+    towers, built afresh so that every edge basis comes from the
+    centralizer code in force."""
     out = [t for t, _ in itertools.islice(enumerate_ice(), 300)]
     out.append(tower_from_json(T3_DOC))
-    t1 = tower_from_json(T1_DOC)
-    out += [extend_centralizer(t1, B**k * A * B**-k, 1) for k in range(1, 7)]
-    return out
+    return out + _regression_towers()
 
 
 def _answers(towers):
@@ -150,8 +164,10 @@ def _answers(towers):
 
 
 def test_pretests_keep_every_answer(monkeypatch):
-    # zero exponent vectors pass both pre-tests, which recovers the
-    # unpruned root and conjugator searches
+    # zero exponent vectors lie in every span, so they pass the edge
+    # membership, period and conjugator tests, which recovers the unpruned
+    # paths: a commutator or power test for every edge question and an
+    # edge equation for every period
     towers = _pretest_towers()
     pruned = _answers(towers)
     monkeypatch.setattr(ice, "exponent_vector", lambda w, n: [0] * n)
@@ -201,3 +217,125 @@ def test_top_free_word_off_the_edge_line_skips_the_conjugator_search(monkeypatch
     monkeypatch.setattr(ice, "_in_edge", counting)
     assert _classify(T3, u).kind == "hyperbolic"
     assert calls == [u.ints]  # the membership test of u itself
+
+
+# ---------------------------------------------------------------------------
+# Exact edge equations
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_conjugates_of_the_extended_letter_keep_rank_two(k):
+    u = B**k * A * B**-k
+    basis = centralizer_ice(T1, u)
+    assert basis == (u, B**k * T * B**-k)
+    for b in basis:
+        assert wp_ice(T1, commutator(b, u)) is True
+
+
+@pytest.mark.parametrize("e", (2, 3))
+def test_root_of_a_power_needing_an_edge_correction(e):
+    # (b t a^-4)^e reduces to the syllables b, t, a^-4 b, t, ..., so its
+    # root is the first two times the edge correction a^-4
+    r = B * T * A**-4
+    root, got = _max_root(T1, r**e)
+    assert got == e
+    assert wp_ice(T1, root * r.inv()) is True
+    assert centralizer_ice(T1, r**e) == (root,)
+
+
+def test_root_correction_over_a_tower_level():
+    # T3's top letter w commutes with [a,b]; a power of [a,b] moved
+    # between the syllables of (w b)^2 must be found by an edge equation
+    # solved over the two-step level below
+    w, c = Word((6,)), commutator(A, B)
+    word = w * B * c**-5 * w * c**5 * B
+    root, e = _max_root(T3, word)
+    assert e == 2
+    assert wp_ice(T3, root**2 * word.inv()) is True
+    assert wp_ice(T3, root * (w * B).inv()) is True
+
+
+@pytest.mark.parametrize(
+    "steps, x",
+    [
+        # x and g lie in conjugate maximal abelian subgroups of the level
+        # below, so x is conjugate into the new edge group
+        ([{"g": "a", "n": 1}, {"g": "b*a*b^-1", "n": 1}], "a"),
+        ([{"g": "a", "n": 1}, {"g": "a", "n": 1}], "b*a*b^-1"),
+    ],
+)
+def test_parabolic_word_conjugate_into_the_top_edge_group(steps, x):
+    t = tower_from_json({"base_rank": 2, "steps": steps})
+    w = ice.parse_word(x, ice.tower_names(t))
+    basis = centralizer_ice(t, w)
+    assert len(basis) == 3
+    for b in basis:
+        assert wp_ice(t, commutator(b, w)) is True
+
+
+def test_uncovered_edge_equation_raises(monkeypatch):
+    # retractions that kill everything say nothing about a, so the root
+    # search of (w b)^2 on T3 cannot settle its edge equation
+    t3 = tower_from_json(T3_DOC)
+    w = Word((6,))
+    monkeypatch.setattr(ice, "_retraction", lambda t, sigma: [Word()] * t.rank)
+    with pytest.raises(NotImplementedError):
+        centralizer_ice(t3, (w * B) ** 2)
+
+
+HYPERBOLIC_TOWERS = [T1, T3] + [t for t in PREFIX if t.base_rank > 1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from(HYPERBOLIC_TOWERS),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=10),
+    st.sampled_from((2, 3, -2)),
+)
+def test_centralizer_of_a_power_is_the_centralizer_of_the_word(t, letters, e):
+    r = Word.make(x // abs(x) * ((abs(x) - 1) % t.rank + 1) for x in letters)
+    assume(r.ints and _classify(t, r).kind == "hyperbolic")
+    (mine,) = centralizer_ice(t, r)
+    (theirs,) = centralizer_ice(t, r**e)
+    # one cyclic group: the two generators agree up to sign
+    assert wp_ice(t, mine * theirs.inv()) or wp_ice(t, mine * theirs), (t, r, e)
+
+
+# ---------------------------------------------------------------------------
+# Consistency harness: every edge basis against the finite quotients
+
+
+def _harness_towers():
+    """The first towers of enumerate_ice with a step, and the regression
+    towers, each with the words beyond length 2 that their families need:
+    b^k t b^-k for the conjugates of a, b t a^-4 for its powers, and
+    b^-1 u b for a below the step over b a b^-1."""
+    out = [(t, []) for t, _ in itertools.islice(enumerate_ice(), 120) if t.steps]
+    regression = _regression_towers()
+    for k, t in enumerate(regression[:6], 1):
+        out.append((t, [B**k * T * B**-k]))
+    for t in regression[6:8]:
+        out.append((t, [B * T * A**-4]))
+    out.append((regression[8], [B.inv() * Word((4,)) * B]))
+    return out
+
+
+def test_edge_bases_agree_with_the_presentation():
+    # For every x that wp_ice puts in the top step's edge group, the
+    # commutator of x with each new letter is a relator consequence, so it
+    # acts trivially on every coset table of the tower's presentation.
+    checked = 0
+    for t, extra in _harness_towers():
+        low, step = t.lower(), t.steps[-1]
+        first = t.rank - step.n + 1
+        letters = [Word((first + i,)) for i in range(step.n)]
+        xs = [x for x in itertools.chain(words_upto(low.rank, 2), extra, step.basis)
+              if x.ints and wp_ice(low, commutator(x, step.g))]
+        tables = list(low_index(presentation_of(t), 3))
+        for x in xs:
+            for letter in letters:
+                word = commutator(x, letter)
+                for table in tables:
+                    assert all(table.trace(c, word) == c for c in range(table.index)), (t, x)
+                checked += 1
+    assert checked > 200

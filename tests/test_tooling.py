@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import limitforge
+from limitforge.ice import presentation_of, tower_from_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -99,6 +100,22 @@ def test_benchmark_tracer_installs():
         "tracer.Tracer().install()\n"
     )
     subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
+
+
+def test_benchmark_towers_rebuild_to_their_frozen_data():
+    """`perfbench/cases.py` freezes the names, relators and steps of each
+    tower-wp tower; a centralizer change that moves one fails here, not
+    first in the benchmark.  The file is read and run, not imported, so
+    nothing is written beside it."""
+    path = ROOT / "perfbench" / "cases.py"
+    cases: dict = {}
+    exec(compile(path.read_text(), str(path), "exec"), cases)
+    for frozen in cases["TOWERS"]:
+        t = tower_from_json(frozen["tower"])
+        p = presentation_of(t)
+        assert list(p.names) == frozen["names"], frozen["tower"]
+        assert [list(r.ints) for r in p.relators] == frozen["relators"], frozen["tower"]
+        assert [[list(s.g.ints), s.n] for s in t.steps] == frozen["steps"], frozen["tower"]
 
 
 def _load_script(name: str):
