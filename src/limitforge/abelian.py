@@ -99,6 +99,25 @@ def matvec(M, v):
     return [sum(a * b for a, b in zip(row, v)) for row in M]
 
 
+def _diagonal_solve(diag, c):
+    """y with d * y_j = c_j for each entry c_j of c and the diagonal
+    entry d of a Smith form in its row (0 past the diagonal), or None;
+    a zero d allows only c_j = 0, and then y_j = 0."""
+    y = []
+    for j, cj in enumerate(c):
+        d = diag[j] if j < len(diag) else 0
+        if d:
+            q, rest = divmod(cj, d)
+            if rest:
+                return None
+        elif cj:
+            return None
+        else:
+            q = 0
+        y.append(q)
+    return y
+
+
 def solve(rows, b, ncols: int | None = None):
     """Solve A x = b over the integers.
 
@@ -113,25 +132,14 @@ def solve(rows, b, ncols: int | None = None):
     if m == 0:
         return [0] * n, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     D, U, V = smith_normal_form(rows, n)
-    c = matvec(U, list(b))
-    y = [0] * n
-    free = []
     k = min(m, n)
-    for j in range(k):
-        d = D[j][j]
-        if d == 0:
-            if c[j] != 0:
-                return None
-            free.append(j)
-        else:
-            if c[j] % d != 0:
-                return None
-            y[j] = c[j] // d
-    free.extend(range(k, n))
-    for i in range(k, m):
-        if c[i] != 0:
-            return None
-    x0 = matvec(V, y)
+    diag = [D[j][j] for j in range(k)]
+    y = _diagonal_solve(diag, matvec(U, list(b)))
+    if y is None:
+        return None
+    # y's entries past the diagonal are 0; x has n entries
+    x0 = matvec(V, (y + [0] * n)[:n])
+    free = [j for j in range(k) if not diag[j]] + list(range(k, n))
     kernel = []
     for j in free:
         kernel.append([V[i][j] for i in range(n)])
@@ -149,14 +157,11 @@ class Lattice:
 
     @cached_property
     def _smith(self) -> tuple[list[int], list[list[int]]]:
-        # v is in the span when cols * x = v has an integer solution x.
-        # With U * cols * V = D, that holds when each entry of U * v is a
-        # multiple of D's diagonal entry in its row, 0 past the diagonal;
-        # so the form is computed once, not once per vector.
+        # v is in the span when cols * x = v has an integer solution x;
+        # the Smith form of cols is computed once, not once per vector
         cols = [[row[i] for row in self.rows] for i in range(self._n)]
         D, U, _ = smith_normal_form(cols, len(self.rows))
-        diag = [D[i][i] if i < len(self.rows) else 0 for i in range(self._n)]
-        return diag, U
+        return [D[i][i] for i in range(min(self._n, len(self.rows)))], U
 
     def __contains__(self, vec) -> bool:
         key = tuple(vec)
@@ -166,7 +171,7 @@ class Lattice:
                 got = not any(key)
             else:
                 diag, U = self._smith
-                got = all(c % d == 0 if d else not c for c, d in zip(matvec(U, key), diag))
+                got = _diagonal_solve(diag, matvec(U, key)) is not None
             self._memo[key] = got
         return got
 

@@ -96,9 +96,27 @@ class IceTower:
 
     @cached_property
     def _edge_lattice(self) -> Lattice:
-        # the exponent vectors of the top step's basis; the edge group is
-        # generated by that basis, so its elements' vectors are their span
+        # the span of the exponent vectors of the top step's basis.  Exponent
+        # sums are a homomorphism of every tower, since its relators are
+        # commutators, and the edge group is generated by that basis, so a
+        # word whose vector is outside the span is not in it, nor is any
+        # conjugate of such a word
         return Lattice([exponent_vector(b, self.rank) for b in self.steps[-1].basis], self.rank)
+
+    @cached_property
+    def _edge_images(self) -> list[tuple[list[Word], Word, list[int]]]:
+        # the retractions of the level below that keep the top step's edge
+        # group nontrivial, each with its images, the root r of the edge
+        # group's image and the exponents of the basis's images over r
+        low = self.lower()
+        out = []
+        for exps in _exponent_choices(low.rank - low.base_rank):
+            images = _retraction(low, exps)
+            ks = [eval_hom(images, k) for k in self.steps[-1].basis]
+            r = next((primitive_root(k)[0] for k in ks if k), None)
+            if r is not None:
+                out.append((images, r, [is_power_of(k, r) for k in ks]))
+        return out
 
 
 def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
@@ -203,28 +221,12 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
         u = Word(ints)
         if len(t.steps) == 1:
             got = is_power_of(u, t.steps[-1].basis[0]) is not None
-        elif not _in_span(t, exponent_vector(u, t.rank)):
+        elif exponent_vector(u, t.rank) not in t._edge_lattice:
             got = False
         else:
             got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
         memo[ints] = got
     return got
-
-
-def _in_span(t: IceTower, vec) -> bool:
-    """Whether vec is in the integer span of the exponent vectors of the
-    top step's basis.  Exponent sums are a homomorphism of every tower,
-    since its relators are commutators, so this is necessary for the
-    edge group, and conjugation keeps it."""
-    lattice = t._edge_lattice
-    if len(lattice.rows) > 1:
-        return vec in lattice
-    g = lattice.rows[0]
-    k = next((i for i, x in enumerate(g) if x), None)
-    if k is None:
-        return not any(vec)
-    e, rest = divmod(vec[k], g[k])
-    return not rest and all(a == e * b for a, b in zip(vec, g))
 
 
 def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
@@ -301,7 +303,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", sub.level, conj * sub.conjugator)
     # a one-element basis is the root of a hyperbolic g, and a conjugate
     # of u inside its group has u's exponent vector
-    if len(top.basis) == 1 and _in_span(t, exponent_vector(u, t.rank)):
+    if len(top.basis) == 1 and exponent_vector(u, t.rank) in t._edge_lattice:
         c = _conj_into(low, u, top.basis[0])
         if c is not None:
             return Classification("parabolic", k, conj * c)
@@ -354,18 +356,32 @@ def _peel(r: Word, p: Word, q: Word) -> int | None:
     return None
 
 
-def _retraction(t: IceTower, sigma: int) -> list[Word]:
+def _exponent_choices(n: int):
+    """Exponents for the n extension letters of a tower's retractions,
+    without repeats: all 1, then each letter alone at 2, then all 0, then
+    each letter alone at 1.  Where the exponents of the edge basis's
+    images are affine in these, as over one level of extension letters,
+    the first n + 1 give every row that any choice gives; the rest add
+    choices that kill most letters, for products of exponents across
+    stacked steps.  Every image stays a word of bounded length."""
+    ones = (1,) * n
+    units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    choices = [ones] + [tuple(1 + u for u in unit) for unit in units]
+    choices += [(0,) * n] + units
+    return list(dict.fromkeys(choices))
+
+
+def _retraction(t: IceTower, exps: tuple[int, ...]) -> list[Word]:
     """Images of t's generators in its base free group: the i-th
     extension letter (0-based over all steps) goes to the image of its
-    step's g to the power (i + 2) ** sigma.  This is a homomorphism, since
-    each edge group is abelian and holds its g, so its image commutes
-    with g's; the exponents make the images of different letters
-    independent over a few sigmas."""
+    step's g to the power exps[i].  This is a homomorphism, since each
+    edge group is abelian and holds its g, so its image commutes with
+    g's."""
     images = [Word((x,)) for x in range(1, t.base_rank + 1)]
     for step in t.steps:
         g = eval_hom(images, step.g)
         for _ in range(step.n):
-            images.append(g ** ((len(images) - t.base_rank + 2) ** sigma))
+            images.append(g ** exps[len(images) - t.base_rank])
     return images
 
 
@@ -373,8 +389,8 @@ def _double_coset(t: IceTower, p: Word, q: Word) -> Word | None:
     """a in the top step's edge group E with p = a q b for some b in E,
     or None; p and q are words of the level below, q outside E.
 
-    Raises NotImplementedError when the retractions tried leave a's
-    exponents undetermined: the solver never guesses."""
+    Raises NotImplementedError when the retractions leave a's exponents
+    undetermined: the solver never guesses."""
     basis = t.steps[-1].basis
     low = t.lower()
     if not low.steps:
@@ -382,19 +398,16 @@ def _double_coset(t: IceTower, p: Word, q: Word) -> Word | None:
         return None if x is None else basis[0] ** x
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for sigma in range(len(basis) + 2):
-        images = _retraction(low, sigma)
-        ks = [eval_hom(images, k) for k in basis]
-        r = next((primitive_root(k)[0] for k in ks if k), None)
+    for images, r, row in t._edge_images:
         fq = eval_hom(images, q)
-        if r is None or is_power_of(fq, r) is not None:
+        if is_power_of(fq, r) is not None:
             continue  # this image says nothing about a
         # E's image is abelian, so it lies in the cyclic group of r, and
         # the image equation has at most one solution
         x = _peel(r, eval_hom(images, p), fq)
         if x is None:
             return None
-        rows.append([is_power_of(k, r) for k in ks])
+        rows.append(row)
         rhs.append(x)
         got = solve(rows, rhs, len(basis))
         if got is None:
@@ -499,7 +512,7 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
     vecs = [exponent_vector(Word(body), t.rank) for _, body in syls] if periods else []
     i = 1 if syls[0][0] else 0
     for d in periods:
-        if not all(_in_span(t, [x - y for x, y in zip(vecs[j + d], vecs[j])]) for j in range(count - d)):
+        if not all([x - y for x, y in zip(vecs[j + d], vecs[j])] in t._edge_lattice for j in range(count - d)):
             continue
         a = _double_coset(t, _syl_word(t, *syls[i + d]), _syl_word(t, *syls[i]))
         if a is None:

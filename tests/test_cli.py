@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from limitforge import oracles
+from limitforge import ice, oracles
 from limitforge.cli import main
+from limitforge.words import Word
 
 FAKE_ORACLE = pathlib.Path(__file__).resolve().parent / "fake_oracle.py"
 
@@ -213,6 +214,21 @@ def test_malformed_tower_file_is_exit_3(capsys, grp, doc):
     assert err.startswith("error: tower file: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
+
+
+def test_uncovered_edge_equation_is_exit_3(capsys, grp, monkeypatch):
+    # retractions that kill everything leave the edge equation of the root
+    # search undetermined, and the solver raises rather than guess
+    tower = grp(
+        "t3.json",
+        '{"base_rank": 2, "steps": [{"g": "a", "n": 1}, {"g": "b*t", "n": 2}, {"g": "[a,b]", "n": 1}]}',
+    )
+    monkeypatch.setattr(ice, "_retraction", lambda t, exps: [Word()] * t.rank)
+    code, out, err = run(capsys, "ice", "centralizer", "--tower", tower, "--word", "w*b*w*b")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: edge equation") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 def test_ice_enumerate_prefix(capsys):
     code, out, _ = run(capsys, "ice", "enumerate", "--count", "3")

@@ -11,6 +11,7 @@ the finite quotients of its tower's presentation.
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -278,10 +279,24 @@ def test_uncovered_edge_equation_raises(monkeypatch):
     # search of (w b)^2 on T3 cannot settle its edge equation
     t3 = tower_from_json(T3_DOC)
     w = Word((6,))
-    monkeypatch.setattr(ice, "_retraction", lambda t, sigma: [Word()] * t.rank)
+    monkeypatch.setattr(ice, "_retraction", lambda t, exps: [Word()] * t.rank)
     with pytest.raises(NotImplementedError):
         centralizer_ice(t3, (w * B) ** 2)
 
+
+
+def test_edge_equation_over_a_wide_abelian_step():
+    # the top edge group C(t) has 11 basis elements, so the root of
+    # (x b)^2 needs 11 independent retraction rows; the retractions'
+    # exponents stay at most 2, so their images stay short
+    t = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 10}, {"g": "t", "n": 1}]})
+    assert len(t.steps[-1].basis) == 11
+    x = Word((t.rank,))
+    start = time.perf_counter()
+    assert _max_root(t, (x * B) ** 2) == (x * B, 2)
+    assert centralizer_ice(t, (x * B) ** 3) == (x * B,)
+    assert time.perf_counter() - start < 5
+    assert max(len(w.ints) for images, _, _ in t._edge_images for w in images) <= 2
 
 HYPERBOLIC_TOWERS = [T1, T3] + [t for t in PREFIX if t.base_rank > 1]
 

@@ -336,7 +336,7 @@ def test_edge_commutator_built_once_per_word(monkeypatch):
     # a commutator is built only above the first step, and only for a word
     # whose exponent vector lies in the span of the edge basis's vectors
     entries = sum(
-        ice._in_span(level, exponent_vector(Word(ints), level.rank))
+        exponent_vector(Word(ints), level.rank) in level._edge_lattice
         for t in towers
         for level in _levels(t)
         if len(level.steps) > 1
