@@ -676,8 +676,9 @@ class LimitEnumeration:
     round, so every pair eventually receives an unbounded budget while
     rounds stay linear in the number of pending pairs.  Each admitted
     tower keeps one record, (tower, oracle, atlas, subset stream), and
-    each pair one list, [tower, search, steps owed], since the search
-    holds S and the oracle.
+    each pair one list, [tower, search, the search's `spent` when its
+    share of the round is paid], since the search holds S and the
+    oracle.
     """
 
     S_PER_UNIT = 8
@@ -696,7 +697,7 @@ class LimitEnumeration:
     def _open_round(self) -> None:
         self.round += 1
         for pair in self._kept:
-            pair[2] = self.ROUND_STEPS
+            pair[2] += self.ROUND_STEPS
         self._todo.extend(self._kept)
         self._kept = []
         t, p = next(self._ice)
@@ -718,18 +719,15 @@ class LimitEnumeration:
         if not self._todo:
             self._open_round()
         out: list[LimitGroupEmission] = []
-        spent = 0
+        stop = None if limit is None else self.steps + limit
         while self._todo:
             pair = self._todo[0]
-            tower, search, owed = pair
-            before = search.steps
-            found = search.run(owed if limit is None else min(owed, limit - spent))
-            used = search.steps - before
-            spent += used
-            self.steps += used
-            owed -= used
-            pair[2] = owed
-            if found is None and owed > 0:
+            tower, search, paid = pair
+            before = search.spent
+            owed = paid - before
+            found = search.run(owed if stop is None else min(owed, stop - self.steps))
+            self.steps += search.spent - before
+            if found is None and search.spent < paid:
                 break  # out of limit: the pair resumes in the next call
             self._todo.popleft()
             if found is None:

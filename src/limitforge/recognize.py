@@ -27,10 +27,10 @@ from .presentation import (
     substitute,
     tietze_simplify,
 )
+from .retracts import _REPRICE, Metered
 from .words import EMPTY, Word, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
-_TIER = object()  # CertifySearch stream marker: a new cost tier starts
 _CROSSCHECK_BOUND = 2
 
 
@@ -239,7 +239,7 @@ def external_witness(p: Presentation, wp: WordOracle, schema: str, **data) -> Wi
     return w
 
 
-class CertifySearch:
+class CertifySearch(Metered):
     """Resumable fair hunt for a witness.
 
     Candidates are ordered by total certificate length and charged that
@@ -261,50 +261,25 @@ class CertifySearch:
         self.p = p
         self.wp = wp
         self._lattice = _relator_lattice(p)
-        self.spent = 0
         self.candidates = 0
         self.max_cost = 0
-        self.found: Witness | None = None
-        self._tier = 0  # cost of the next candidate the stream charges
-        self._gen = self._stream()
-
-    def run(self, units: int) -> Witness | None:
-        """Spend at most `units` cost units; returns the witness if found.
-
-        A candidate that does not fit in what is left waits for the next
-        call.
-        """
-        if self.found is not None:
-            return self.found
-        stop = self.spent + units
-        while self.spent + self._tier <= stop:
-            w = next(self._gen)
-            if w is not None and w is not _TIER:
-                self.found = w
-                return w
-        return None
+        super().__init__()
 
     def _stream(self):
-        # Every candidate of a tier costs the same; the stream announces
-        # each tier with _TIER so that run() can check the next cost
-        # before the candidate is charged.
+        # a tier's cost is the price of each of its candidates; with no
+        # generators there is no candidate, and each item costs 1
         rank = self.p.rank
         if rank == 0:
-            self._tier = 1
-            yield _TIER
-            while True:
-                self.spent += 1
-                yield None
+            yield from itertools.repeat(None)
         pools = [(EMPTY,)]  # pools[n]: the reduced words of length n
         for cost in itertools.count(2):
-            self._tier = cost
-            yield _TIER
+            self.price = cost
+            yield _REPRICE
             self.max_cost = cost
             pools.append(tuple(words_of_length(rank, cost - 1)))
             for lg in range(1, cost):
                 n = cost - lg + 1
                 for g in pools[lg]:
-                    self.spent += cost
                     self.candidates += 1
                     yield self._torsion(g, n) if self._may_die(g, n) else None
             for la in range(1, cost - 1):
@@ -318,7 +293,6 @@ class CertifySearch:
                             # later
                             pair = None
                             for c in pools[lc]:
-                                self.spent += cost
                                 self.candidates += 1
                                 if pair is None:
                                     pair = self._ct_pair(a, b)
@@ -330,7 +304,6 @@ class CertifySearch:
                     # needs 2*ab(g) in L, so a g that fails is never alive
                     alive = None if self._may_die(g, 2) else False
                     for h in pools[lh]:
-                        self.spent += cost
                         self.candidates += 1
                         if alive is None:
                             alive = self._nontrivial(g)
@@ -464,6 +437,33 @@ class NotFree:
 # The positive branch
 
 
+class _Expansion(Metered):
+    """Tietze expanders advanced round-robin, one node per item, each
+    node charged `price` steps.  `hit(tag, node)` turns a node of the
+    expander filed under `tag` into the item: a hit, or None."""
+
+    price = 8  # one presentation-enumeration node ~ this many steps
+
+    def __init__(self, hit):
+        self.hit = hit
+        self.expanders: list[tuple[object, object]] = []
+        super().__init__()
+
+    def _stream(self):
+        for i in itertools.count():
+            tag, gen = self.expanders[i % len(self.expanders)]
+            yield self.hit(tag, next(gen))
+
+    def run(self, limit: int | None, used: int = 0):
+        """Expand while this slice has used fewer than _QUANTUM units,
+        `used` of them before the call, and never past `limit` units
+        (None: no limit); returns the hit or None."""
+        stop = _QUANTUM + self.price - 1  # a node starts below _QUANTUM
+        if limit is not None:
+            stop = min(stop, limit)
+        return super().run(stop - used) if self.expanders else None
+
+
 class _MatchBranch:
     """Walks the limit-group enumeration hunting the target presentation.
 
@@ -473,8 +473,6 @@ class _MatchBranch:
     the leftover allowance of each slice.
     """
 
-    EXPAND_WEIGHT = 8  # one presentation-enumeration node ~ this many steps
-
     def __init__(self, target: Presentation):
         try:
             self._key = normalize_key(target)
@@ -482,83 +480,46 @@ class _MatchBranch:
             self._key = None
         self._ab = abelianization(target)
         self.enum = LimitEnumeration()
-        self._expanders: list[tuple[LimitGroupEmission, object]] = []
+        self.expansion = _Expansion(self._match)
         self._seen: set[Presentation] = set()
-        self._cursor = 0
         self.emissions = 0
-        self.expanded = 0
 
     @property
     def matchable(self) -> bool:
         return self._key is not None
 
+    @property
+    def spent(self) -> int:
+        return self.enum.steps + self.expansion.spent
+
     def run(self, limit: int | None):
         """One enumeration round plus expander work up to _QUANTUM, never
-        past `limit` units (None: no limit); returns (units used, hit or
-        None) where a hit is (emission, matched)."""
+        past `limit` units (None: no limit); returns the hit, (emission,
+        matched), or None."""
         if self._key is None:
-            return 0, None
+            return None
         before = self.enum.steps
         for em in self.enum.next_round(limit):
             self.emissions += 1
             hit = self._admit(em)
             if hit is not None:
-                return self.enum.steps - before, hit
-        used = self.enum.steps - before
-        weight = self.EXPAND_WEIGHT
-        while (
-            used < _QUANTUM
-            and self._expanders
-            and (limit is None or used + weight <= limit)
-        ):
-            used += weight
-            hit = self._advance_one()
-            if hit is not None:
-                return used, hit
-        return used, None
+                return hit
+        return self.expansion.run(limit, self.enum.steps - before)
 
-    def _admit(self, em: LimitGroupEmission):
-        pres = em.presentation
-        if pres.rank <= 6 and normalize_key(pres) == self._key:
-            return (em, pres)
-        if abelianization(pres) == self._ab:
-            if pres not in self._seen:
-                self._seen.add(pres)
-                gen = enumerate_presentations(pres)
-                next(gen)  # the first yield is pres itself, checked above
-                self._expanders.append((em, gen))
-        return None
-
-    def _advance_one(self):
-        i = self._cursor % len(self._expanders)
-        self._cursor += 1
-        em, gen = self._expanders[i]
-        v = next(gen)
-        self.expanded += 1
+    def _match(self, em: LimitGroupEmission, v: Presentation):
         if v.rank <= 6 and normalize_key(v) == self._key:
             return (em, v)
         return None
 
-
-class _TietzeBranch:
-    """Walks the Tietze expansion of the input hunting a relator-free
-    variant, charged like a _MatchBranch expander node."""
-
-    def __init__(self, start: Presentation):
-        self._stream = enumerate_presentations(start)
-
-    def run(self, limit: int | None):
-        """Expand nodes until _QUANTUM units are used, never past `limit`
-        (None: no limit); returns (units used, relator-free presentation
-        or None)."""
-        used = 0
-        weight = _MatchBranch.EXPAND_WEIGHT
-        while used < _QUANTUM and (limit is None or used + weight <= limit):
-            v = next(self._stream)
-            used += weight
-            if not v.relators:
-                return used, v
-        return used, None
+    def _admit(self, em: LimitGroupEmission):
+        pres = em.presentation
+        hit = self._match(em, pres)
+        if hit is None and abelianization(pres) == self._ab and pres not in self._seen:
+            self._seen.add(pres)
+            gen = enumerate_presentations(pres)
+            next(gen)  # the first yield is pres itself, checked above
+            self.expansion.expanders.append((em, gen))
+        return hit
 
 
 def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict:
@@ -576,8 +537,8 @@ def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict
             "rounds": a.enum.round,
             "steps": a.enum.steps,
             "emissions": a.emissions,
-            "expanders": len(a._expanders),
-            "expanded": a.expanded,
+            "expanders": len(a.expansion.expanders),
+            "expanded": a.expansion.spent // a.expansion.price,
             "matchable": a.matchable,
         }
     return out
@@ -587,9 +548,11 @@ def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict
 # Recognition drivers
 
 
-def _require_total(wp: WordOracle, caller: str) -> None:
+def _check_inputs(wp: WordOracle, budget: int | None, caller: str) -> None:
     if not isinstance(wp, WordOracle) or not wp.total:
         raise ValueError(f"{caller} requires a total word-problem oracle")
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be nonnegative")
 
 
 def _race(a, b: CertifySearch, budget: int | None):
@@ -597,30 +560,26 @@ def _race(a, b: CertifySearch, budget: int | None):
 
     Each round a takes a slice first; b then gets a slice as large as
     a's, and never smaller than _QUANTUM.  The budget is a hard ceiling:
-    neither branch is handed more than what is left of it.  Returns
-    (a's hit, b's witness, steps used); both are None when the budget
-    ran out.
+    neither branch is handed more than what is left of it.  Both
+    branches start unspent, and each is measured by its `spent`.
+    Returns (a's hit, b's witness, steps used); both are None when the
+    budget ran out.
     """
-    used = 0
-    while budget is None or used < budget:
-        used_a, hit = a.run(None if budget is None else budget - used)
-        used += used_a
+    while budget is None or a.spent + b.spent < budget:
+        spent_a, spent_b = a.spent, b.spent
+        hit = a.run(None if budget is None else budget - spent_a - spent_b)
         if hit is not None:
-            return hit, None, used
-        if budget is not None and used >= budget:
+            return hit, None, a.spent + b.spent
+        left = None if budget is None else budget - a.spent - spent_b
+        if left == 0:
             break
-        quantum = max(used_a, _QUANTUM)
-        if budget is not None:
-            quantum = min(quantum, budget - used)
-        before = b.spent
-        w = b.run(quantum)
-        used_b = b.spent - before
-        used += used_b
+        quantum = max(a.spent - spent_a, _QUANTUM)
+        w = b.run(quantum if left is None else min(quantum, left))
         if w is not None:
-            return None, w, used
-        if used_a == used_b == 0:
+            return None, w, a.spent + b.spent
+        if (a.spent, b.spent) == (spent_a, spent_b):
             break  # neither branch has a step that fits in what is left
-    return None, None, used
+    return None, None, a.spent + b.spent
 
 
 def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7):
@@ -632,7 +591,7 @@ def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7)
     halts, which on a group that is neither enumerable-early nor
     witnessed never happens.
     """
-    _require_total(wp, "recognize_limit")
+    _check_inputs(wp, budget, "recognize_limit")
     target, _ = tietze_simplify(p)
     a = _MatchBranch(target)
     b = CertifySearch(p, wp)
@@ -654,7 +613,7 @@ def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
     abelianization rank at least 2, mean NotFree.  Otherwise a hunt for
     a relator-free Tietze variant races the witness search.
     """
-    _require_total(wp, "recognize_free")
+    _check_inputs(wp, budget, "recognize_free")
     simplified, _ = tietze_simplify(p)
     if not simplified.relators:
         report = {"budget": budget, "used": 0, "certificate": "tietze"}
@@ -666,8 +625,11 @@ def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
     if ab_rank >= 2 and _generators_commute(p, wp):
         report = {"budget": budget, "used": 0, "certificate": "abelian"}
         return NotFree(p, "abelian and noncyclic", None, report)
+    # the Tietze expansion of the input, hunting a relator-free variant
+    a = _Expansion(lambda _, v: None if v.relators else v)
+    a.expanders.append((None, enumerate_presentations(simplified)))
     b = CertifySearch(p, wp)
-    free, w, used = _race(_TietzeBranch(simplified), b, budget)
+    free, w, used = _race(a, b, budget)
     if free is not None:
         report = {"budget": budget, "used": used, "certificate": "tietze"}
         return Free(p, free, report)

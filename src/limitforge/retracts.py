@@ -194,7 +194,51 @@ def _combine(coeffs, vecs, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class RetractionSearch:
+_REPRICE = object()  # Metered stream marker: `price` has just changed
+
+
+class Metered:
+    """A resumable search charged per item of its stream, `_stream`.
+
+    An item is None, or the hit that ends the search, and costs `price`
+    units.  To change the price the stream sets `self.price`, then yields
+    _REPRICE before any work at the new price, so run() knows what the
+    next item costs before it resumes the stream.  An item that does not
+    fit in what is left of a call waits for the next call.
+    """
+
+    price = 1
+
+    def __init__(self):
+        self.spent = 0
+        self.found = None
+        self._gen = self._stream()
+
+    def run(self, units: int):
+        """Spend at most `units`; returns the hit once found, else None."""
+        if self.found is not None:
+            return self.found
+        gen = self._gen
+        spent = self.spent
+        price = self.price
+        stop = spent + units
+        try:
+            while spent + price <= stop:
+                item = next(gen)
+                if item is None:
+                    spent += price
+                elif item is _REPRICE:
+                    price = self.price
+                else:
+                    spent += price
+                    self.found = item
+                    break
+        finally:  # an oracle error leaves what was charged before it
+            self.spent = spent
+        return self.found
+
+
+class RetractionSearch(Metered):
     """Resumable dovetailed search for a retraction onto the span of S.
 
     Candidates are ordered by total cost, the subgroup index plus the
@@ -216,21 +260,12 @@ class RetractionSearch:
         self.s_words = tuple(s_words)
         self.oracle = oracle if oracle is not None else dovetail_oracle(p)
         self.atlas = atlas if atlas is not None else SubgroupAtlas(p)
-        self.steps = 0
         self.cost = 0
-        self.result: RetractionFound | None = None
-        self._gen = self._search()
+        super().__init__()
 
-    def run(self, nsteps: int) -> RetractionFound | None:
-        if self.result is not None:
-            return self.result
-        for _ in range(nsteps):
-            item = next(self._gen)
-            self.steps += 1
-            if item is not None:
-                self.result = item
-                return item
-        return None
+    # read-only aliases of the meter's names, which the benchmark tracer reads
+    steps = property(lambda self: self.spent)
+    result = property(lambda self: self.found)
 
     # -- dovetail internals
 
@@ -272,7 +307,7 @@ class RetractionSearch:
                 return None
         return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
 
-    def _search(self):
+    def _stream(self):
         branches: list[_Branch] = []
         while True:
             self.cost += 1
@@ -307,10 +342,12 @@ def find_retraction(
 
     Returns a RetractionFound, or SearchExhausted after `budget` steps.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     search = RetractionSearch(p, s_words, oracle)
     found = search.run(budget)
     if found is None:
-        return SearchExhausted(search.steps)
+        return SearchExhausted(search.spent)
     return found
 
 

@@ -12,7 +12,9 @@ package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
 towers get pairs.  The witness-search reference keeps the package's
-candidate checks and asks the oracle about every candidate.
+candidate checks and asks the oracle about every candidate.  The
+metering references at the end are the resumable searches as they ran
+before they shared one meter, each with its own run loop.
 """
 
 from __future__ import annotations
@@ -30,15 +32,19 @@ from limitforge.presentation import (
     _CONSEQ_CAP,
     _NODE_CAP,
     _NODE_GROWTH,
+    NormalizeCapError,
     Presentation,
     _compositions,
     _fresh_name,
     _remove_generator,
     _single_occurrence_pairs,
+    abelianization,
+    enumerate_presentations,
+    normalize_key,
     serialize,
 )
-from limitforge.recognize import _TIER, CertifySearch
-from limitforge.retracts import RetractionSearch, SubgroupAtlas
+from limitforge.recognize import CertifySearch
+from limitforge.retracts import _REPRICE, RetractionSearch, SubgroupAtlas
 from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
@@ -702,7 +708,7 @@ class LimitEnumerationReference(LimitEnumeration):
     def _open_round(self) -> None:
         self.round += 1
         for pair in self._kept:
-            pair[2] = self.ROUND_STEPS
+            pair[2] += self.ROUND_STEPS
         self._todo.extend(self._kept)
         self._kept = []
         t, p = next(self._ice)
@@ -725,6 +731,87 @@ class CertifySearchReference(CertifySearch):
     def _stream(self):
         rank = self.p.rank
         if rank == 0:
+            yield from itertools.repeat(None)
+        pools = [(EMPTY,)]
+        for cost in itertools.count(2):
+            self.price = cost
+            yield _REPRICE
+            self.max_cost = cost
+            pools.append(tuple(words_of_length(rank, cost - 1)))
+            for lg in range(1, cost):
+                n = cost - lg + 1
+                for g in pools[lg]:
+                    self.candidates += 1
+                    yield self._torsion(g, n)
+            for la in range(1, cost - 1):
+                for lb in range(1, cost - la):
+                    lc = cost - la - lb
+                    for a in pools[la]:
+                        for b in pools[lb]:
+                            pair = None
+                            for c in pools[lc]:
+                                self.candidates += 1
+                                if pair is None:
+                                    pair = self._ct_pair(a, b)
+                                yield self._ct(a, b, c) if pair else None
+            for lg in range(1, cost):
+                lh = cost - lg
+                for g in pools[lg]:
+                    alive = None
+                    for h in pools[lh]:
+                        self.candidates += 1
+                        if alive is None:
+                            alive = self._nontrivial(g)
+                        yield self._inversion(g, h) if alive else None
+
+
+# ---------------------------------------------------------------------------
+# The resumable searches before they shared one meter: each runs its own
+# loop and keeps its own counters, named as on the meter (`spent` for the
+# retraction search's old `steps`, `found` for its `result`).  The
+# retraction search's candidate stream did not change, so its loop
+# resumes the package's stream.  The witness search keeps its old stream,
+# which charged `spent` itself and announced each cost tier with _TIER.
+# The two recognition branches keep their loops over the package's
+# enumerations, and return (units used, hit) as they did.
+
+_TIER = object()
+_QUANTUM = 128
+_EXPAND_WEIGHT = 8
+
+
+class RetractionSearchLoop(RetractionSearch):
+    def run(self, nsteps: int):
+        if self.found is not None:
+            return self.found
+        for _ in range(nsteps):
+            item = next(self._gen)
+            self.spent += 1
+            if item is not None:
+                self.found = item
+                return item
+        return None
+
+
+class CertifySearchLoop(CertifySearch):
+    def __init__(self, p: Presentation, wp):
+        self._tier = 0  # cost of the next candidate the stream charges
+        super().__init__(p, wp)
+
+    def run(self, units: int):
+        if self.found is not None:
+            return self.found
+        stop = self.spent + units
+        while self.spent + self._tier <= stop:
+            w = next(self._gen)
+            if w is not None and w is not _TIER:
+                self.found = w
+                return w
+        return None
+
+    def _stream(self):
+        rank = self.p.rank
+        if rank == 0:
             self._tier = 1
             yield _TIER
             while True:
@@ -741,7 +828,7 @@ class CertifySearchReference(CertifySearch):
                 for g in pools[lg]:
                     self.spent += cost
                     self.candidates += 1
-                    yield self._torsion(g, n)
+                    yield self._torsion(g, n) if self._may_die(g, n) else None
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
@@ -757,10 +844,84 @@ class CertifySearchReference(CertifySearch):
             for lg in range(1, cost):
                 lh = cost - lg
                 for g in pools[lg]:
-                    alive = None
+                    alive = None if self._may_die(g, 2) else False
                     for h in pools[lh]:
                         self.spent += cost
                         self.candidates += 1
                         if alive is None:
                             alive = self._nontrivial(g)
                         yield self._inversion(g, h) if alive else None
+
+
+class TietzeBranchLoop:
+    def __init__(self, start: Presentation):
+        self._stream = enumerate_presentations(start)
+
+    def run(self, limit):
+        used = 0
+        weight = _EXPAND_WEIGHT
+        while used < _QUANTUM and (limit is None or used + weight <= limit):
+            v = next(self._stream)
+            used += weight
+            if not v.relators:
+                return used, v
+        return used, None
+
+
+class MatchBranchLoop:
+    def __init__(self, target: Presentation):
+        try:
+            self._key = normalize_key(target)
+        except NormalizeCapError:
+            self._key = None
+        self._ab = abelianization(target)
+        self.enum = LimitEnumeration()
+        self._expanders = []
+        self._seen = set()
+        self._cursor = 0
+        self.emissions = 0
+        self.expanded = 0
+
+    def run(self, limit):
+        if self._key is None:
+            return 0, None
+        before = self.enum.steps
+        for em in self.enum.next_round(limit):
+            self.emissions += 1
+            hit = self._admit(em)
+            if hit is not None:
+                return self.enum.steps - before, hit
+        used = self.enum.steps - before
+        weight = _EXPAND_WEIGHT
+        while (
+            used < _QUANTUM
+            and self._expanders
+            and (limit is None or used + weight <= limit)
+        ):
+            used += weight
+            hit = self._advance_one()
+            if hit is not None:
+                return used, hit
+        return used, None
+
+    def _admit(self, em):
+        pres = em.presentation
+        if pres.rank <= 6 and normalize_key(pres) == self._key:
+            return (em, pres)
+        if abelianization(pres) == self._ab:
+            if pres not in self._seen:
+                self._seen.add(pres)
+                gen = enumerate_presentations(pres)
+                next(gen)
+                self._expanders.append((em, gen))
+        return None
+
+    def _advance_one(self):
+        i = self._cursor % len(self._expanders)
+        self._cursor += 1
+        em, gen = self._expanders[i]
+        v = next(gen)
+        self.expanded += 1
+        if v.rank <= 6 and normalize_key(v) == self._key:
+            return (em, v)
+        return None

@@ -114,6 +114,25 @@ def test_budget_env_and_flag(capsys, grp, monkeypatch):
     assert out.splitlines()[0] == "Limit"
 
 
+def test_negative_budget_flag_is_exit_3(capsys, grp):
+    path = grp("o2.grp", "< a | a^2 >")
+    code, out, err = run(
+        capsys, "recognize", "--pres", path, "--oracle", "builtin:finite", "--budget", "-1", "--json"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: budget must be nonnegative\n"
+
+
+def test_negative_budget_from_environment_is_exit_3(capsys, grp, monkeypatch):
+    path = grp("o2.grp", "< a | a^2 >")
+    monkeypatch.setenv("LIMITFORGE_BUDGET", "-7")
+    code, out, err = run(capsys, "retract", "--pres", path, "--word", "a")
+    assert code == 3
+    assert out == ""
+    assert err == "error: budget must be nonnegative\n"
+
+
 def test_present_subgroup(capsys, grp):
     path = grp("f2.grp", "< a, b | >")
     code, out, _ = run(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import Lattice, exponent_vector
+from limitforge.cli import CORPUS, corpus_verdict
 from limitforge.ice import ice_oracle, tower_from_json
 from limitforge.oracles import (
     WordOracle,
@@ -24,8 +25,15 @@ from limitforge.oracles import (
     oracle_from,
     product_oracle,
 )
-from limitforge.presentation import parse, serialize
+from limitforge.presentation import (
+    abelianization,
+    enumerate_presentations,
+    parse,
+    serialize,
+    tietze_simplify,
+)
 from limitforge.recognize import (
+    _QUANTUM,
     CertifySearch,
     Free,
     Limit,
@@ -34,6 +42,8 @@ from limitforge.recognize import (
     Sentence,
     Unknown,
     Witness,
+    _Expansion,
+    _MatchBranch,
     check_witness,
     external_witness,
     recognize_cyclically_pinched,
@@ -45,7 +55,10 @@ from limitforge.recognize import (
 from limitforge.words import Word, commutator
 
 from oracles import (
+    CertifySearchLoop,
     CertifySearchReference,
+    MatchBranchLoop,
+    TietzeBranchLoop,
     conjugate,
     random_reduced_word,
     refute_sentence_reference,
@@ -546,6 +559,20 @@ def test_recognize_free_requires_total_oracle():
         recognize_free(F2, dovetail_oracle(F2))
 
 
+def test_negative_budgets_are_refused():
+    """A budget is a ceiling on `used`, which cannot go below 0; None
+    and 0 stay valid."""
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        recognize_limit(TORSION, finite_oracle(TORSION), budget=-1)
+    # Klein's torsion would answer NotFree at once, so the check is first
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        recognize_free(KLEIN, klein_oracle(KLEIN), budget=-1)
+    v = recognize_limit(TORSION, finite_oracle(TORSION), budget=0)
+    assert isinstance(v, Unknown) and v.report["used"] == 0
+    assert isinstance(recognize_free(KLEIN, klein_oracle(KLEIN), budget=0), NotFree)
+    assert isinstance(recognize_limit(TORSION, finite_oracle(TORSION), budget=None), NotLimit)
+
+
 def test_pinched_free_product_amalgamated_over_generator():
     v = recognize_cyclically_pinched(2, 2, Word((1,)), Word((1,)))
     assert isinstance(v, Limit)
@@ -563,3 +590,308 @@ def test_pinched_with_central_edge_group_is_rejected():
 def test_pinched_validates_second_factor_letters():
     with pytest.raises(ValueError):
         recognize_cyclically_pinched(2, 2, Word((1,)), Word((3,)))
+
+
+# --- whole reports, and the meter against the loops it replaced -------------
+
+# verdict and report of each CORPUS row at the CLI default budget, and of
+# recognize_free on genus two with the pinched oracle at two budgets, as
+# taken before the resumable searches shared one meter
+RECOGNITION_REPORTS = {
+    "free rank 1": (
+        "Limit",
+        {
+            "budget": 10_000_000,
+            "used": 171,
+            "certify": {"spent": 128, "candidates": 40, "max_cost": 4},
+            "enumeration": {
+                "rounds": 2,
+                "steps": 43,
+                "emissions": 2,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "free rank 2": (
+        "Limit",
+        {
+            "budget": 10_000_000,
+            "used": 421,
+            "certify": {"spent": 253, "candidates": 91, "max_cost": 3},
+            "enumeration": {
+                "rounds": 3,
+                "steps": 168,
+                "emissions": 24,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "free abelian rank 2": (
+        "Limit",
+        {
+            "budget": 10_000_000,
+            "used": 823,
+            "certify": {"spent": 385, "candidates": 135, "max_cost": 3},
+            "enumeration": {
+                "rounds": 4,
+                "steps": 430,
+                "emissions": 49,
+                "expanders": 1,
+                "expanded": 1,
+                "matchable": True,
+            },
+        },
+    ),
+    "free abelian rank 3": (
+        "Limit",
+        {
+            "budget": 10_000_000,
+            "used": 39_540,
+            "certify": {"spent": 18_148, "candidates": 4711, "max_cost": 4},
+            "enumeration": {
+                "rounds": 14,
+                "steps": 21_392,
+                "emissions": 448,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "centralizer extension": (
+        "Limit",
+        {
+            "budget": 10_000_000,
+            "used": 97_836,
+            "certify": {"spent": 45_384, "candidates": 10_572, "max_cost": 5},
+            "enumeration": {
+                "rounds": 19,
+                "steps": 52_452,
+                "emissions": 715,
+                "expanders": 2,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "order two": (
+        "NotLimit",
+        {
+            "budget": 10_000_000,
+            "used": 4,
+            "certify": {"spent": 2, "candidates": 1, "max_cost": 2},
+            "enumeration": {
+                "rounds": 1,
+                "steps": 2,
+                "emissions": 1,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "product with center": (
+        "NotLimit",
+        {
+            "budget": 10_000_000,
+            "used": 441,
+            "certify": {"spent": 273, "candidates": 105, "max_cost": 3},
+            "enumeration": {
+                "rounds": 3,
+                "steps": 168,
+                "emissions": 27,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "klein bottle": (
+        "NotLimit",
+        {
+            "budget": 10_000_000,
+            "used": 16,
+            "certify": {"spent": 14, "candidates": 7, "max_cost": 2},
+            "enumeration": {
+                "rounds": 1,
+                "steps": 2,
+                "emissions": 1,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "genus two surface": (
+        "Unknown",
+        {
+            "budget": 100_000,
+            "used": 100_000,
+            "certify": {"spent": 47_548, "candidates": 12_291, "max_cost": 4},
+            "enumeration": {
+                "rounds": 19,
+                "steps": 52_452,
+                "emissions": 767,
+                "expanders": 0,
+                "expanded": 0,
+                "matchable": True,
+            },
+        },
+    ),
+    "free genus two 1000": (
+        "Unknown",
+        {
+            "budget": 1000,
+            "used": 998,
+            "certify": {"spent": 486, "candidates": 186, "max_cost": 3},
+        },
+    ),
+    "free genus two 3500": (
+        "Unknown",
+        {
+            "budget": 3500,
+            "used": 3499,
+            "certify": {"spent": 1707, "candidates": 593, "max_cost": 3},
+        },
+    ),
+}
+
+
+def test_recognition_reports_are_pinned():
+    """Every field of these reports, which `recognize --json` prints.
+    RECOGNITION_STEPS pins `used` alone, which stays put when a branch
+    takes more emissions or candidates within the same slices."""
+    got = {}
+    for row in CORPUS:
+        v = corpus_verdict(row, 10**7)
+        got[row[0]] = (type(v).__name__, v.report)
+    for budget in (1000, 3500):
+        v = recognize_free(GENUS2, oracle_from(GENUS2, "builtin:pinched"), budget)
+        got[f"free genus two {budget}"] = (type(v).__name__, v.report)
+    assert got == RECOGNITION_REPORTS
+
+
+METER_SLICES = (1, 5, 128, 1000)
+CORPUS_IDS = [row[0] for row in CORPUS]
+
+
+def _corpus_case(row):
+    """A corpus row's presentation, and a maker of fresh oracles for it."""
+    _, text, strategy, tower_doc = row[:4]
+    p = parse(text)
+    tower = tower_from_json(tower_doc) if tower_doc else None
+    return p, lambda: oracle_from(p, strategy, tower=tower)
+
+
+@pytest.mark.parametrize("row", CORPUS + (("trivial", "< | >", "builtin:finite", None),),
+                         ids=CORPUS_IDS + ["trivial"])
+def test_certify_meter_matches_its_old_loop(row):
+    """In the same run() slices, the witness search charged by the shared
+    meter and by its own loop agree on spent, candidates, max_cost and
+    found after every slice, and ask the oracle the same words in the
+    same order.  The trivial group has no candidate at all."""
+    p, make_oracle = _corpus_case(row)
+    wp_new, wp_old = make_oracle(), make_oracle()
+    log_new, log_old = _record_queries(wp_new), _record_queries(wp_old)
+    new, old = CertifySearch(p, wp_new), CertifySearchLoop(p, wp_old)
+    slices = itertools.cycle(METER_SLICES)
+    while old.spent < 20_000 and old.found is None:
+        k = next(slices)
+        assert new.run(k) == old.run(k)
+        for attr in ("spent", "candidates", "max_cost", "found"):
+            assert getattr(new, attr) == getattr(old, attr)
+    assert log_new == log_old
+
+
+# recognize_free answers NotFree for torsion in the abelianization before
+# it expands anything, and the expansion of Z/2 is slow
+TORSION_FREE_ROWS = [row for row in CORPUS if not abelianization(parse(row[1]))[1]]
+
+
+@pytest.mark.parametrize("row", TORSION_FREE_ROWS, ids=[row[0] for row in TORSION_FREE_ROWS])
+def test_tietze_meter_matches_its_old_loop(row):
+    """recognize_free's Tietze hunt, one expander under the meter, spends
+    what the old loop spent and finds the same variant, slice by slice."""
+    p, _ = _corpus_case(row)
+    start, _ = tietze_simplify(p)
+    new = _Expansion(lambda _, v: None if v.relators else v)
+    new.expanders.append((None, enumerate_presentations(start)))
+    old = TietzeBranchLoop(start)
+    spent, found = 0, None
+    slices = itertools.cycle(METER_SLICES + (None,))
+    while spent < 1500 and found is None:
+        k = next(slices)
+        hit = new.run(k)
+        used, found = old.run(k)
+        spent += used
+        assert (new.spent, hit) == (spent, found)
+
+
+def _hit_key(hit):
+    return None if hit is None else (hit[0].presentation, hit[0].s_words, hit[1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [row[1] for row in CORPUS] + ["< a, b | [a,[a,b]] >"],
+    ids=CORPUS_IDS + ["ab Z^2, two expanders"],
+)
+def test_match_branch_meter_matches_its_old_loop(text):
+    """The enumeration branch, its expanders under the meter, spends what
+    its old loop spent, with the same emissions, expanders and hit,
+    slice by slice."""
+    target, _ = tietze_simplify(parse(text))
+    new, old = _MatchBranch(target), MatchBranchLoop(target)
+    spent, hit = 0, None
+    slices = itertools.cycle(METER_SLICES + (None,))
+    while spent < 5000 and hit is None:
+        k = next(slices)
+        hit = new.run(k)
+        used, old_hit = old.run(k)
+        spent += used
+        assert new.spent == spent
+        assert _hit_key(hit) == _hit_key(old_hit)
+        assert new.emissions == old.emissions
+        assert len(new.expansion.expanders) == len(old._expanders)
+        assert new.expansion.spent == 8 * old.expanded
+
+
+def test_expansion_slice_rule_matches_the_old_loop():
+    """Expander nodes of 8 units run while the slice has used fewer than
+    _QUANTUM units and the next node fits in `limit`, whatever the slice
+    used before the expanders, as in the old loop."""
+    for limit, before in itertools.product([None, *range(0, 160, 3)], range(0, 140, 5)):
+        meter = _Expansion(lambda tag, v: None)
+        meter.expanders.append((None, itertools.repeat(None)))
+        meter.run(limit, before)
+        used = before
+        while used < _QUANTUM and (limit is None or used + 8 <= limit):
+            used += 8
+        assert meter.spent == used - before, (limit, before)
+
+
+def test_oracle_error_leaves_the_charges_made_before_it():
+    """When the oracle raises, `spent` keeps the candidates completed
+    before the failing one; the old loop had charged that one too."""
+
+    def flaky():
+        calls = []
+
+        def fn(w):
+            calls.append(w)
+            if len(calls) > 20:
+                raise RuntimeError("oracle gone")
+            return not w.ints
+
+        return WordOracle(fn, True, "flaky")
+
+    new, old = CertifySearch(F2, flaky()), CertifySearchLoop(F2, flaky())
+    for search in (new, old):
+        with pytest.raises(RuntimeError, match="oracle gone"):
+            search.run(10**5)
+    assert new.spent > 0
+    assert new.spent == old.spent - old.max_cost

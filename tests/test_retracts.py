@@ -1,13 +1,17 @@
 """Retraction search and subgroup presentation via local retractions."""
 
+import itertools
 import random
 from collections import Counter
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limitforge.retracts as retracts
 from limitforge.abelian import exponent_vector
+from limitforge.cli import CORPUS, oracle_from
 from limitforge.ice import ice_oracle, presentation_of, tower_from_json
 from limitforge.oracles import free_abelian_oracle, free_oracle
 from limitforge.presentation import parse, substitute
@@ -22,9 +26,9 @@ from limitforge.retracts import (
     find_retraction,
     subgroup_presentation_lr,
 )
-from limitforge.words import EMPTY, Word
+from limitforge.words import EMPTY, Word, commutator
 
-from oracles import random_reduced_word
+from oracles import RetractionSearchLoop, random_reduced_word
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
@@ -68,6 +72,41 @@ def test_search_exhausted_on_tiny_budget():
     got = find_retraction(F2, (W(1, 1), W(2)), budget=3, oracle=free_oracle(F2))
     assert isinstance(got, SearchExhausted)
     assert got.steps <= 3
+
+
+def test_negative_budget_is_refused():
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        find_retraction(F2, (W(1),), budget=-1, oracle=free_oracle(F2))
+    got = find_retraction(F2, (W(1),), budget=0, oracle=free_oracle(F2))
+    assert got == SearchExhausted(0)
+
+
+def _s_sets(rank: int):
+    a, b = W(1), W(2)
+    yield (a,)
+    yield (a * a,)
+    if rank >= 2:
+        yield from ((a * b,), (commutator(a, b),), (a, b * b), (a * a, b * b * b))
+
+
+@pytest.mark.parametrize("row", CORPUS, ids=[row[0] for row in CORPUS])
+def test_retraction_meter_matches_its_old_loop(row):
+    """The shared meter charges a retraction search as its own loop did:
+    in the same run() slices, both have spent the same steps and found
+    the same retraction after each slice."""
+    _, text, strategy, tower_doc = row[:4]
+    p = parse(text)
+    tower = tower_from_json(tower_doc) if tower_doc else None
+    wp = oracle_from(p, strategy, tower=tower)
+    atlas = SubgroupAtlas(p)
+    for s in _s_sets(p.rank):
+        new = RetractionSearch(p, s, wp, atlas)
+        old = RetractionSearchLoop(p, s, wp, atlas)
+        slices = itertools.cycle((1, 5, 128, 1000))
+        while old.spent < 3000 and old.found is None:
+            k = next(slices)
+            assert _outcome(new, new.run(k)) == _outcome(old, old.run(k))
+            assert (new.spent, new.found) == (old.spent, old.found)
 
 
 def test_subgroup_presentation_square_and_free_generator():

@@ -92,14 +92,38 @@ def test_recognition_budgets_script_runs():
 
 def test_benchmark_tracer_installs():
     """The benchmark tracer wraps entry points by name; a renamed one
-    makes install() raise."""
+    makes install() raise.  Its counters also read attributes of the
+    searches (`RetractionSearch.steps`, `LimitEnumeration.steps`,
+    `CertifySearch.spent`), so one short traced call of each must count
+    steps, where a renamed attribute raises or counts nothing."""
     code = (
-        "import sys\n"
+        "import json, sys\n"
         f"sys.path[:0] = [{str(ROOT / 'perfbench')!r}, {str(ROOT / 'src')!r}]\n"
         "import tracer\n"
-        "tracer.Tracer().install()\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "from limitforge.ice import LimitEnumeration\n"
+        "from limitforge.oracles import free_oracle\n"
+        "from limitforge.presentation import parse\n"
+        "from limitforge.recognize import CertifySearch\n"
+        "from limitforge.retracts import RetractionSearch\n"
+        "from limitforge.words import Word\n"
+        "p = parse('< a, b | >')\n"
+        "t.start()\n"
+        "RetractionSearch(p, [Word((1, 1)), Word((2,))], free_oracle(p)).run(50)\n"
+        "LimitEnumeration().next_round(100)\n"
+        "CertifySearch(p, free_oracle(p)).run(100)\n"
+        "snap = t.snapshot()\n"
+        "print(json.dumps([snap['retracts.search']['steps'], snap['ice.enum']['steps'],\n"
+        "                  snap['recognize.certify']['spent']]))\n"
     )
-    subprocess.run([sys.executable, "-c", code], timeout=60, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    retract_steps, enum_steps, certify_spent = json.loads(out)
+    assert retract_steps > 0
+    assert enum_steps > 0
+    assert certify_spent > 0
 
 
 def test_benchmark_towers_rebuild_to_their_frozen_data():
