@@ -163,6 +163,18 @@ class Lattice:
         D, U, _ = smith_normal_form(cols, len(self.rows))
         return [D[i][i] for i in range(min(self._n, len(self.rows)))], U
 
+    def zero_rows(self) -> list[list[int]]:
+        """Rows u with u . v = 0 for every v in the lattice, one per Smith
+        lane whose entry is 0 or lies past the diagonal.
+
+        A vector v is in the lattice only if u . v = 0 for each of them;
+        the lanes with entries of 2 or more are left to `in`.
+        """
+        if not self.rows:
+            return _identity(self._n)
+        diag, U = self._smith
+        return [U[i] for i in range(self._n) if i >= len(diag) or not diag[i]]
+
     def __contains__(self, vec) -> bool:
         key = tuple(vec)
         got = self._memo.get(key)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .abelian import Lattice, exponent_vector
+from .abelian import Lattice, exponent_vector, matvec
 from .coset import CosetTable, RSResult, low_index, rs_presentation
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
 from .presentation import Presentation, substitute, tietze_simplify
-from .words import EMPTY, Word, words_of_length
+from .words import EMPTY, Word, validate_word, words_of_length
 
 
 class RetractError(ValueError):
@@ -95,6 +96,9 @@ def _weak_compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+_LANE_BITS = 32  # width of one lane of the packed zero-lane test
+
+
 class _Subgroup:
     """What one finite-index subgroup gives every search on its presentation.
 
@@ -126,6 +130,7 @@ class SubgroupAtlas:
         self._tables: dict[int, list[CosetTable]] = {}
         self._subgroups: dict[CosetTable, _Subgroup] = {}
         self._pools: dict[tuple[int, int], tuple[Word, ...]] = {}
+        self._compositions: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     def tables(self, index: int) -> list[CosetTable]:
         """Tables of subgroups of exactly this index, in low_index order."""
@@ -148,6 +153,16 @@ class SubgroupAtlas:
             got = self._pools[rank, length] = tuple(words_of_length(rank, length))
         return got
 
+    def compositions(self, total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+        """The splits of `total` into `parts` word lengths, balanced splits
+        first: length is spread evenly before it piles up."""
+        got = self._compositions.get((total, parts))
+        if got is None:
+            got = self._compositions[total, parts] = tuple(
+                sorted(_weak_compositions(total, parts), key=lambda c: (max(c), c))
+            )
+        return got
+
 
 class _Branch:
     """One finite-index subgroup admitted into the dovetail for one S."""
@@ -159,6 +174,55 @@ class _Branch:
         self.rank = sub.rank
         self.s_exprs = s_exprs
         self.s_rows = [exponent_vector(e, sub.rank) for e in s_exprs]
+        self._images: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def packing(self):
+        """The packed zero-lane test of a candidate Y: a coefficient
+        integer C_j per position of Y, the packed image of each signed S
+        letter, and the target T; None where the test rejects nothing.
+
+        Every check vector v must have u . v = 0 on each zero row u of the
+        lattice.  A lane holds u . v for one check and one row, check k's
+        lanes in block k.  The lanes are linear in the images of Y, so
+        their packed sum is sum_j C_j * sigma(Y_j), where sigma(w) packs
+        u . ab(w) over the rows.  When every lane equals its target the
+        packed integers are equal, whatever the lane width, so a candidate
+        whose sum is not T fails check_vectors.  A lane that overflows, or
+        a Smith entry of 2 or more, only lets more candidates through.
+        """
+        rows = self.sub.lattice.rows
+        # lanes[i][k] = u_i . (S row k); a zero row u_i that meets every
+        # S row in 0 holds on every candidate and gets no lane
+        lanes = [matvec(self.s_rows, u) for u in self.sub.lattice.zero_rows()]
+        lanes = [row for row in lanes if any(row)]
+        if not lanes:
+            return None
+        block = _LANE_BITS * len(lanes)
+        s_packed = [
+            sum(row[k] << (_LANE_BITS * i) for i, row in enumerate(lanes))
+            for k in range(len(self.s_rows))
+        ]
+        coeffs = [
+            sum(c[j] << (block * k) for k, c in enumerate(rows + self.s_rows))
+            for j in range(self.rank)
+        ]
+        letters = {}
+        for x, packed in enumerate(s_packed, 1):
+            letters[x], letters[-x] = packed, -packed
+        target = sum(packed << (block * k) for k, packed in enumerate(s_packed, len(rows)))
+        return coeffs, letters, target
+
+    def images(self, length: int, pool: tuple[Word, ...]) -> tuple[int, ...]:
+        """The packed image sigma(w) of each word w of `pool`, the words of
+        this length, in pool order."""
+        got = self._images.get(length)
+        if got is None:
+            letters = self.packing[1]
+            got = self._images[length] = tuple(
+                sum([letters[x] for x in w.ints]) for w in pool
+            )
+        return got
 
     def check_vectors(self, y: tuple[Word, ...]):
         """Exponent vectors of Retraction.check_words(), in the same order.
@@ -258,6 +322,8 @@ class RetractionSearch(Metered):
     ):
         self.p = p
         self.s_words = tuple(s_words)
+        for s in self.s_words:
+            validate_word(s, p.rank)
         self.oracle = oracle if oracle is not None else dovetail_oracle(p)
         self.atlas = atlas if atlas is not None else SubgroupAtlas(p)
         self.cost = 0
@@ -280,6 +346,8 @@ class RetractionSearch(Metered):
         return _Branch(sub, tuple(exprs))
 
     def _y_tuples(self, branch: _Branch, total: int):
+        """The candidates Y of this total length, in search order; a
+        candidate that the packed zero-lane test rejects comes as None."""
         r = branch.rank
         m = len(self.s_words)
         if r == 0:
@@ -290,10 +358,25 @@ class RetractionSearch(Metered):
             if total == 0:
                 yield tuple(EMPTY for _ in range(r))
             return
-        # balanced splits first: spread length evenly before piling it up
-        for comp in sorted(_weak_compositions(total, r), key=lambda c: (max(c), c)):
+        packing = branch.packing
+        for comp in self.atlas.compositions(total, r):
             pools = [self.atlas.pool(m, length) for length in comp]
-            yield from itertools.product(*pools)
+            if packing is None:
+                yield from itertools.product(*pools)
+                continue
+            # C_j * sigma(w) per position: the walk is over the product of
+            # the pools, so the parts cost little to build for each split
+            parts = [
+                [c * image for image in branch.images(n, pool)]
+                for c, n, pool in zip(packing[0], comp, pools)
+            ]
+            # the last position varies fastest: the rest of the sum is fixed
+            # along its pool, and a tuple is built only for a survivor
+            last, last_parts = pools.pop(), parts.pop()
+            for head, head_parts in zip(itertools.product(*pools), itertools.product(*parts)):
+                need = packing[2] - sum(head_parts)
+                for w, part in zip(last, last_parts):
+                    yield head + (w,) if part == need else None
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:
         # the abelian lattice test rejects almost every candidate, so it
@@ -315,9 +398,10 @@ class RetractionSearch(Metered):
             # enumerating the new cost's coset tables is the expensive tail
             for br in branches:
                 for y in self._y_tuples(br, self.cost - br.index):
-                    found = self._admit(br, y)
-                    if found is not None:
-                        yield found
+                    if y is not None:
+                        found = self._admit(br, y)
+                        if found is not None:
+                            yield found
                     yield None
             for t in self.atlas.tables(self.cost):
                 br = self._make_branch(t)
@@ -326,9 +410,10 @@ class RetractionSearch(Metered):
                     continue
                 branches.append(br)
                 for y in self._y_tuples(br, 0):
-                    found = self._admit(br, y)
-                    if found is not None:
-                        yield found
+                    if y is not None:
+                        found = self._admit(br, y)
+                        if found is not None:
+                            yield found
                     yield None
 
 

@@ -14,7 +14,8 @@ reference keeps the package's rounds and searches and changes only which
 towers get pairs.  The witness-search reference keeps the package's
 candidate checks and asks the oracle about every candidate.  The
 metering references at the end are the resumable searches as they ran
-before they shared one meter, each with its own run loop.
+before they shared one meter, each with its own run loop; the retraction
+search's keeps its old candidate stream and lattice test as well.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from limitforge.presentation import (
     serialize,
 )
 from limitforge.recognize import CertifySearch
-from limitforge.retracts import _REPRICE, RetractionSearch, SubgroupAtlas
+from limitforge.retracts import (
+    _REPRICE,
+    Retraction,
+    RetractionFound,
+    RetractionSearch,
+    SubgroupAtlas,
+    _weak_compositions,
+)
 from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
@@ -769,8 +777,9 @@ class CertifySearchReference(CertifySearch):
 # The resumable searches before they shared one meter: each runs its own
 # loop and keeps its own counters, named as on the meter (`spent` for the
 # retraction search's old `steps`, `found` for its `result`).  The
-# retraction search's candidate stream did not change, so its loop
-# resumes the package's stream.  The witness search keeps its old stream,
+# retraction search keeps its old candidate stream too: every candidate
+# goes to the exponent-vector lattice test, with no packed pre-test, and
+# the splits of each cost are sorted afresh.  The witness search keeps its old stream,
 # which charged `spent` itself and announced each cost tier with _TIER.
 # The two recognition branches keep their loops over the package's
 # enumerations, and return (units used, hit) as they did.
@@ -791,6 +800,82 @@ class RetractionSearchLoop(RetractionSearch):
                 self.found = item
                 return item
         return None
+
+    def _y_tuples(self, branch, total: int):
+        r = branch.rank
+        m = len(self.s_words)
+        if r == 0:
+            if total == 0:
+                yield ()
+            return
+        if m == 0:
+            if total == 0:
+                yield tuple(EMPTY for _ in range(r))
+            return
+        for comp in sorted(_weak_compositions(total, r), key=lambda c: (max(c), c)):
+            pools = [self.atlas.pool(m, length) for length in comp]
+            yield from itertools.product(*pools)
+
+    def _admit(self, branch, y):
+        for vec in check_vectors_reference(branch, y):
+            if vec not in branch.sub.lattice:
+                return None
+        retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
+        for w in retraction.check_words():
+            if w.ints and self.oracle(branch.rs.embed(w)) is not True:
+                return None
+        return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
+
+    def _stream(self):
+        branches = []
+        while True:
+            self.cost += 1
+            for br in branches:
+                for y in self._y_tuples(br, self.cost - br.index):
+                    found = self._admit(br, y)
+                    if found is not None:
+                        yield found
+                    yield None
+            for t in self.atlas.tables(self.cost):
+                br = self._make_branch(t)
+                yield None
+                if br is None:
+                    continue
+                branches.append(br)
+                for y in self._y_tuples(br, 0):
+                    found = self._admit(br, y)
+                    if found is not None:
+                        yield found
+                    yield None
+
+
+def check_vectors_reference(branch, y):
+    """Exponent vectors of the retraction check words of Y on a branch,
+    as integer combinations of the exponent rows of its S expressions."""
+    rank = branch.rank
+    s_rows = branch.s_rows
+    rho = []
+    for yj in y:
+        v = [0] * rank
+        for x in yj.ints:
+            sign, row = (1, s_rows[x - 1]) if x > 0 else (-1, s_rows[-x - 1])
+            for i in range(rank):
+                v[i] += sign * row[i]
+        rho.append(v)
+    for row in branch.sub.lattice.rows:
+        yield _combine_reference(row, rho, rank)
+    for e_row in s_rows:
+        v = _combine_reference(e_row, rho, rank)
+        yield tuple(a - b for a, b in zip(v, e_row))
+
+
+def _combine_reference(coeffs, vecs, rank: int) -> tuple[int, ...]:
+    out = [0] * rank
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for i in range(rank):
+                out[i] += c * v[i]
+    return tuple(out)
 
 
 class CertifySearchLoop(CertifySearch):

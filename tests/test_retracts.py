@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limitforge.retracts as retracts
-from limitforge.abelian import exponent_vector
+from limitforge.abelian import abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
 from limitforge.ice import ice_oracle, presentation_of, tower_from_json
-from limitforge.oracles import free_abelian_oracle, free_oracle
+from limitforge.oracles import finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
 from limitforge.presentation import parse, substitute
 from limitforge.retracts import (
     Retraction,
@@ -28,7 +28,7 @@ from limitforge.retracts import (
 )
 from limitforge.words import EMPTY, Word, commutator
 
-from oracles import RetractionSearchLoop, random_reduced_word
+from oracles import RetractionSearchLoop, check_vectors_reference, random_reduced_word
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
@@ -91,9 +91,10 @@ def _s_sets(rank: int):
 
 @pytest.mark.parametrize("row", CORPUS, ids=[row[0] for row in CORPUS])
 def test_retraction_meter_matches_its_old_loop(row):
-    """The shared meter charges a retraction search as its own loop did:
-    in the same run() slices, both have spent the same steps and found
-    the same retraction after each slice."""
+    """The shared meter and the packed zero-lane test charge a retraction
+    search as its old loop and stream did: in the same run() slices, both
+    have spent the same steps, reached the same cost and found the same
+    retraction after each slice."""
     _, text, strategy, tower_doc = row[:4]
     p = parse(text)
     tower = tower_from_json(tower_doc) if tower_doc else None
@@ -106,7 +107,14 @@ def test_retraction_meter_matches_its_old_loop(row):
         while old.spent < 3000 and old.found is None:
             k = next(slices)
             assert _outcome(new, new.run(k)) == _outcome(old, old.run(k))
-            assert (new.spent, new.found) == (old.spent, old.found)
+            assert (new.spent, new.found, new.cost) == (old.spent, old.found, old.cost)
+
+
+def test_out_of_range_s_words_are_refused():
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        find_retraction(Z2, (W(5),), 100, free_abelian_oracle(Z2))
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        subgroup_presentation_lr(Z2, (W(1), W(-3)), 100, free_abelian_oracle(Z2))
 
 
 def test_subgroup_presentation_square_and_free_generator():
@@ -215,10 +223,15 @@ def test_shared_atlas_matches_private_atlases(monkeypatch):
         assert sum(rs_calls.values()) < private_rs
 
 
+KLEIN = parse("< a, b | b*a*b^-1*a >")
+ORDER2 = parse("< a | a^2 >")
+# the Klein bottle and Z/2 have lattices with a Smith entry of 2
 PREFILTER_CASES = (
     (F2, free_oracle(F2)),
     (Z2, free_abelian_oracle(Z2)),
     (TOWER1_P, ice_oracle(TOWER1)),
+    (KLEIN, klein_oracle(KLEIN)),
+    (ORDER2, finite_oracle(ORDER2)),
 )
 PREFILTER_ATLASES = [SubgroupAtlas(p) for p, _ in PREFILTER_CASES]
 
@@ -232,7 +245,7 @@ def _words(rank: int, max_len: int):
 def _branch_and_y(draw):
     case = draw(st.integers(0, len(PREFILTER_CASES) - 1))
     atlas = PREFILTER_ATLASES[case]
-    tables = [t for n in (1, 2, 3) for t in atlas.tables(n)]
+    tables = [t for n in (1, 2, 3) for t in atlas.tables(n) if atlas.subgroup(t).rank]
     sub = atlas.subgroup(draw(st.sampled_from(tables)))
     # S often holds K's own generators, so some candidates pass
     gens = st.sampled_from([Word((k,)) for k in range(1, sub.rank + 1)])
@@ -266,3 +279,62 @@ def test_check_vectors_match_check_word_exponents(drawn):
     p, wp = PREFILTER_CASES[case]
     search = RetractionSearch(p, (), wp, PREFILTER_ATLASES[case])
     assert search._admit(br, y) == _admit_with_words(search, br, y)
+
+
+def _lattice_admits(br: _Branch, y) -> bool:
+    return all(v in br.sub.lattice for v in check_vectors_reference(br, y))
+
+
+def _torsion_free(br: _Branch) -> bool:
+    """No Smith entry of the branch's lattice exceeds 1."""
+    return abelian_invariants(br.rank, br.rs.presentation.relators)[1] == ()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_and_y())
+def test_packed_test_rejects_only_what_the_lattice_rejects(drawn):
+    """A candidate whose packed sum misses the target fails the lattice
+    test; with no Smith entry above 1, the two tests agree."""
+    case, br, y = drawn
+    atlas = PREFILTER_ATLASES[case]
+    packing = br.packing
+    if packing is None:
+        packed = True
+    else:
+        m = len(br.s_exprs)
+        total = 0
+        for j, w in enumerate(y):
+            pool = atlas.pool(m, len(w))
+            total += packing[0][j] * br.images(len(w), pool)[pool.index(w)]
+        packed = total == packing[2]
+    exact = _lattice_admits(br, y)
+    if not packed:
+        assert not exact
+    if _torsion_free(br):
+        assert packed == exact
+
+
+@pytest.mark.parametrize("case", range(len(PREFILTER_CASES)))
+def test_y_tuples_keep_the_old_order(case):
+    """The candidate stream walks Y in the old order, putting None only
+    in place of candidates that the lattice test rejects, and with no
+    Smith entry above 1, in place of every one of them."""
+    p, wp = PREFILTER_CASES[case]
+    atlas = PREFILTER_ATLASES[case]
+    for s in _s_sets(p.rank):
+        new = RetractionSearch(p, s, wp, atlas)
+        old = RetractionSearchLoop(p, s, wp, atlas)
+        for t in (t for n in (1, 2) for t in atlas.tables(n)):
+            br = new._make_branch(t)
+            if br is None:
+                continue
+            for total in range(4):
+                got = list(new._y_tuples(br, total))
+                expected = list(old._y_tuples(br, total))
+                assert len(got) == len(expected)
+                for y_new, y in zip(got, expected):
+                    if y_new is None:
+                        assert not _lattice_admits(br, y)
+                    else:
+                        assert y_new == y
+                        assert _lattice_admits(br, y) or not _torsion_free(br)
