@@ -412,13 +412,6 @@ class RSResult:
         """Ambient word of a subgroup word over the final generators."""
         return substitute(w, self.gens_ambient)
 
-    def rewrite(self, w: Word) -> Word | None:
-        """Subgroup expression of an ambient word, or None outside."""
-        end, raw = self.table.schreier.walk(0, w)
-        if end != 0:
-            return None
-        return substitute(raw, self.trace.gen_images)
-
 
 def rs_presentation(p: Presentation, t: CosetTable) -> RSResult:
     """Reidemeister-Schreier presentation of the subgroup of a table."""

@@ -24,6 +24,8 @@ class FreeGroup:
 
     @classmethod
     def standard(cls, rank: int) -> "FreeGroup":
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
         if rank <= len(_STANDARD):
             return cls(tuple(_STANDARD[:rank]))
         return cls(tuple(_STANDARD) + tuple(f"x{i}" for i in range(len(_STANDARD), rank)))

@@ -20,7 +20,7 @@ from .coset import CosetTable, RSResult, low_index, rs_presentation
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
 from .presentation import Presentation, substitute, tietze_simplify
-from .words import EMPTY, Word, validate_word, words_of_length
+from .words import Word, validate_word, words_of_length
 
 
 class RetractError(ValueError):
@@ -159,7 +159,7 @@ class SubgroupAtlas:
         got = self._compositions.get((total, parts))
         if got is None:
             got = self._compositions[total, parts] = tuple(
-                sorted(_weak_compositions(total, parts), key=lambda c: (max(c), c))
+                sorted(_weak_compositions(total, parts), key=lambda c: (max(c, default=0), c))
             )
         return got
 
@@ -336,30 +336,24 @@ class RetractionSearch(Metered):
     # -- dovetail internals
 
     def _make_branch(self, t: CosetTable) -> _Branch | None:
-        sub = self.atlas.subgroup(t)
-        exprs = []
+        # membership needs only the Schreier walk, so a table that misses
+        # S is never presented
+        walks = []
         for s in self.s_words:
-            e = sub.rs.rewrite(s)
-            if e is None:
+            end, raw = t.schreier.walk(0, s)
+            if end != 0:
                 return None  # S is not inside this subgroup
-            exprs.append(e)
-        return _Branch(sub, tuple(exprs))
+            walks.append(raw)
+        sub = self.atlas.subgroup(t)
+        images = sub.rs.trace.gen_images
+        return _Branch(sub, tuple(substitute(raw, images) for raw in walks))
 
     def _y_tuples(self, branch: _Branch, total: int):
         """The candidates Y of this total length, in search order; a
         candidate that the packed zero-lane test rejects comes as None."""
-        r = branch.rank
         m = len(self.s_words)
-        if r == 0:
-            if total == 0:
-                yield ()
-            return
-        if m == 0:
-            if total == 0:
-                yield tuple(EMPTY for _ in range(r))
-            return
         packing = branch.packing
-        for comp in self.atlas.compositions(total, r):
+        for comp in self.atlas.compositions(total, branch.rank):
             pools = [self.atlas.pool(m, length) for length in comp]
             if packing is None:
                 yield from itertools.product(*pools)
@@ -390,6 +384,15 @@ class RetractionSearch(Metered):
                 return None
         return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
 
+    def _candidates(self, branch: _Branch, total: int):
+        """One item per candidate Y of this total length on the branch."""
+        for y in self._y_tuples(branch, total):
+            if y is not None:
+                found = self._admit(branch, y)
+                if found is not None:
+                    yield found
+            yield None
+
     def _stream(self):
         branches: list[_Branch] = []
         while True:
@@ -397,24 +400,13 @@ class RetractionSearch(Metered):
             # image tuples on subgroups found at earlier costs come first;
             # enumerating the new cost's coset tables is the expensive tail
             for br in branches:
-                for y in self._y_tuples(br, self.cost - br.index):
-                    if y is not None:
-                        found = self._admit(br, y)
-                        if found is not None:
-                            yield found
-                    yield None
+                yield from self._candidates(br, self.cost - br.index)
             for t in self.atlas.tables(self.cost):
                 br = self._make_branch(t)
                 yield None
-                if br is None:
-                    continue
-                branches.append(br)
-                for y in self._y_tuples(br, 0):
-                    if y is not None:
-                        found = self._admit(br, y)
-                        if found is not None:
-                            yield found
-                    yield None
+                if br is not None:
+                    branches.append(br)
+                    yield from self._candidates(br, 0)
 
 
 def find_retraction(
@@ -437,44 +429,8 @@ def find_retraction(
 
 
 @dataclass(frozen=True)
-class RetractResult:
-    """Presentation of a retract, with the input generator behind each of
-    its generators: kept[j] is the input generator whose image class
-    output generator j names.
-    """
-
-    presentation: Presentation
-    kept: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class IncompleteResult:
     reason: str
-
-
-def retract_presentation(p: Presentation, images, wp: WordOracle):
-    """Presentation of the image of an idempotent endomorphism.
-
-    The image of a retraction is the quotient of p by the relators
-    x * rho(x)^-1, so those are appended and the kernel generators are
-    eliminated.  Idempotence is checked through the oracle first; a
-    failed check raises, an unknown returns IncompleteResult.
-    """
-    images = tuple(images)
-    if len(images) != p.rank:
-        raise RetractError("one image word per generator required")
-    for j, w in enumerate(images):
-        fix = substitute(w, images) * w.inv()
-        v = wp(fix)
-        if v is False:
-            raise RetractError(f"images are not idempotent at generator {j}")
-        if v is None:
-            return IncompleteResult("oracle could not confirm idempotence")
-    extra = [Word((j + 1,)).inv() * images[j] for j in range(p.rank)]
-    quotient = Presentation(p.names, list(p.relators) + extra)
-    simplified, trace = tietze_simplify(quotient)
-    out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
-    return RetractResult(out, trace.kept)
 
 
 @dataclass(frozen=True)
@@ -514,15 +470,28 @@ def subgroup_presentation_lr(
 
 
 def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle):
-    """Turn a verified retraction into a presentation of the span of S."""
+    """Turn a verified retraction into a presentation of the span of S.
+
+    The span of S is the image of the retraction rho, the quotient of K
+    by the relators x * rho(x)^-1, so those are appended and the kernel
+    generators are eliminated.  Idempotence of rho is checked through the
+    oracle first; a failed check raises, an unknown returns
+    IncompleteResult.
+    """
     s_words = tuple(s_words)
     rs = found.rs
-    wp_sub = WordOracle(
-        lambda w: oracle(rs.embed(w)), oracle.total, f"{oracle.name}|subgroup"
-    )
-    rr = retract_presentation(rs.presentation, found.retraction.rho_images(), wp_sub)
-    if isinstance(rr, IncompleteResult):
-        return rr
-    gens_in_s = tuple(found.retraction.y_words[k] for k in rr.kept)
+    images = found.retraction.rho_images()
+    for j, w in enumerate(images):
+        v = oracle(rs.embed(substitute(w, images) * w.inv()))
+        if v is False:
+            raise RetractError(f"images are not idempotent at generator {j}")
+        if v is None:
+            return IncompleteResult("oracle could not confirm idempotence")
+    k_pres = rs.presentation
+    extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
+    quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
+    simplified, trace = tietze_simplify(quotient)
+    out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
+    gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
     gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
-    return SubgroupPresentationResult(rr.presentation, gens_in_s, gens_ambient, found)
+    return SubgroupPresentationResult(out, gens_in_s, gens_ambient, found)

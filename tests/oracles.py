@@ -15,7 +15,8 @@ towers get pairs.  The witness-search reference keeps the package's
 candidate checks and asks the oracle about every candidate.  The
 metering references at the end are the resumable searches as they ran
 before they shared one meter, each with its own run loop; the retraction
-search's keeps its old candidate stream and lattice test as well.
+search's keeps its old branch building, candidate stream and lattice
+test as well.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from limitforge.presentation import (
     enumerate_presentations,
     normalize_key,
     serialize,
+    substitute,
 )
 from limitforge.recognize import CertifySearch
 from limitforge.retracts import (
@@ -51,6 +53,7 @@ from limitforge.retracts import (
     RetractionFound,
     RetractionSearch,
     SubgroupAtlas,
+    _Branch,
     _weak_compositions,
 )
 from limitforge.stallings import SubgroupGraph
@@ -777,9 +780,10 @@ class CertifySearchReference(CertifySearch):
 # The resumable searches before they shared one meter: each runs its own
 # loop and keeps its own counters, named as on the meter (`spent` for the
 # retraction search's old `steps`, `found` for its `result`).  The
-# retraction search keeps its old candidate stream too: every candidate
-# goes to the exponent-vector lattice test, with no packed pre-test, and
-# the splits of each cost are sorted afresh.  The witness search keeps its old stream,
+# retraction search keeps its old candidate stream too: every table is
+# presented before S is walked through it, every candidate goes to the
+# exponent-vector lattice test, with no packed pre-test, and the splits of
+# each cost are sorted afresh.  The witness search keeps its old stream,
 # which charged `spent` itself and announced each cost tier with _TIER.
 # The two recognition branches keep their loops over the package's
 # enumerations, and return (units used, hit) as they did.
@@ -800,6 +804,16 @@ class RetractionSearchLoop(RetractionSearch):
                 self.found = item
                 return item
         return None
+
+    def _make_branch(self, t):
+        sub = self.atlas.subgroup(t)
+        exprs = []
+        for s in self.s_words:
+            end, raw = t.schreier.walk(0, s)
+            if end != 0:
+                return None
+            exprs.append(substitute(raw, sub.rs.trace.gen_images))
+        return _Branch(sub, tuple(exprs))
 
     def _y_tuples(self, branch, total: int):
         r = branch.rank

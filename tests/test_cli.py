@@ -210,6 +210,13 @@ def test_unknown_subcommand_is_exit_3(capsys):
     assert "error:" in err
 
 
+def test_negative_rank_is_exit_3(capsys):
+    code, out, err = run(capsys, "words", "--rank", "-1", "--word", "r*a")
+    assert code == 3
+    assert out == ""
+    assert "rank must be nonnegative" in err
+
+
 def test_bad_word_is_exit_3(capsys, grp):
     path = grp("f2.grp", "< a, b | >")
     code, _, err = run(capsys, "retract", "--pres", path, "--word", "q^2")

@@ -29,7 +29,7 @@ def test_orders_match_permutation_closure():
         t = todd_coxeter(p, ())
         assert isinstance(t, CosetTable), label
         assert t.index == perm_group_order(perms), label
-        assert t.is_complete
+        assert t.is_complete()
 
 
 def test_overflow_on_infinite_group():
@@ -68,7 +68,7 @@ def test_low_index_tables_are_distinct_and_valid():
         key = t.rows
         assert key not in seen
         seen.add(key)
-        assert t.is_complete
+        assert t.is_complete()
 
 
 def test_low_index_respects_relators():

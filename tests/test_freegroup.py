@@ -28,6 +28,9 @@ def test_standard_names():
     names = FreeGroup.standard(30).names
     assert len(names) == 30
     assert len(set(names)) == 30
+    assert FreeGroup.standard(0).names == ()
+    with pytest.raises(ValueError, match="rank must be nonnegative"):
+        FreeGroup.standard(-1)
 
 
 def test_cyclic_reduce():

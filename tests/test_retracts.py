@@ -83,6 +83,7 @@ def test_negative_budget_is_refused():
 
 def _s_sets(rank: int):
     a, b = W(1), W(2)
+    yield ()
     yield (a,)
     yield (a * a,)
     if rank >= 2:
@@ -312,6 +313,33 @@ def test_packed_test_rejects_only_what_the_lattice_rejects(drawn):
         assert not exact
     if _torsion_free(br):
         assert packed == exact
+
+
+def test_only_tables_that_hold_s_are_presented(monkeypatch):
+    """A search presents a coset table only when the Schreier walk of
+    every S word returns to coset 0; the old loop presents each one."""
+    skipped = 0
+    for p, wp in PREFILTER_CASES:
+        for s in _s_sets(p.rank):
+            atlas = SubgroupAtlas(p)
+            presented = []
+            subgroup = atlas.subgroup
+
+            def counting(t, subgroup=subgroup, presented=presented):
+                presented.append(t)
+                return subgroup(t)
+
+            monkeypatch.setattr(atlas, "subgroup", counting)
+            RetractionSearch(p, s, wp, atlas).run(2000)
+            assert presented
+            for t in presented:
+                assert all(t.schreier.walk(0, w)[0] == 0 for w in s)
+            new_calls = len(presented)
+            RetractionSearchLoop(p, s, wp, atlas).run(2000)
+            old_calls = len(presented) - new_calls
+            assert new_calls <= old_calls
+            skipped += old_calls - new_calls
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("case", range(len(PREFILTER_CASES)))
