@@ -16,7 +16,7 @@ import time
 
 from .abelian import exponent_vector
 from .coset import Overflow, low_index, todd_coxeter
-from .freegroup import amalgam_reduce, cyclic_reduce, is_power_of
+from .freegroup import amalgam_reduce, cyclic_reduce
 from .presentation import Presentation, canonical_relator, consequence_stream
 from .words import Word, commutator, format_word, invert_ints
 
@@ -255,15 +255,26 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
         raise ValueError("u must use only the first generator block")
     if any(abs(x) <= rank1 for x in v.ints) or v.max_index() > rank1 + rank2:
         raise ValueError("v must use only the second generator block")
-    sides = (u, v)
-    # a nonempty word shorter than a side's cyclic core is no power of it
-    core_lens = tuple(len(cyclic_reduce(side)[0]) for side in sides)
+    # a side is c * core * c^-1 with core cyclically reduced, so its e-th
+    # power is c, e copies of core (or of core^-1 for -e), then c^-1, as
+    # letter tuples with no cancellation
+    splits = []
+    for side in (u, v):
+        core, c = cyclic_reduce(side)
+        splits.append((c.ints, (core.ints, invert_ints(core.ints)), invert_ints(c.ints)))
 
     def edge(f: int, body: tuple[int, ...]):
-        if len(body) < core_lens[f]:
+        c, cores, c_inv = splits[f]
+        n, m = len(body), len(c)
+        e, rest = divmod(n - 2 * m, len(cores[0]))
+        if e < 1 or rest or body[:m] != c or body[n - m :] != c_inv:
             return None
-        k = is_power_of(Word(body), sides[f])
-        return None if k is None else (sides[1 - f] ** k).ints
+        middle = body[m : n - m]
+        for sign, core in enumerate(cores):
+            if middle == core * e:
+                c, cores, c_inv = splits[1 - f]
+                return c + cores[sign] * e + c_inv
+        return None
 
     # w is reduced; the free factors embed, so a lone syllable is nontrivial
     return WordOracle(lambda w: not amalgam_reduce(w.ints, rank1, edge), True, "pinched")

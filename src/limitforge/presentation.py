@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,7 +113,7 @@ class Presentation:
             if c.ints and c.ints not in seen_rel:
                 seen_rel.add(c.ints)
                 rels.append(c)
-        rels.sort(key=lambda w: (len(w), w.slots()))
+        rels.sort(key=_relator_key)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "relators", tuple(rels))
 
@@ -125,6 +126,37 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation({serialize(self)!r})"
+
+
+def _relator_key(w: Word):
+    """The order of a presentation's relators: shortest first, then slot-lex."""
+    return (len(w), w.slots())
+
+
+def _normal(names: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
+    """The Presentation of parts in normal form already: valid distinct
+    names, and relators within rank, canonical, distinct and sorted."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "names", names)
+    object.__setattr__(p, "relators", relators)
+    return p
+
+
+def _with_relator(q: Presentation, names: tuple[str, ...], r: Word) -> Presentation | None:
+    """q's relators plus r, on `names` (q's names and perhaps fresh ones);
+    None when r is trivial in the free group or q has it already.  Only
+    r is checked and canonicalized: it goes into q's sorted relators by
+    bisection, and equal keys are equal words."""
+    if r.max_index() > len(names):
+        raise PresentationError(f"relator {r.ints} uses a generator beyond rank {len(names)}")
+    c = canonical_relator(r)
+    if not c.ints:
+        return None
+    rels = q.relators
+    i = bisect_left(rels, _relator_key(c), key=_relator_key)
+    if i < len(rels) and rels[i] == c:
+        return None
+    return _normal(names, rels[:i] + (c,) + rels[i:])
 
 
 def parse(text: str) -> Presentation:
@@ -315,7 +347,7 @@ def _children(q: Presentation, bound: int):
     out = []
     # drop a relator derivable from the others within a bounded search
     for j in range(len(q.relators)):
-        rest = Presentation(q.names, q.relators[:j] + q.relators[j + 1 :])
+        rest = _normal(q.names, q.relators[:j] + q.relators[j + 1 :])
         target = q.relators[j]
         stream = consequence_stream(rest)
         if any(
@@ -331,20 +363,18 @@ def _children(q: Presentation, bound: int):
     for w in _addable_relators(q, bound):
         if added >= _CHILD_CAP * bound:
             break
-        c = canonical_relator(w)
-        if not c.ints or c in q.relators:
-            continue
-        out.append(Presentation(q.names, q.relators + (c,)))
-        added += 1
-    # define a fresh generator
-    name = _fresh_name(q.names)
+        child = _with_relator(q, q.names, w)
+        if child is not None:
+            out.append(child)
+            added += 1
+    # define a fresh generator: its relator uses the new letter once, so
+    # it is never trivial nor one of q's
+    names = q.names + (_fresh_name(q.names),)
     added = 0
     for w in words_upto(q.rank, bound):
         if added >= _CHILD_CAP * bound:
             break
-        names = q.names + (name,)
-        rel = Word(reduce_ints((-len(names),) + w.ints))
-        out.append(Presentation(names, q.relators + (rel,)))
+        out.append(_with_relator(q, names, Word(reduce_ints((-len(names),) + w.ints))))
         added += 1
     return out
 

@@ -512,10 +512,13 @@ class _MatchBranch:
         return None
 
     def _admit(self, em: LimitGroupEmission):
+        # a repeat failed its match once and fails again: a match ends the race
         pres = em.presentation
+        if pres in self._seen:
+            return None
+        self._seen.add(pres)
         hit = self._match(em, pres)
-        if hit is None and abelianization(pres) == self._ab and pres not in self._seen:
-            self._seen.add(pres)
+        if hit is None and abelianization(pres) == self._ab:
             gen = enumerate_presentations(pres)
             next(gen)  # the first yield is pres itself, checked above
             self.expansion.expanders.append((em, gen))

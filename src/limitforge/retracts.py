@@ -12,7 +12,7 @@ word problem the caller can decide.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, matvec
@@ -64,6 +64,9 @@ class RetractionFound:
     rs: RSResult
     retraction: Retraction
     cost: int
+    # the subgroup's presented quotients (_Subgroup.quotients), which
+    # present_from_retraction reads and fills; not part of the result
+    quotients: dict = field(default_factory=dict, compare=False, repr=False)
 
     def verify(self, oracle: WordOracle):
         """Re-check every defining equation through the ambient oracle."""
@@ -103,7 +106,10 @@ class _Subgroup:
     """What one finite-index subgroup gives every search on its presentation.
 
     The Reidemeister-Schreier result and the lattice spanned by the
-    relator exponent rows depend on the coset table alone, not on S.
+    relator exponent rows depend on the coset table alone, not on S;
+    `quotients` maps the retraction images of the subgroup's generators
+    to the simplified presentation of their span, and the result
+    generators' indices among the subgroup's.
     """
 
     def __init__(self, rs: RSResult):
@@ -113,6 +119,7 @@ class _Subgroup:
         self.rank = pres.rank
         rows = [exponent_vector(r, pres.rank) for r in pres.relators]
         self.lattice = Lattice(rows, pres.rank)
+        self.quotients: dict[tuple[Word, ...], tuple[Presentation, tuple[int, ...]]] = {}
 
 
 class SubgroupAtlas:
@@ -382,7 +389,9 @@ class RetractionSearch(Metered):
         for w in retraction.check_words():
             if w.ints and self.oracle(branch.rs.embed(w)) is not True:
                 return None
-        return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
+        return RetractionFound(
+            branch.rs.table, branch.rs, retraction, self.cost, branch.sub.quotients
+        )
 
     def _candidates(self, branch: _Branch, total: int):
         """One item per candidate Y of this total length on the branch."""
@@ -476,7 +485,9 @@ def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle)
     by the relators x * rho(x)^-1, so those are appended and the kernel
     generators are eliminated.  Idempotence of rho is checked through the
     oracle first; a failed check raises, an unknown returns
-    IncompleteResult.
+    IncompleteResult.  The quotient depends only on the subgroup and the
+    images, so it is built and simplified once per pair and kept in
+    `found.quotients`, the subgroup's.
     """
     s_words = tuple(s_words)
     rs = found.rs
@@ -487,11 +498,15 @@ def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle)
             raise RetractError(f"images are not idempotent at generator {j}")
         if v is None:
             return IncompleteResult("oracle could not confirm idempotence")
-    k_pres = rs.presentation
-    extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
-    quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
-    simplified, trace = tietze_simplify(quotient)
-    out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
-    gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
+    got = found.quotients.get(images)
+    if got is None:
+        k_pres = rs.presentation
+        extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
+        quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
+        simplified, trace = tietze_simplify(quotient)
+        out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
+        got = found.quotients[images] = (out, trace.kept)
+    out, kept = got
+    gens_in_s = tuple(found.retraction.y_words[k] for k in kept)
     gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
     return SubgroupPresentationResult(out, gens_in_s, gens_ambient, found)

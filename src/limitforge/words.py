@@ -102,7 +102,9 @@ def unslot(s: int) -> int:
 
 
 def commutator(u: Word, v: Word) -> Word:
-    return u.inv() * v.inv() * u * v
+    """u^-1 v^-1 u v, reduced on letter tuples into one Word."""
+    a, b = u.ints, v.ints
+    return Word(concat(concat(concat(invert_ints(a), invert_ints(b)), a), b))
 
 
 _TOKEN_RE = re.compile(r"(\s+|\*)|(\[)|(\])|(,)|(\^-?\d+)|([A-Za-z][A-Za-z0-9_]*)|(\d+)")

@@ -11,12 +11,13 @@ with the package.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
-towers get pairs.  The witness-search reference keeps the package's
-candidate checks and asks the oracle about every candidate.  The
-metering references at the end are the resumable searches as they ran
-before they shared one meter, each with its own run loop; the retraction
-search's keeps its old branch building, candidate stream and lattice
-test as well.
+towers get pairs; the retraction-presentation reference builds and
+simplifies the quotient afresh for every retraction.  The witness-search
+reference keeps the package's candidate checks and asks the oracle about
+every candidate.  The metering references at the end are the resumable
+searches as they ran before they shared one meter, each with its own run
+loop; the retraction search's keeps its old branch building, candidate
+stream and lattice test as well.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from collections import deque
 
 from limitforge.coset import _standardize
-from limitforge.freegroup import eval_hom
+from limitforge.freegroup import FreeGroup, eval_hom
 from limitforge.ice import LimitEnumeration, _subset_stream, _wp, ice_oracle
 from limitforge.presentation import (
     _CHILD_CAP,
@@ -45,14 +46,18 @@ from limitforge.presentation import (
     normalize_key,
     serialize,
     substitute,
+    tietze_simplify,
 )
 from limitforge.recognize import CertifySearch
 from limitforge.retracts import (
     _REPRICE,
+    IncompleteResult,
+    RetractError,
     Retraction,
     RetractionFound,
     RetractionSearch,
     SubgroupAtlas,
+    SubgroupPresentationResult,
     _Branch,
     _weak_compositions,
 )
@@ -730,6 +735,31 @@ class LimitEnumerationReference(LimitEnumeration):
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
                 self._todo.append([tower, search, self.FRESH_STEPS])
+
+
+# ---------------------------------------------------------------------------
+# Presenting the span of S before each subgroup kept its quotients: the
+# quotient by x * rho(x)^-1 is built and simplified for every retraction.
+
+
+def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
+    s_words = tuple(s_words)
+    rs = found.rs
+    images = found.retraction.rho_images()
+    for j, w in enumerate(images):
+        v = oracle(rs.embed(substitute(w, images) * w.inv()))
+        if v is False:
+            raise RetractError(f"images are not idempotent at generator {j}")
+        if v is None:
+            return IncompleteResult("oracle could not confirm idempotence")
+    k_pres = rs.presentation
+    extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
+    quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
+    simplified, trace = tietze_simplify(quotient)
+    out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
+    gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
+    gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
+    return SubgroupPresentationResult(out, gens_in_s, gens_ambient, found)
 
 
 # ---------------------------------------------------------------------------

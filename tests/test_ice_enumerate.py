@@ -12,7 +12,7 @@ from limitforge.ice import (
     tower_to_json,
 )
 from limitforge.presentation import abelianization, normalize_key, parse, serialize
-from oracles import LimitEnumerationReference
+from oracles import LimitEnumerationReference, present_from_retraction_reference
 
 
 def take_towers(n):
@@ -154,3 +154,25 @@ def test_repeated_presentations_lose_no_emission():
                 assert (p, repeated[tower], s) in emitted
                 dropped += 1
     assert dropped > 0
+
+
+def test_emissions_match_unmemoized_presentations():
+    """Each subgroup presents the span of its retraction images once;
+    every emission of the first 12 rounds still carries what a fresh
+    quotient and simplification give."""
+    from limitforge.ice import ice_oracle
+
+    enum = LimitEnumeration()
+    emissions = []
+    while enum.round < 12:
+        emissions.extend(enum.next_round())
+    memos = {}
+    for e in emissions:
+        found = e.result.witness
+        memos[id(found.quotients)] = found.quotients
+        want = present_from_retraction_reference(e.s_words, found, ice_oracle(e.tower))
+        assert e.presentation == e.result.presentation == want.presentation
+        assert e.result.gens_in_s == want.gens_in_s
+        assert e.result.gens_ambient == want.gens_ambient
+    # the memo was read: fewer quotients were built than emitted
+    assert sum(map(len, memos.values())) < len(emissions)

@@ -136,11 +136,18 @@ def test_pinched_oracle_trivialities():
         assert conj(x) is pinched_reference(2, u, v, x)
 
 
-# (rank1, rank2, u, v): genus two, and an amalgam of F2 and F2 over
-# a^2 = (c d)^3, whose edge words are proper powers
+# (rank1, rank2, u, v): genus two, an amalgam of F2 and F2 over
+# a^2 = (c d)^3, whose edge words are proper powers, and one over
+# a^2 [a,b] a^-2 = d c^3 d^-1, whose edge words have conjugating prefixes
 PINCHED = (
     (2, 2, commutator(Word((1,)), Word((2,))), commutator(Word((3,)), Word((4,)))),
     (2, 2, Word((1, 1)), Word((3, 4, 3, 4, 3, 4))),
+    (
+        2,
+        2,
+        conjugate(commutator(Word((1,)), Word((2,))), Word((1, 1))),
+        conjugate(Word((3, 3, 3)), Word((4,))),
+    ),
 )
 pinched_parts = st.lists(
     st.one_of(

@@ -11,6 +11,7 @@ from limitforge.presentation import (
     Presentation,
     PresentationError,
     _addable_relators,
+    _children,
     abelianization,
     canonical_relator,
     consequence_stream,
@@ -251,3 +252,49 @@ def test_canonical_relator_fixed_point(xs):
 def test_canonical_relator_matches_reference(xs):
     w = Word.make(xs)
     assert canonical_relator(w) == canonical_relator_reference(w)
+
+
+# a drop child (a^4 follows from a^2), eliminations, added relators and
+# fresh generators; random presentations add the rest.  Rank 1 is left
+# out: dropping a^2 from < a | a^2, a^4 > at bound 2 reads the slow
+# consequence stream of < a | a^4 >, which offers few distinct words.
+CHILD_INPUTS = (
+    "< a, b | a^2, a^4 >",
+    "< a, b, z | [a,z], [b,z] >",
+    "< a, b, t | [a,t], b*t*a^-1 >",
+    "< a, b | b*a*b^-1*a >",
+)
+
+
+@st.composite
+def _presentations(draw):
+    rank = draw(st.integers(min_value=2, max_value=3))
+    letters = st.integers(min_value=-rank, max_value=rank).filter(lambda x: x != 0)
+    relators = draw(st.lists(st.lists(letters, min_size=1, max_size=6), max_size=3))
+    names = ("a", "b", "c")[:rank]
+    return Presentation(names, [Word.make(r) for r in relators])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CHILD_INPUTS).map(parse) | _presentations(),
+    st.integers(min_value=1, max_value=2),
+)
+def test_tietze_children_equal_validated_presentations(q, bound):
+    """Every Tietze child, however it reuses its parent's relators, is
+    the Presentation the validating constructor builds from its parts."""
+    for child in _children(q, bound):
+        rebuilt = Presentation(child.names, child.relators)
+        assert child == rebuilt
+        assert hash(child) == hash(rebuilt)
+        assert serialize(child) == serialize(rebuilt)
+
+
+def test_tietze_children_include_every_move():
+    """The inputs of the children test reach all four moves."""
+    children = _children(parse(CHILD_INPUTS[0]), 1)
+    assert parse("< a, b | a^2 >") in children  # a^4 dropped
+    assert any(len(c.relators) == 3 and c.rank == 2 for c in children)  # one added
+    assert any(c.rank == 3 for c in children)  # a fresh generator
+    eliminated = _children(parse(CHILD_INPUTS[2]), 1)
+    assert any(c.rank == 2 for c in eliminated)

@@ -253,8 +253,26 @@ def test_every_public_name_is_referenced():
     assert unused == ENTRY_POINTS, f"entry points now used: {sorted(ENTRY_POINTS - unused)}"
 
 
+def _setattr_store(node) -> str | None:
+    """The name that `object.__setattr__(obj, "<name>", value)` stores."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[1].value
+    return None
+
+
 def test_every_stored_attribute_is_read():
-    """Every `self.<name> = ...` in a class of the package has a read of
+    """Every `self.<name> = ...` in a class of the package, and every
+    `object.__setattr__(obj, "<name>", ...)` anywhere in it (the stores of
+    frozen dataclasses and of the memos kept on them), has a read of
     `.<name>` somewhere in the package: state that nothing reads lives as
     long as its object for nothing.  `WordSyntaxError.pos` is exempt, the
     position that the exception carries to its catcher."""
@@ -265,6 +283,9 @@ def test_every_stored_attribute_is_read():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+            name = _setattr_store(node)
+            if name is not None:
+                stored.add((f"{path.stem}.{name}", name))
             if not isinstance(node, ast.ClassDef):
                 continue
             for stmt in ast.walk(node):

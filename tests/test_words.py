@@ -48,6 +48,23 @@ def test_commutator_is_u_inv_v_inv_u_v():
     assert commutator(u, u).ints == ()
 
 
+small_words = st.lists(st.integers(min_value=-2, max_value=2).filter(lambda x: x != 0), max_size=8)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(small_words, small_words, st.sampled_from(("free", "u", "u^-1", "u*v", "v*u^-1")))
+def test_commutator_matches_word_products(xs, ys, shape):
+    """The one-Word commutator reduces as the four-factor product does,
+    also when v is built from u so that letters cancel at the joins."""
+    u, w = Word.make(xs), Word.make(ys)
+    v = {"free": w, "u": u, "u^-1": u.inv(), "u*v": u * w, "v*u^-1": w * u.inv()}[shape]
+    got = commutator(u, v)
+    assert got == u.inv() * v.inv() * u * v
+    assert got.ints == reduce_ints(
+        tuple(-x for x in reversed(u.ints)) + tuple(-x for x in reversed(v.ints)) + u.ints + v.ints
+    )
+
+
 def test_slot_order_interleaves_inverses():
     # a, a^-1, b, b^-1, ... so short alphabets sort ahead of long ones
     assert [slot(x) for x in (1, -1, 2, -2, 3)] == [0, 1, 2, 3, 4]
