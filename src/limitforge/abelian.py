@@ -163,6 +163,7 @@ class Lattice:
         D, U, _ = smith_normal_form(cols, len(self.rows))
         return [D[i][i] for i in range(min(self._n, len(self.rows)))], U
 
+    @cached_property
     def zero_rows(self) -> list[list[int]]:
         """Rows u with u . v = 0 for every v in the lattice, one per Smith
         lane whose entry is 0 or lies past the diagonal.

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
-from .abelian import abelian_invariants as _abelian_invariants
+from .abelian import Lattice, exponent_vector, abelian_invariants as _abelian_invariants
 from .freegroup import eval_hom
 from .words import (
     EMPTY,
@@ -29,7 +29,6 @@ from .words import (
     invert_ints,
     parse_word,
     reduce_ints,
-    slot,
     unslot,
     words_of_length,
     words_upto,
@@ -79,13 +78,19 @@ def _least_rotation(w: Word) -> Word:
         j -= 1
     if i == j:
         return EMPTY
-    # compare rotations as slot tuples; slot(-x) == slot(x) ^ 1
-    keys = tuple(slot(x) for x in core[i:j])
-    inv = tuple(s ^ 1 for s in reversed(keys))
-    best = min(seq[k:] + seq[:k] for seq in (keys, inv) for k in range(len(seq)))
+    # compare rotations as slot tuples; slot(-x) == slot(x) ^ 1.  The
+    # least rotation starts at the least slot of keys and inv, which is
+    # min(keys) with its inverse bit cleared, so only those rotations
+    # are compared
+    keys = tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in core[i:j]])
+    inv = tuple([s ^ 1 for s in reversed(keys)])
+    least = min(keys) & ~1
+    best = min(
+        seq[k:] + seq[:k] for seq in (keys, inv) for k, s in enumerate(seq) if s == least
+    )
     if best == keys and j - i == len(core):
         return w
-    return Word(tuple(unslot(s) for s in best))
+    return Word(tuple([unslot(s) for s in best]))
 
 
 @dataclass(frozen=True)
@@ -345,8 +350,13 @@ def _addable_relators(q: Presentation, bound: int):
 
 def _children(q: Presentation, bound: int):
     out = []
-    # drop a relator derivable from the others within a bounded search
-    for j in range(len(q.relators)):
+    # drop a relator derivable from the others within a bounded search;
+    # every consequence of the others has its exponent vector in their
+    # rows' lattice, so a relator whose vector is off it is not searched
+    rows = [exponent_vector(r, q.rank) for r in q.relators]
+    for j, row in enumerate(rows):
+        if any(row) and row not in Lattice(rows[:j] + rows[j + 1 :], q.rank):
+            continue
         rest = _normal(q.names, q.relators[:j] + q.relators[j + 1 :])
         target = q.relators[j]
         stream = consequence_stream(rest)

@@ -261,13 +261,20 @@ class CertifySearch(Metered):
         self.p = p
         self.wp = wp
         self._lattice = _relator_lattice(p)
-        self.candidates = 0
+        self._counted = 0  # candidates handed to the meter, owed ones too
         self.max_cost = 0
         super().__init__()
 
+    @property
+    def candidates(self) -> int:
+        """Candidates charged so far."""
+        return self._counted - self._owed
+
     def _stream(self):
         # a tier's cost is the price of each of its candidates; with no
-        # generators there is no candidate, and each item costs 1
+        # generators there is no candidate, and each item costs 1.  Where
+        # the candidates ahead are known dead without the oracle, their
+        # count is yielded as one dead run.
         rank = self.p.rank
         if rank == 0:
             yield from itertools.repeat(None)
@@ -279,34 +286,49 @@ class CertifySearch(Metered):
             pools.append(tuple(words_of_length(rank, cost - 1)))
             for lg in range(1, cost):
                 n = cost - lg + 1
-                for g in pools[lg]:
-                    self.candidates += 1
-                    yield self._torsion(g, n) if self._may_die(g, n) else None
+                runs = itertools.groupby(pools[lg], lambda g: self._may_die(g, n))
+                for may_die, run in runs:
+                    if may_die:
+                        for g in run:
+                            self._counted += 1
+                            yield self._torsion(g, n)
+                    else:
+                        dead = sum(1 for _ in run)
+                        self._counted += dead
+                        yield dead
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
-                    lc = cost - la - lb
+                    pool = pools[cost - la - lb]
                     for a in pools[la]:
                         for b in pools[lb]:
                             # the premises on (a, b) do not depend on c;
                             # an undecided one is asked again for the
                             # next c, as a semi-decision may decide it
-                            # later
+                            # later, and a failed one kills the rest
                             pair = None
-                            for c in pools[lc]:
-                                self.candidates += 1
+                            for k, c in enumerate(pool):
                                 if pair is None:
                                     pair = self._ct_pair(a, b)
+                                if pair is False:
+                                    self._counted += len(pool) - k
+                                    yield len(pool) - k
+                                    break
+                                self._counted += 1
                                 yield self._ct(a, b, c) if pair else None
             for lg in range(1, cost):
-                lh = cost - lg
+                pool = pools[cost - lg]
                 for g in pools[lg]:
                     # as pair above, for the premise on g; h*g*h^-1*g = 1
                     # needs 2*ab(g) in L, so a g that fails is never alive
                     alive = None if self._may_die(g, 2) else False
-                    for h in pools[lh]:
-                        self.candidates += 1
+                    for k, h in enumerate(pool):
                         if alive is None:
                             alive = self._nontrivial(g)
+                        if alive is False:
+                            self._counted += len(pool) - k
+                            yield len(pool) - k
+                            break
+                        self._counted += 1
                         yield self._inversion(g, h) if alive else None
 
     def _may_die(self, g: Word, n: int) -> bool:

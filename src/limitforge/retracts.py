@@ -201,7 +201,7 @@ class _Branch:
         rows = self.sub.lattice.rows
         # lanes[i][k] = u_i . (S row k); a zero row u_i that meets every
         # S row in 0 holds on every candidate and gets no lane
-        lanes = [matvec(self.s_rows, u) for u in self.sub.lattice.zero_rows()]
+        lanes = [matvec(self.s_rows, u) for u in self.sub.lattice.zero_rows]
         lanes = [row for row in lanes if any(row)]
         if not lanes:
             return None
@@ -272,10 +272,13 @@ class Metered:
     """A resumable search charged per item of its stream, `_stream`.
 
     An item is None, or the hit that ends the search, and costs `price`
-    units.  To change the price the stream sets `self.price`, then yields
-    _REPRICE before any work at the new price, so run() knows what the
-    next item costs before it resumes the stream.  An item that does not
-    fit in what is left of a call waits for the next call.
+    units.  A positive int n stands for the next n items, all dead: each
+    is charged as a None would be, and those that do not fit in a call
+    stay owed to the next one, so the stream is resumed only once they
+    are all paid.  To change the price the stream sets `self.price`, then
+    yields _REPRICE before any work at the new price, so run() knows what
+    the next item costs before it resumes the stream.  An item that does
+    not fit in what is left of a call waits for the next call.
     """
 
     price = 1
@@ -283,6 +286,7 @@ class Metered:
     def __init__(self):
         self.spent = 0
         self.found = None
+        self._owed = 0  # items of a dead run not charged yet
         self._gen = self._stream()
 
     def run(self, units: int):
@@ -291,21 +295,30 @@ class Metered:
             return self.found
         gen = self._gen
         spent = self.spent
+        owed = self._owed
         price = self.price
         stop = spent + units
         try:
             while spent + price <= stop:
+                if owed:
+                    paid = min(owed, (stop - spent) // price)
+                    spent += paid * price
+                    owed -= paid
+                    continue
                 item = next(gen)
                 if item is None:
                     spent += price
                 elif item is _REPRICE:
                     price = self.price
+                elif item.__class__ is int:
+                    owed = item
                 else:
                     spent += price
                     self.found = item
                     break
         finally:  # an oracle error leaves what was charged before it
             self.spent = spent
+            self._owed = owed
         return self.found
 
 

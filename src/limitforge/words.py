@@ -82,11 +82,13 @@ class Word:
         return Word(reduce_ints(base * abs(n)))
 
     def slots(self) -> tuple[int, ...]:
-        return tuple(slot(x) for x in self.ints)
+        """slot() of each letter."""
+        return tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in self.ints])
 
     def max_index(self) -> int:
         """Largest generator index used, plus one; 0 for the empty word."""
-        return max((abs(x) for x in self.ints), default=0)
+        ints = self.ints
+        return max(max(ints), -min(ints)) if ints else 0
 
 
 EMPTY = Word()

@@ -769,6 +769,10 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
 
 
 class CertifySearchReference(CertifySearch):
+    # this stream, like CertifySearchLoop's, counts its candidates one at a
+    # time and never yields a dead run, so nothing is ever owed
+    candidates = CertifySearch.candidates.setter(lambda self, n: setattr(self, "_counted", n))
+
     def _stream(self):
         rank = self.p.rank
         if rank == 0:
@@ -923,6 +927,8 @@ def _combine_reference(coeffs, vecs, rank: int) -> tuple[int, ...]:
 
 
 class CertifySearchLoop(CertifySearch):
+    candidates = CertifySearchReference.candidates
+
     def __init__(self, p: Presentation, wp):
         self._tier = 0  # cost of the next candidate the stream charges
         super().__init__(p, wp)

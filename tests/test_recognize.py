@@ -775,7 +775,7 @@ def test_recognition_reports_are_pinned():
     assert got == RECOGNITION_REPORTS
 
 
-METER_SLICES = (1, 5, 128, 1000)
+METER_SLICES = (1, 2, 3, 5, 128, 1000)
 CORPUS_IDS = [row[0] for row in CORPUS]
 
 

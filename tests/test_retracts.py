@@ -81,6 +81,71 @@ def test_negative_budget_is_refused():
     assert got == SearchExhausted(0)
 
 
+class _Script(retracts.Metered):
+    """A synthetic metered stream: each item of `script` is None, a dead
+    run n, ("price", p) or a hit string, and None follows forever.  The
+    stream records the run() call in which it reached each item;
+    `expand` spells each dead run out as Nones, as the meter charges it."""
+
+    def __init__(self, script, expand=False):
+        self.script, self.expand = script, expand
+        self.calls = 0
+        self.reached = []
+        super().__init__()
+
+    def run(self, units):
+        self.calls += 1
+        return super().run(units)
+
+    def _stream(self):
+        for item in self.script:
+            self.reached.append((self.calls, item))
+            if isinstance(item, tuple):
+                self.price = item[1]
+                yield retracts._REPRICE
+            elif isinstance(item, int) and self.expand:
+                yield from itertools.repeat(None, item)
+            else:
+                yield item
+        yield from itertools.repeat(None)
+
+
+METER_SCRIPTS = {
+    "run split across calls": (None, 7, None, 11, "hit"),
+    "price change after a run": (3, ("price", 2), 4, ("price", 5), 1, None, "hit"),
+    "hit after a run": (2, "hit"),
+    "runs back to back": (4, 1, 6, None, "hit"),
+}
+
+
+@pytest.mark.parametrize("slices", [(1,), (2,), (3,), (5,), (1, 2, 3, 5)])
+@pytest.mark.parametrize("name", sorted(METER_SCRIPTS))
+def test_dead_runs_charge_as_their_nones(name, slices):
+    """A dead run costs what its items cost one by one, in the same run()
+    calls: the part that does not fit stays owed to the next call, and the
+    stream is resumed, and reaches each later item, in the same call."""
+    script = METER_SCRIPTS[name]
+    new, old = _Script(script), _Script(script, expand=True)
+    owed = False
+    # an item priced above every slice never fits, so the calls are capped
+    for k in itertools.islice(itertools.cycle(slices), 100):
+        assert new.run(k) == old.run(k)
+        assert (new.spent, new.found, new.reached) == (old.spent, old.found, old.reached)
+        owed |= new._owed > 0
+    if max(slices) >= 5:
+        assert new.found == "hit"
+    if name == "run split across calls":
+        assert owed
+
+
+def test_a_dead_run_is_never_a_hit():
+    meter = _Script((5, 3, 10**9))
+    assert meter.run(1000) is None
+    assert (meter.spent, meter.found) == (1000, None)
+    assert meter._owed == 5 + 3 + 10**9 - 1000
+    assert meter.run(0) is None and meter.spent == 1000
+
+
 def _s_sets(rank: int):
     a, b = W(1), W(2)
     yield ()

@@ -72,6 +72,21 @@ def test_slot_order_interleaves_inverses():
         assert slot(unslot(s)) == s
 
 
+def test_max_index_examples():
+    assert EMPTY.max_index() == 0
+    assert Word((-2,)).max_index() == 2
+    assert Word((-3, -1)).max_index() == 3
+    assert Word((1, -4, 2)).max_index() == 4
+
+
+@settings(derandomize=True, max_examples=200)
+@given(raw_words)
+def test_slot_kernels_match_per_letter_slot(xs):
+    w = Word.make(xs)
+    assert w.slots() == tuple(slot(x) for x in w.ints)
+    assert w.max_index() == max((abs(x) for x in w.ints), default=0)
+
+
 def test_parse_format_examples():
     assert parse_word("a*b^-1", NAMES).ints == (1, -2)
     assert parse_word("a^3", NAMES).ints == (1, 1, 1)
