@@ -407,7 +407,10 @@ def enumerate_presentations(p: Presentation):
             if q not in emitted:
                 emitted.add(q)
                 yield q
-            if depth >= bound:
+            # every enqueue adds to seen, so the queue holds len(seen) - nodes
+            # entries; once len(seen) reaches node_cap it holds every node
+            # this bound will pop, and a child enqueued now is never dequeued
+            if depth >= bound or len(seen) >= node_cap:
                 continue
             for child in _children(q, bound):
                 if child not in seen:

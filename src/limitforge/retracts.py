@@ -20,7 +20,7 @@ from .coset import CosetTable, RSResult, low_index, rs_presentation
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
 from .presentation import Presentation, substitute, tietze_simplify
-from .words import Word, validate_word, words_of_length
+from .words import EMPTY, Word, validate_word, words_of_length
 
 
 class RetractError(ValueError):
@@ -374,15 +374,21 @@ class RetractionSearch(Metered):
         m = len(self.s_words)
         packing = branch.packing
         for comp in self.atlas.compositions(total, branch.rank):
-            pools = [self.atlas.pool(m, length) for length in comp]
             if packing is None:
-                yield from itertools.product(*pools)
+                yield from itertools.product(*[self.atlas.pool(m, n) for n in comp])
                 continue
+            # a length-0 position holds EMPTY, whose packed image is 0, so
+            # only the nonzero positions are walked
+            nonzero = [j for j, n in enumerate(comp) if n]
+            if not nonzero:
+                yield (EMPTY,) * len(comp) if packing[2] == 0 else None
+                continue
+            pools = [self.atlas.pool(m, comp[j]) for j in nonzero]
             # C_j * sigma(w) per position: the walk is over the product of
             # the pools, so the parts cost little to build for each split
             parts = [
-                [c * image for image in branch.images(n, pool)]
-                for c, n, pool in zip(packing[0], comp, pools)
+                [packing[0][j] * image for image in branch.images(comp[j], pool)]
+                for j, pool in zip(nonzero, pools)
             ]
             # the last position varies fastest: the rest of the sum is fixed
             # along its pool, and a tuple is built only for a survivor
@@ -390,7 +396,13 @@ class RetractionSearch(Metered):
             for head, head_parts in zip(itertools.product(*pools), itertools.product(*parts)):
                 need = packing[2] - sum(head_parts)
                 for w, part in zip(last, last_parts):
-                    yield head + (w,) if part == need else None
+                    if part == need:
+                        y = [EMPTY] * len(comp)
+                        for j, word in zip(nonzero, head + (w,)):
+                            y[j] = word
+                        yield tuple(y)
+                    else:
+                        yield None
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:
         # the abelian lattice test rejects almost every candidate, so it

@@ -554,6 +554,18 @@ def test_recognize_free_step_counts_are_pinned():
     assert v.report["used"] == 657
 
 
+def test_recognize_free_genus_two_at_30000_is_pinned():
+    """Deep enough that the Tietze hunt walks bounds whose queue fills
+    long before it is drained; that walk once took seconds here."""
+    v = recognize_free(GENUS2, oracle_from(GENUS2, "builtin:pinched"), 30000)
+    assert isinstance(v, Unknown)
+    assert v.report == {
+        "budget": 30000,
+        "used": 30000,
+        "certify": {"spent": 14904, "candidates": 4130, "max_cost": 4},
+    }
+
+
 def test_recognize_free_requires_total_oracle():
     with pytest.raises(ValueError):
         recognize_free(F2, dovetail_oracle(F2))

@@ -421,7 +421,7 @@ def test_y_tuples_keep_the_old_order(case):
             br = new._make_branch(t)
             if br is None:
                 continue
-            for total in range(4):
+            for total in range(6):
                 got = list(new._y_tuples(br, total))
                 expected = list(old._y_tuples(br, total))
                 assert len(got) == len(expected)
