@@ -380,6 +380,14 @@ def low_index(p: Presentation, n: int):
         yield from dfs()
 
 
+def subgroups_of_index(p: Presentation, n: int):
+    """The tables of `low_index(p, n)` whose index is exactly n, in its
+    order.  A table of n cosets is reached by the same choices under any
+    bound of at least n, tried in the same order, so this is also the
+    order of the index-n tables of any deeper walk."""
+    return (t for t in low_index(p, n) if t.index == n)
+
+
 # ---------------------------------------------------------------------------
 # Reidemeister-Schreier
 

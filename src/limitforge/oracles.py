@@ -9,13 +9,14 @@ finite-quotient actions.
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import select
 import subprocess
 import time
 
 from .abelian import exponent_vector
-from .coset import Overflow, low_index, todd_coxeter
+from .coset import Overflow, subgroups_of_index, todd_coxeter
 from .freegroup import amalgam_reduce, cyclic_reduce
 from .presentation import Presentation, canonical_relator, consequence_stream
 from .words import Word, commutator, format_word, invert_ints
@@ -312,40 +313,26 @@ def _detect_pinched(p: Presentation):
 
 
 class _Dovetail:
-    """Consequence enumeration against finite-quotient actions."""
+    """Consequence enumeration against finite-quotient actions.
+
+    Each pull costs one unit: a consequence, a table of the current
+    index, or opening the next index once the current one is used up,
+    so the empty indexes of a finite group cannot spin."""
 
     def __init__(self, p: Presentation, budget: int):
         self.p = p
         self.budget = budget
         self.conseq = consequence_stream(p)
-        self.conseq_dead = False
         self.trivial_seen: set[tuple[int, ...]] = set()
         self.tables: list = []
-        self.li_bound = 1
-        self.li_iter = low_index(p, 1)
+        self.table_walk = self._table_walk()
 
-    def _pull_consequence(self):
-        if self.conseq_dead:
-            return None
-        try:
-            c = next(self.conseq)
-        except StopIteration:
-            self.conseq_dead = True
-            return None
-        self.trivial_seen.add(c.ints)
-        return c
-
-    def _pull_table(self):
-        try:
-            t = next(self.li_iter)
-        except StopIteration:
-            self.li_bound += 1
-            self.li_iter = low_index(self.p, self.li_bound)
-            return None
-        if t.index == self.li_bound:
-            self.tables.append(t)
-            return t
-        return None
+    def _table_walk(self):
+        """The tables of index 1, 2, ... in turn, with None each time
+        an index is used up."""
+        for n in itertools.count(1):
+            yield from subgroups_of_index(self.p, n)
+            yield None
 
     @staticmethod
     def _acts_nontrivially(t, w: Word) -> bool:
@@ -354,19 +341,22 @@ class _Dovetail:
     def query(self, w: Word):
         if w.ints in self.trivial_seen:
             return True
-        for t in self.tables:
-            if self._acts_nontrivially(t, w):
-                return False
+        if any(self._acts_nontrivially(t, w) for t in self.tables):
+            return False
         spent = 0
         while spent < self.budget:
-            c = self._pull_consequence()
+            c = next(self.conseq, None)
             spent += 1
-            if c is not None and c == w:
-                return True
-            t = self._pull_table()
+            if c is not None:
+                self.trivial_seen.add(c.ints)
+                if c == w:
+                    return True
+            t = next(self.table_walk)
             spent += 1
-            if t is not None and self._acts_nontrivially(t, w):
-                return False
+            if t is not None:
+                self.tables.append(t)
+                if self._acts_nontrivially(t, w):
+                    return False
         return None
 
 

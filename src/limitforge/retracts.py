@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, matvec
-from .coset import CosetTable, RSResult, low_index, rs_presentation
+from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
 from .presentation import Presentation, substitute, tietze_simplify
@@ -143,8 +143,7 @@ class SubgroupAtlas:
         """Tables of subgroups of exactly this index, in low_index order."""
         got = self._tables.get(index)
         if got is None:
-            got = [t for t in low_index(self.p, index) if t.index == index]
-            self._tables[index] = got
+            got = self._tables[index] = list(subgroups_of_index(self.p, index))
         return got
 
     def subgroup(self, t: CosetTable) -> _Subgroup:

@@ -343,7 +343,7 @@ CERTIFY_CASES = {
     "Z2-dovetail": (Z2, lambda p: dovetail_oracle(p, 8), 6000, 5998, 1494),
     "genus2-dovetail": (GENUS2, lambda p: dovetail_oracle(p, 2), 3000, 3000, 1024),
     # the inversion premise "a is nontrivial" is left undecided for
-    # h = a and h = a^-1, and decided for h = b, which is the witness
+    # h = a and decided for h = a^-1; h = b gives the witness
     "klein-dovetail": (KLEIN, lambda p: dovetail_oracle(p, 2), 100, 14, 7),
 }
 
@@ -364,9 +364,9 @@ def _run_pinned(search_class, case):
 CERTIFY_STREAMS = {
     "genus2-pinched": (2285, "1af63bc8abb085e23e4857cfc5f8f3a5cc563bf529a36519db1a89743178b0bd"),
     "F2xZ-product": (17, "b3a279535ace5ae5458a4d65e0071c9a424e136b4edbe100ce6fdca195716202"),
-    "Z2-dovetail": (182, "70116b2e572bdb60f7a25dc8b990a031cebdd84f6ee231f1ed4ae2d5ad8a37f2"),
-    "genus2-dovetail": (105, "b0ba042816866e78abf1661d754b941671c97146d74e82086644d417eff189cc"),
-    "klein-dovetail": (6, "6b6c459adb0603c0738925d2c5efaffad783109b103f07983030c60c6d5ca057"),
+    "Z2-dovetail": (182, "40000018b5adf12591de9d84b1b34e9f3caf01845355f2a3372d3db87055a471"),
+    "genus2-dovetail": (99, "2a78b871f29b35a7aa1505d09ddb446753244449ef9bdbc76126ef7af25b4e11"),
+    "klein-dovetail": (6, "170d40b4132fb30510a566cfc496ac61ee22a91d95f26751745203ce60095e63"),
 }
 
 # the same for CertifySearchReference, as the search asked before the
@@ -374,8 +374,8 @@ CERTIFY_STREAMS = {
 REFERENCE_STREAMS = {
     "genus2-pinched": (17501, "2d1551c70e754a3b6db5cbb51261058e5ec45b2b750f78107371e664936b92dc"),
     "F2xZ-product": (108, "ebbe971328291075b8de82023988b8d79abe3670a8df5374cc86ce4bf6265ca1"),
-    "Z2-dovetail": (813, "c350376165fc7050628460b99c34fdab3b6fc611125d5d768f125a28e580632b"),
-    "genus2-dovetail": (548, "5f8f79977014e55b1455eba55df51d9ddcaaa8a4802c7de1c698a7ca4b183c49"),
+    "Z2-dovetail": (813, "bb80e786d5d24c142e4f1fa1d630f9164f6b353d0df07a8b85bd34fd2f66c48e"),
+    "genus2-dovetail": (543, "d5028dc5a926c6527d82e4840b52ed51410c1b90905b735ae4d8bae7c6de7112"),
 }
 
 
@@ -388,8 +388,8 @@ def test_certify_query_stream_is_pinned(case):
     log = _run_pinned(CertifySearch, case)
     assert (len(log), _query_digest(log)) == CERTIFY_STREAMS[case]
     if case == "klein-dovetail":
-        # torsion (a, 2) asks "a" once, the inversion premise three times
-        assert [v for ints, v in log if ints == (1,)] == [None, None, None, False]
+        # torsion (a, 2) asks "a" once, the inversion premise twice
+        assert [v for ints, v in log if ints == (1,)] == [None, None, False]
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_STREAMS))

@@ -257,19 +257,19 @@ def _outcome(search: RetractionSearch, found):
 
 def test_shared_atlas_matches_private_atlases(monkeypatch):
     rs_calls: Counter = Counter()
-    low_calls: Counter = Counter()
-    rs_presentation, low_index = retracts.rs_presentation, retracts.low_index
+    walk_calls: Counter = Counter()
+    rs_presentation, walk = retracts.rs_presentation, retracts.subgroups_of_index
 
     def counting_rs(p, t):
         rs_calls[p, t] += 1
         return rs_presentation(p, t)
 
-    def counting_low(p, n):
-        low_calls[p, n] += 1
-        return low_index(p, n)
+    def counting_walk(p, n):
+        walk_calls[p, n] += 1
+        return walk(p, n)
 
     monkeypatch.setattr(retracts, "rs_presentation", counting_rs)
-    monkeypatch.setattr(retracts, "low_index", counting_low)
+    monkeypatch.setattr(retracts, "subgroups_of_index", counting_walk)
     for p, wp, *s_sets in SHARED_CASES:
         s_sets = [tuple(Word.make(w) for w in s) for s in s_sets]
         rs_calls.clear()
@@ -279,13 +279,13 @@ def test_shared_atlas_matches_private_atlases(monkeypatch):
             private.append(_outcome(search, search.run(3000)))
         private_rs = sum(rs_calls.values())
         rs_calls.clear()
-        low_calls.clear()
+        walk_calls.clear()
         atlas = SubgroupAtlas(p)
         for s, expected in zip(s_sets, private):
             search = RetractionSearch(p, s, wp, atlas)
             assert _outcome(search, search.run(3000)) == expected
         assert set(rs_calls.values()) == {1}
-        assert set(low_calls.values()) == {1}
+        assert set(walk_calls.values()) == {1}
         assert sum(rs_calls.values()) < private_rs
 
 
