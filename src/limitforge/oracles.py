@@ -18,7 +18,7 @@ import time
 from .abelian import exponent_vector
 from .coset import Overflow, subgroups_of_index, todd_coxeter
 from .freegroup import amalgam_reduce, cyclic_reduce
-from .presentation import Presentation, canonical_relator, consequence_stream
+from .presentation import Presentation, canonical_relator, consequence_stream, relator_lattice
 from .words import Word, commutator, format_word, invert_ints
 
 __all__ = [
@@ -317,12 +317,15 @@ class _Dovetail:
 
     Each pull costs one unit: a consequence, a table of the current
     index, or opening the next index once the current one is used up,
-    so the empty indexes of a finite group cannot spin."""
+    so the empty indexes of a finite group cannot spin.  Every
+    consequence lies in the relator lattice, so a word off it is
+    nontrivial in the abelianization and is answered with no pull."""
 
     def __init__(self, p: Presentation, budget: int):
         self.p = p
         self.budget = budget
         self.conseq = consequence_stream(p)
+        self.lattice = relator_lattice(p)
         self.trivial_seen: set[tuple[int, ...]] = set()
         self.tables: list = []
         self.table_walk = self._table_walk()
@@ -341,6 +344,8 @@ class _Dovetail:
     def query(self, w: Word):
         if w.ints in self.trivial_seen:
             return True
+        if exponent_vector(w, self.p.rank) not in self.lattice:
+            return False
         if any(self._acts_nontrivially(t, w) for t in self.tables):
             return False
         spent = 0

@@ -509,6 +509,13 @@ def consequence_stream(p: Presentation):
                         yield Word(prod)
 
 
+def relator_lattice(p: Presentation) -> Lattice:
+    """The span L of the relator exponent vectors.  Abelianization maps
+    the presented group onto Z^rank / L, so a word whose exponent vector
+    is not in L is nontrivial."""
+    return Lattice([exponent_vector(r, p.rank) for r in p.relators], p.rank)
+
+
 def abelianization(p: Presentation) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion invariant factors) of the abelianized group."""
     return _abelian_invariants(p.rank, p.relators)

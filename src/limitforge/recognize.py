@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .abelian import Lattice, exponent_vector
+from .abelian import exponent_vector
 from .freegroup import FreeGroup
 from .ice import LimitEnumeration, LimitGroupEmission, ice_oracle
 from .oracles import WordOracle, pinched_oracle
@@ -24,6 +24,7 @@ from .presentation import (
     abelianization,
     enumerate_presentations,
     normalize_key,
+    relator_lattice,
     substitute,
     tietze_simplify,
 )
@@ -183,13 +184,6 @@ def witness_sentence(p: Presentation, w: Witness) -> Sentence:
     return Sentence(p.names, p.relators, w.elements)
 
 
-def _relator_lattice(p: Presentation) -> Lattice:
-    """The span L of the relator exponent vectors.  Abelianization maps
-    the presented group onto Z^rank / L, so a word whose exponent vector
-    is not in L is nontrivial."""
-    return Lattice([exponent_vector(r, p.rank) for r in p.relators], p.rank)
-
-
 def check_witness(p: Presentation, wp: WordOracle, w: Witness):
     """Re-verify a witness against the oracle.  True when the schema's
     premises are trivial and the elements nontrivial; None if the
@@ -201,7 +195,7 @@ def check_witness(p: Presentation, wp: WordOracle, w: Witness):
         return False
     for x in triv + nontriv:
         validate_word(x, p.rank)
-    lattice = _relator_lattice(p)
+    lattice = relator_lattice(p)
     if any(exponent_vector(x, p.rank) not in lattice for x in triv):
         return False
     out = True
@@ -260,7 +254,7 @@ class CertifySearch(Metered):
     def __init__(self, p: Presentation, wp: WordOracle):
         self.p = p
         self.wp = wp
-        self._lattice = _relator_lattice(p)
+        self._lattice = relator_lattice(p)
         self._counted = 0  # candidates handed to the meter, owed ones too
         self.max_cost = 0
         super().__init__()

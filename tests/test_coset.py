@@ -12,6 +12,7 @@ from limitforge.coset import (
     low_index,
     rewrite_in_subgroup,
     rs_presentation,
+    subgroups_of_index,
     todd_coxeter,
 )
 from limitforge.presentation import parse
@@ -21,6 +22,7 @@ from limitforge.words import Word
 from oracles import FINITE_CORPUS, hall_counts, perm_group_order
 
 F2 = parse("< a, b | >")
+Z2 = parse("< a, b | [a,b] >")
 
 
 def test_orders_match_permutation_closure():
@@ -73,28 +75,48 @@ def test_low_index_tables_are_distinct_and_valid():
 
 def test_low_index_respects_relators():
     # Z x Z has 1 + 3 + 4 + 7 = sigma(k) subgroups of index k
-    z2 = parse("< a, b | [a,b] >")
     counts = {}
-    for t in low_index(z2, 4):
+    for t in low_index(Z2, 4):
         counts[t.index] = counts.get(t.index, 0) + 1
     assert counts == {1: 1, 2: 3, 3: 4, 4: 7}
+
+
+EXACT_INDEX_CASES = (
+    F2,
+    Z2,
+    parse("< a, b, t | [a,t] >"),
+    parse("< a, b, c, d | [a,b]*[c,d]^-1 >"),
+)
+
+
+@pytest.mark.parametrize("p", EXACT_INDEX_CASES, ids=["F2", "Z2", "tower1", "genus2"])
+def test_exact_index_walk_keeps_low_index_order(p):
+    """The index-n tables come in the same order from subgroups_of_index
+    and from low_index to bound n or n + 1."""
+    counts = []
+    for n in (1, 2, 3):
+        got = list(subgroups_of_index(p, n))
+        for bound in (n, n + 1):
+            assert got == [t for t in low_index(p, bound) if t.index == n]
+        counts.append(len(got))
+    if p is F2:
+        assert counts == hall_counts(2, 3)
+    elif p is Z2:
+        assert counts == [1, 3, 4]  # sigma(n)
 
 
 def test_nielsen_schreier_rank():
     # index k subgroup of F2 is free of rank k + 1
     for k in (1, 2, 3):
-        for t in (x for x in low_index(F2, k) if x.index == k):
+        for t in subgroups_of_index(F2, k):
             rs = rs_presentation(F2, t)
             assert rs.presentation.relators == ()
             assert rs.presentation.rank == k + 1
 
 
 def test_rs_presentation_with_relators():
-    z2 = parse("< a, b | [a,b] >")
-    for t in low_index(z2, 2):
-        if t.index != 2:
-            continue
-        rs = rs_presentation(z2, t)
+    for t in subgroups_of_index(Z2, 2):
+        rs = rs_presentation(Z2, t)
         simplified = abelian_invariants(rs.presentation.rank, rs.presentation.relators)
         assert simplified == (2, ())  # every index-2 subgroup of Z^2 is Z^2
 

@@ -245,6 +245,18 @@ def test_dovetail_oracle_semidecides():
     assert wp(w("a*b", p)) is False
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (8, 4)])
+def test_dovetail_oracle_answers_off_lattice_words_at_once(n, k):
+    """a^k is off the relator lattice of < a | a^n >, so it is nontrivial
+    in the abelianization, and two units (one consequence and the
+    index-1 table) are enough to answer it.  Without the lattice test,
+    a^4 in < a | a^8 > waited more than 15 s for the index-8 tables.
+    The relator itself is on the lattice and is not refused."""
+    wp = dovetail_oracle(parse(f"< a | a^{n} >"), budget=2)
+    assert wp(Word((1,) * k)) is False
+    assert wp(Word((1,) * n)) is None
+
+
 def test_auto_oracle_dispatch():
     assert auto_oracle(parse("< a, b | >")).total
     assert auto_oracle(parse("< a | a^2 >")).total
