@@ -104,6 +104,13 @@ class IceTower:
         return Lattice([exponent_vector(b, self.rank) for b in self.steps[-1].basis], self.rank)
 
     @cached_property
+    def _edge_spans_lower(self) -> bool:
+        # whether _edge_lattice holds every unit vector of the level below,
+        # and so the exponent vector of every word there
+        lo = self.rank - self.steps[-1].n
+        return all([int(i == j) for j in range(self.rank)] in self._edge_lattice for i in range(lo))
+
+    @cached_property
     def _edge_images(self) -> list[tuple[list[Word], Word, list[int]]]:
         # the retractions of the level below that keep the top step's edge
         # group nontrivial, each with its images, the root r of the edge
@@ -162,14 +169,16 @@ def _syl_word(t: IceTower, f: int, body: tuple[int, ...]) -> Word:
     """A syllable as a word.  A step syllable's body keeps its letters in
     the order they joined; its lower letters, read in order, multiply to
     its edge-group part, which commutes with the step letters and comes
-    first, and then each step letter's power follows."""
+    first, and then each step letter's power follows.  No two of these
+    parts share a letter, so they are written out without cancelling."""
     if not f:
         return Word(body)
     lo = t.rank - t.steps[-1].n
-    word = Word.make(x for x in body if -lo <= x <= lo)
+    ints = reduce_ints(x for x in body if -lo <= x <= lo)
     for x in range(lo + 1, t.rank + 1):
-        word = word * Word((x,)) ** (body.count(x) - body.count(-x))
-    return word
+        e = body.count(x) - body.count(-x)
+        ints += (x,) * e if e > 0 else (-x,) * -e
+    return Word(ints)
 
 
 def _pinch(t: IceTower, w: Word, cyclic: bool):
@@ -213,15 +222,16 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
     group E of the top step, memoized on the tower.  Over a free level E
     is the cyclic group of the basis root.  Higher up, a word whose
     exponent vector is outside the span of the basis vectors is not in E,
-    and any other is when it commutes with the step's g, decided
-    uncached, since no other path asks."""
+    a test skipped where that span holds every lower vector, and any
+    other is when it commutes with the step's g, decided uncached, since
+    no other path asks."""
     memo = t._edge_memo
     got = memo.get(ints)
     if got is None:
         u = Word(ints)
         if len(t.steps) == 1:
             got = is_power_of(u, t.steps[-1].basis[0]) is not None
-        elif exponent_vector(u, t.rank) not in t._edge_lattice:
+        elif not t._edge_spans_lower and exponent_vector(u, t.rank) not in t._edge_lattice:
             got = False
         else:
             got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
@@ -272,10 +282,12 @@ class Classification:
     conjugator: Word | None = None  # h with h^-1 g h inside that subgroup
 
 
-def _classify(t: IceTower, w: Word) -> Classification:
+def _classify(t: IceTower, w: Word, pinched=None) -> Classification:
+    """w's classification; pinched is _pinch(t, w, cyclic=True) when the
+    caller has it already."""
     if not t.steps:
         return Classification("hyperbolic")
-    syls, conj = _pinch(t, w, cyclic=True)
+    syls, conj = _pinch(t, w, cyclic=True) if pinched is None else pinched
     if len(syls) >= 2:
         return Classification("hyperbolic")
     f, body = syls[0]
@@ -465,42 +477,44 @@ def _conj_into(t: IceTower, u: Word, r: Word) -> Word | None:
     if rest:
         return None
     words = [_syl_word(t, *s) for s in syls]
-    rcore = _product(t, rsyls)
+    rcore = _product(_syl_word(t, *s) for s in rsyls)
     for y in (rcore**m, rcore**-m):
         ysyls, hy = _pinch(t, y, cyclic=True)
         if ysyls[0][0]:
             hy = hy * _syl_word(t, *ysyls[0])
             ysyls = ysyls[1:] + ysyls[:1]
-        target = _product(t, ysyls)
+        target = _product(_syl_word(t, *s) for s in ysyls)
         head = Word(ysyls[0][1])
         prefix = EMPTY
         for k, (f, _) in enumerate(syls):
             if not f:
                 a = _double_coset(t, words[k], head)
                 if a is not None:
-                    rotated = _product(t, syls[k:] + syls[:k])
+                    rotated = _product(words[k:] + words[:k])
                     if _wp(t, (a.inv() * rotated * a * target.inv()).ints):
                         return hu * prefix * a * hy.inv() * hr.inv()
             prefix = prefix * words[k]
     return None
 
 
-def _product(t: IceTower, syls) -> Word:
-    return Word(reduce_ints(x for s in syls for x in _syl_word(t, *s).ints))
+def _product(words) -> Word:
+    return Word(reduce_ints(x for w in words for x in w.ints))
 
 
-def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
-    """Maximal root of a hyperbolic word: (r, e) with r^e = w."""
+def _max_root(t: IceTower, w: Word, pinched=None) -> tuple[Word, int]:
+    """Maximal root of a hyperbolic word: (r, e) with r^e = w; pinched is
+    _pinch(t, w, cyclic=True) when the caller has it already."""
     if not t.steps:
         return primitive_root(w)
-    syls, conj = _pinch(t, w, cyclic=True)
+    syls, conj = _pinch(t, w, cyclic=True) if pinched is None else pinched
     if len(syls) == 1:
         f, body = syls[0]
         if f:
             raise ValueError("root extraction expects a hyperbolic word")
         root, e = _max_root(t.lower(), Word(body))
         return conj * root * conj.inv(), e
-    core = _product(t, syls)
+    words = [_syl_word(t, *s) for s in syls]
+    core = _product(words)
     count = len(syls)
     # A d-th root's e-th power has a reduced form of its d syllables
     # repeated, and reduced forms of one element differ by edge elements
@@ -509,21 +523,21 @@ def _max_root(t: IceTower, w: Word) -> tuple[Word, int]:
     # the one c in E that the edge equation at the first lower syllable
     # allows.  The least such d gives the maximal root.
     periods = [d for d in range(2, count, 2) if not count % d]
-    vecs = [exponent_vector(Word(body), t.rank) for _, body in syls] if periods else []
+    vecs = [exponent_vector(word, t.rank) for word in words] if periods else []
     i = 1 if syls[0][0] else 0
     for d in periods:
         if not all([x - y for x, y in zip(vecs[j + d], vecs[j])] in t._edge_lattice for j in range(count - d)):
             continue
-        a = _double_coset(t, _syl_word(t, *syls[i + d]), _syl_word(t, *syls[i]))
+        a = _double_coset(t, words[i + d], words[i])
         if a is None:
             continue
         if i:
             # s_{d+1} and s_1 are step syllables with equal step letters;
             # their edge parts carry the correction from s_2 back to s_1
-            a = _syl_word(t, *syls[d]) * _syl_word(t, *syls[0]).inv() * a
+            a = words[d] * words[0].inv() * a
             if a.ints and _wp(t.lower(), a.ints):
                 a = EMPTY
-        root = _product(t, syls[:d]) * a
+        root = _product(words[:d]) * a
         e = count // d
         if _wp(t, (root**e * core.inv()).ints):
             return conj * root * conj.inv(), e
@@ -535,9 +549,11 @@ def centralizer_ice(t: IceTower, w: Word) -> tuple[Word, ...]:
     validate_word(w, t.rank)
     if _wp(t, w.ints):
         raise ValueError("the identity centralizes everything")
-    cls = _classify(t, w)
+    # the root step starts from classification's cyclic normal form
+    pinched = _pinch(t, w, cyclic=True) if t.steps else None
+    cls = _classify(t, w, pinched)
     if cls.kind == "hyperbolic":
-        root, _ = _max_root(t, w)
+        root, _ = _max_root(t, w, pinched)
         return (root,)
     step = t.steps[cls.level - 1]
     start = t.base_rank + sum(s.n for s in t.steps[: cls.level - 1])

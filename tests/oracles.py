@@ -495,6 +495,19 @@ def pinch_reference(t, w: Word, cyclic: bool):
     return syls, conj
 
 
+def syl_word_reference(t, f: int, body: tuple[int, ...]) -> Word:
+    """A syllable of t's top amalgam as a word, built letter by letter: a
+    step syllable's lower letters multiplied in order, then one Word
+    multiplication and power per step letter of t's top step."""
+    if not f:
+        return Word(body)
+    lo = t.rank - t.steps[-1].n
+    word = Word.make(x for x in body if -lo <= x <= lo)
+    for x in range(lo + 1, t.rank + 1):
+        word = word * Word((x,)) ** (body.count(x) - body.count(-x))
+    return word
+
+
 # ---------------------------------------------------------------------------
 # Stallings folding by its own union-find: each generator is laid down as
 # a loop at the base point, clashing edges merge their endpoints, and

@@ -8,6 +8,7 @@ against the unpruned paths and on their own, and every edge basis against
 the finite quotients of its tower's presentation.
 """
 
+import hashlib
 import itertools
 import random
 import sys
@@ -33,7 +34,7 @@ from limitforge.ice import (
 )
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import conjugate, random_reduced_word, t1_specialize
+from oracles import conjugate, random_reduced_word, syl_word_reference, t1_specialize
 
 T1_DOC = {"base_rank": 2, "steps": [{"g": "a", "n": 1}]}
 T3_DOC = {
@@ -314,6 +315,93 @@ def test_centralizer_of_a_power_is_the_centralizer_of_the_word(t, letters, e):
     (theirs,) = centralizer_ice(t, r**e)
     # one cyclic group: the two generators agree up to sign
     assert wp_ice(t, mine * theirs.inv()) or wp_ice(t, mine * theirs), (t, r, e)
+
+
+# ---------------------------------------------------------------------------
+# One pinch per centralizer, and step syllables from their letter counts
+
+HEIGHT_THREE = tower_from_json(
+    {"base_rank": 2, "steps": [{"g": "a", "n": 1}, {"g": "b*t", "n": 1}, {"g": "[a,b]", "n": 1}]}
+)
+BASE_RANK_ONE = [t for t, _ in itertools.islice(enumerate_ice(), 30) if t.base_rank == 1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([T3] + PREFIX),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=16),
+    st.booleans(),
+)
+def test_syl_word_matches_reference(t, letters, cyclic):
+    w = Word.make(x // abs(x) * ((abs(x) - 1) % t.rank + 1) for x in letters)
+    level = t
+    while level.steps:
+        syls, _ = _pinch(level, w, cyclic)
+        for f, body in syls:
+            assert _syl_word(level, f, body).ints == syl_word_reference(level, f, body).ints
+        # the lower syllables go on down the tower
+        w = Word.make(x for f, body in syls if not f for x in body)
+        level = level.lower()
+
+
+def test_centralizer_outputs_are_pinned():
+    """sha256 over wp_ice answers and centralizer_ice bases of seeded
+    words, with powers among them for the root search, on the height-three
+    tower and on the base-rank-1 towers among the first 30 of
+    enumerate_ice: any change that moves one answer or one basis word
+    changes it."""
+    h = hashlib.sha256()
+    for t, count in [(HEIGHT_THREE, 240)] + [(t, 60) for t in BASE_RANK_ONE]:
+        rng = random.Random(20261019)
+        rels = presentation_of(t).relators
+        for i in range(count):
+            w = random_reduced_word(rng, t.rank, rng.randint(1, 9))
+            if i % 3 == 1 and rels:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 4))
+                w = w * conjugate(rng.choice(rels), c)
+            elif i % 3 == 2:
+                c = random_reduced_word(rng, t.rank, rng.randint(0, 3))
+                w = conjugate(w ** rng.choice((2, 3, -2)), c)
+            trivial = wp_ice(t, w)
+            h.update(repr((w.ints, trivial)).encode())
+            if not trivial:
+                h.update(repr([b.ints for b in centralizer_ice(t, w)]).encode())
+    assert h.hexdigest() == (
+        "63c76883930fa16189a06c27efa2efbd4c19c8f8d667b852b8e2486eb578c9b1"
+    )
+
+
+def test_centralizer_pinches_a_hyperbolic_word_once(monkeypatch):
+    # classification reduces w to its cyclic normal form over the top
+    # amalgam, and the root step starts from that form; the word problem
+    # may pinch w once more, without cyclic reduction
+    w = ice.parse_word("a*u*b*u^-1*t", ice.tower_names(HEIGHT_THREE))
+    pinched = []
+    pinch = ice._pinch
+
+    def counting(t, u, cyclic):
+        if t is HEIGHT_THREE and u == w and cyclic:
+            pinched.append(u)
+        return pinch(t, u, cyclic)
+
+    monkeypatch.setattr(ice, "_pinch", counting)
+    assert centralizer_ice(HEIGHT_THREE, w) == (w,)
+    assert len(pinched) == 1
+
+
+@pytest.mark.parametrize(
+    "word, root, e",
+    [
+        ("a*u*b*u^-1*t", (1, 4, 2, -4, 3), 1),
+        ("b^-1*a*u*b*u^-1*t*a*u*b*u^-1*t*b", (-2, 1, 4, 2, -4, 3, 2), 2),
+        ("u*v*a*b*v*a*b*v*a*b*u^-1", (4, 5, 1, 2, -4), 3),
+        ("v*b*[a,b]^-2*v*[a,b]^2*b", (5, 2), 2),
+    ],
+)
+def test_max_root_alone_keeps_its_roots(word, root, e):
+    w = ice.parse_word(word, ice.tower_names(HEIGHT_THREE))
+    assert _max_root(HEIGHT_THREE, w) == (Word(root), e)
+    assert centralizer_ice(HEIGHT_THREE, w) == (Word(root),)
 
 
 # ---------------------------------------------------------------------------
