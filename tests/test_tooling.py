@@ -6,6 +6,7 @@ import importlib.util
 import json
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -164,21 +165,52 @@ def _canned_run_output(workload: str, digest: str) -> str:
     return f"# {json.dumps(context)}\n# untraced pass: wall 1.5 s\n{json.dumps(last)}\n"
 
 
+def _assert_bench_schema(record: dict, workloads) -> None:
+    """record has the fields that scripts/bench.py writes, one entry per
+    workload, and every end-to-end metric that BENCHMARK.json declares."""
+    assert set(record) == {"label", "commit", "src_sha256", "python", "nproc", "workloads"}
+    declared = [m["name"] for m in _end_to_end_metrics()]
+    assert list(record["workloads"]) == sorted(workloads)
+    for rec in record["workloads"].values():
+        assert set(rec) == {"seed", "correct", "attempted", "failed", "metrics"}
+        assert sorted(rec["metrics"]) == sorted(declared)
+
+
 def test_bench_script_writes_its_schema(tmp_path):
     bench = _load_script("bench")
     outputs = {w: _canned_run_output(w, "abcdef0123456789") for w in bench.WORKLOADS}
     path = tmp_path / "BENCH_x.json"
     bench.write_bench(path, "x", outputs)
     record = json.loads(path.read_text())
-    assert set(record) == {"label", "commit", "src_sha256", "python", "nproc", "workloads"}
+    _assert_bench_schema(record, bench.WORKLOADS)
     assert (record["label"], record["commit"]) == ("x", "0" * 40)
     assert record["src_sha256"] == "abcdef0123456789"
-    declared = [m["name"] for m in _end_to_end_metrics()]
-    assert list(record["workloads"]) == sorted(bench.WORKLOADS)
-    for rec in record["workloads"].values():
-        assert set(rec) == {"seed", "correct", "attempted", "failed", "metrics"}
-        assert sorted(rec["metrics"]) == sorted(declared)
     assert bench.write_bench(path, "x", outputs, commit="f" * 40)["commit"] == "f" * 40
+
+
+def _readme_bench_records() -> list:
+    """The BENCH files that the README's list of checked-in records
+    names, in the order it names them."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("  The checked-in records, in order:") + 1
+    names = []
+    for line in lines[start:]:
+        if not line.startswith(("  - ", "    ")):
+            break
+        names += re.findall(r"`(BENCH_[\w.-]+\.json)`", line)
+    return names
+
+
+def test_checked_in_bench_records_are_whole_and_listed():
+    bench = _load_script("bench")
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    listed = _readme_bench_records()
+    assert paths and sorted(listed) == [p.name for p in paths]
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert f"BENCH_{record['label']}.json" == path.name
+        _assert_bench_schema(record, bench.WORKLOADS)
+        assert all(rec["correct"] is True for rec in record["workloads"].values()), path.name
 
 
 def test_bench_script_refuses_mixed_sources(tmp_path):
