@@ -12,28 +12,33 @@ scanning slots ascending.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .presentation import Presentation, SimplifyTrace, substitute, tietze_simplify
-from .words import Word, slot, unslot
+from .words import Value, Word, _set, slot, unslot
 
 def _inv(s: int) -> int:
     return s ^ 1
 
 
-@dataclass(frozen=True)
-class Overflow:
+class Overflow(Value):
     """Coset limit hit; the index may still be finite or infinite."""
 
-    allocated: int
+    __slots__ = ("allocated",)
+
+    def __init__(self, allocated: int):
+        _set(self, "allocated", allocated)
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    ngens: int
-    rows: tuple[tuple[int, ...], ...]
-    subgens: tuple[Word, ...] = ()
+class CosetTable(Value):
+    __slots__ = ("ngens", "rows", "subgens", "__dict__")
+
+    def __init__(
+        self, ngens: int, rows: tuple[tuple[int, ...], ...], subgens: tuple[Word, ...] = ()
+    ):
+        _set(self, "ngens", ngens)
+        _set(self, "rows", rows)
+        _set(self, "subgens", subgens)
 
     @property
     def index(self) -> int:
@@ -401,8 +406,7 @@ def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
     return expr if end == 0 else None
 
 
-@dataclass(frozen=True)
-class RSResult:
+class RSResult(Value):
     """Subgroup presentation with its generator correspondence.
 
     presentation: simplified presentation of the subgroup;
@@ -411,10 +415,19 @@ class RSResult:
     The raw Schreier generators are table.schreier.basis.
     """
 
-    table: CosetTable
-    presentation: Presentation
-    gens_ambient: tuple[Word, ...]
-    trace: SimplifyTrace
+    __slots__ = ("table", "presentation", "gens_ambient", "trace")
+
+    def __init__(
+        self,
+        table: CosetTable,
+        presentation: Presentation,
+        gens_ambient: tuple[Word, ...],
+        trace: SimplifyTrace,
+    ):
+        _set(self, "table", table)
+        _set(self, "presentation", presentation)
+        _set(self, "gens_ambient", gens_ambient)
+        _set(self, "trace", trace)
 
     def embed(self, w: Word) -> Word:
         """Ambient word of a subgroup word over the final generators."""

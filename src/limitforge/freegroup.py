@@ -3,20 +3,18 @@ and normal forms in an amalgam of two groups given by words."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word, concat, invert_ints, reduce_ints, validate_word
+from .words import Value, Word, _set, concat, invert_ints, reduce_ints, validate_word
 
 _STANDARD = "abcdefghijklmnopqrs"
 
 
-@dataclass(frozen=True)
-class FreeGroup:
-    names: tuple[str, ...]
+class FreeGroup(Value):
+    __slots__ = ("names",)
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
             raise ValueError("duplicate generator name")
+        _set(self, "names", names)
 
     @property
     def rank(self) -> int:

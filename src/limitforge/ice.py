@@ -14,7 +14,6 @@ tower groups.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, solve
@@ -38,7 +37,9 @@ from .retracts import (
 )
 from .words import (
     EMPTY,
+    Value,
     Word,
+    _set,
     commutator,
     format_word,
     parse_word,
@@ -51,25 +52,26 @@ from .words import (
 _EXT_POOL = "tuvwxyz"
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(Value):
     """One centralizer extension: adjoin Z^n commuting with Z(g)."""
 
-    g: Word
-    n: int
-    names: tuple[str, ...]
-    basis: tuple[Word, ...]
+    __slots__ = ("g", "n", "names", "basis")
+
+    def __init__(self, g: Word, n: int, names: tuple[str, ...], basis: tuple[Word, ...]):
+        _set(self, "g", g)
+        _set(self, "n", n)
+        _set(self, "names", names)
+        _set(self, "basis", basis)
 
 
-@dataclass(frozen=True)
-class IceTower:
-    base_rank: int
-    steps: tuple[ExtensionStep, ...] = ()
+class IceTower(Value):
+    __slots__ = ("base_rank", "steps", "__dict__")
 
-    def __post_init__(self):
-        if self.base_rank < 1:
+    def __init__(self, base_rank: int, steps: tuple[ExtensionStep, ...] = ()):
+        if base_rank < 1:
             raise ValueError("base rank must be positive")
-        object.__setattr__(self, "steps", tuple(self.steps))
+        _set(self, "base_rank", base_rank)
+        _set(self, "steps", tuple(steps))
 
     @cached_property
     def rank(self) -> int:
@@ -219,12 +221,16 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
 
 def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
     """Whether the reduced word ints of the level below lies in the edge
-    group E of the top step, memoized on the tower.  Over a free level E
-    is the cyclic group of the basis root.  Higher up, a word whose
-    exponent vector is outside the span of the basis vectors is not in E,
-    a test skipped where that span holds every lower vector, and any
-    other is when it commutes with the step's g, decided uncached, since
-    no other path asks."""
+    group E of the top step, memoized on the tower.  Over base rank 1
+    every level is free abelian, Z, then Z^(1+n) and so on, so E, the
+    centralizer of a nontrivial g, is the whole level below.  Over a free
+    level E is the cyclic group of the basis root.  Higher up, a word
+    whose exponent vector is outside the span of the basis vectors is not
+    in E, a test skipped where that span holds every lower vector, and
+    any other is when it commutes with the step's g, decided uncached,
+    since no other path asks."""
+    if t.base_rank == 1:
+        return True
     memo = t._edge_memo
     got = memo.get(ints)
     if got is None:
@@ -275,11 +281,13 @@ def ice_oracle(t: IceTower) -> WordOracle:
 # Classification and centralizers
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str  # "parabolic" | "hyperbolic"
-    level: int | None = None  # 1-based step index of the abelian subgroup
-    conjugator: Word | None = None  # h with h^-1 g h inside that subgroup
+class Classification(Value):
+    __slots__ = ("kind", "level", "conjugator")
+
+    def __init__(self, kind: str, level: int | None = None, conjugator: Word | None = None):
+        _set(self, "kind", kind)  # "parabolic" | "hyperbolic"
+        _set(self, "level", level)  # 1-based step index of the abelian subgroup
+        _set(self, "conjugator", conjugator)  # h with h^-1 g h inside that subgroup
 
 
 def _classify(t: IceTower, w: Word, pinched=None) -> Classification:
@@ -669,12 +677,20 @@ def _pick_words(pool, start: int, count: int, total: int):
             yield (w,) + rest
 
 
-@dataclass(frozen=True)
-class LimitGroupEmission:
-    presentation: Presentation
-    tower: IceTower
-    s_words: tuple[Word, ...]
-    result: SubgroupPresentationResult
+class LimitGroupEmission(Value):
+    __slots__ = ("presentation", "tower", "s_words", "result")
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        tower: IceTower,
+        s_words: tuple[Word, ...],
+        result: SubgroupPresentationResult,
+    ):
+        _set(self, "presentation", presentation)
+        _set(self, "tower", tower)
+        _set(self, "s_words", s_words)
+        _set(self, "result", result)
 
 
 class LimitEnumeration:

@@ -8,11 +8,8 @@ finite-quotient actions.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import os
-import select
-import subprocess
 import time
 
 from .abelian import exponent_vector
@@ -385,7 +382,8 @@ class _Subprocess:
     QUERY_TIMEOUT_S, a reply that is neither, or a child that exits ends
     the child and raises OracleProtocolError.  The child's stderr is
     discarded, and it is terminated and reaped on close(), on leaving a
-    with block, or at interpreter exit."""
+    with block, or at interpreter exit.  The process modules are imported
+    only here, so a run with no external oracle never loads them."""
 
     def __init__(self, path: str, names):
         self.path = path
@@ -395,6 +393,9 @@ class _Subprocess:
 
     def _ensure(self):
         if self.proc is None:
+            import atexit
+            import subprocess
+
             try:
                 self.proc = subprocess.Popen(
                     [self.path],
@@ -410,6 +411,8 @@ class _Subprocess:
 
     @staticmethod
     def _wait(fd: int, write: bool, deadline: float) -> None:
+        import select
+
         fds = ([], [fd]) if write else ([fd], [])
         if not any(select.select(*fds, [], max(deadline - time.monotonic(), 0))):
             raise OracleProtocolError(
@@ -455,6 +458,9 @@ class _Subprocess:
         self._pending = b""
         if proc is None:
             return
+        import atexit
+        import subprocess
+
         atexit.unregister(self.close)
         proc.stdin.close()
         proc.stdout.close()

@@ -18,13 +18,14 @@ import itertools
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 
 from .abelian import Lattice, exponent_vector, abelian_invariants as _abelian_invariants
 from .freegroup import eval_hom
 from .words import (
     EMPTY,
+    Value,
     Word,
+    _set,
     format_word,
     invert_ints,
     parse_word,
@@ -93,13 +94,11 @@ def _least_rotation(w: Word) -> Word:
     return Word(tuple([unslot(s) for s in best]))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    names: tuple[str, ...]
-    relators: tuple[Word, ...] = ()
+class Presentation(Value):
+    __slots__ = ("names", "relators")
 
-    def __post_init__(self):
-        names = tuple(self.names)
+    def __init__(self, names: tuple[str, ...], relators: tuple[Word, ...] = ()):
+        names = tuple(names)
         seen = set()
         for n in names:
             if not _IDENT_RE.match(n):
@@ -109,7 +108,7 @@ class Presentation:
             seen.add(n)
         rels = []
         seen_rel = set()
-        for r in self.relators:
+        for r in relators:
             if r.max_index() > len(names):
                 raise PresentationError(
                     f"relator {r.ints} uses a generator beyond rank {len(names)}"
@@ -119,8 +118,8 @@ class Presentation:
                 seen_rel.add(c.ints)
                 rels.append(c)
         rels.sort(key=_relator_key)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "relators", tuple(rels))
+        _set(self, "names", names)
+        _set(self, "relators", tuple(rels))
 
     @property
     def rank(self) -> int:
@@ -142,8 +141,8 @@ def _normal(names: tuple[str, ...], relators: tuple[Word, ...]) -> Presentation:
     """The Presentation of parts in normal form already: valid distinct
     names, and relators within rank, canonical, distinct and sorted."""
     p = object.__new__(Presentation)
-    object.__setattr__(p, "names", names)
-    object.__setattr__(p, "relators", relators)
+    _set(p, "names", names)
+    _set(p, "relators", relators)
     return p
 
 
@@ -266,10 +265,12 @@ def _remove_generator(p: Presentation, gidx: int):
     return q, tuple(images)
 
 
-@dataclass(frozen=True)
-class SimplifyTrace:
-    gen_images: tuple[Word, ...]  # original generator -> word over result gens
-    kept: tuple[int, ...]  # result generator -> original generator index
+class SimplifyTrace(Value):
+    __slots__ = ("gen_images", "kept")
+
+    def __init__(self, gen_images: tuple[Word, ...], kept: tuple[int, ...]):
+        _set(self, "gen_images", gen_images)  # original generator -> word over result gens
+        _set(self, "kept", kept)  # result generator -> original generator index
 
 
 def tietze_simplify(p: Presentation) -> tuple[Presentation, SimplifyTrace]:

@@ -12,7 +12,6 @@ win; exhausting the budget yields Unknown.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .abelian import exponent_vector
 from .freegroup import FreeGroup
@@ -29,7 +28,7 @@ from .presentation import (
     tietze_simplify,
 )
 from .retracts import _REPRICE, Metered
-from .words import EMPTY, Word, commutator, validate_word, words_of_length, words_upto
+from .words import EMPTY, Value, Word, _set, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
 _CROSSCHECK_BOUND = 2
@@ -39,22 +38,24 @@ _CROSSCHECK_BOUND = 2
 # Universal sentences and their bounded refutation
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Value):
     """A universal sentence over free groups: whenever every equation
     word evaluates to 1, at least one inequation word must too."""
 
-    variables: tuple[str, ...]
-    equations: tuple[Word, ...]
-    inequations: tuple[Word, ...]
+    __slots__ = ("variables", "equations", "inequations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "equations", tuple(self.equations))
-        object.__setattr__(self, "inequations", tuple(self.inequations))
-        n = len(self.variables)
-        for w in self.equations + self.inequations:
-            validate_word(w, n)
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        equations: tuple[Word, ...],
+        inequations: tuple[Word, ...],
+    ):
+        variables, equations, inequations = tuple(variables), tuple(equations), tuple(inequations)
+        for w in equations + inequations:
+            validate_word(w, len(variables))
+        _set(self, "variables", variables)
+        _set(self, "equations", equations)
+        _set(self, "inequations", inequations)
 
 
 def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
@@ -142,8 +143,7 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
 _SCHEMAS = ("torsion", "inversion", "commutation-transitivity")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """Finitely many wp-nontrivial elements that cannot all survive a
     homomorphism to a free group, given the presented relations.
 
@@ -153,9 +153,12 @@ class Witness:
     "schema" entry naming which of the three shapes justifies them.
     """
 
-    elements: tuple[Word, ...]
-    kind: str
-    data: dict = field(default_factory=dict)
+    __slots__ = ("elements", "kind", "data")
+
+    def __init__(self, elements: tuple[Word, ...], kind: str, data: dict | None = None):
+        _set(self, "elements", elements)
+        _set(self, "kind", kind)
+        _set(self, "data", {} if data is None else data)
 
 
 def _witness_checks(w: Witness):
@@ -379,16 +382,24 @@ class CertifySearch(Metered):
 # Verdicts
 
 
-@dataclass(frozen=True)
-class Limit:
+class Limit(Value):
     """Positive verdict: the input matches an enumerated limit-group
     presentation.  `matched` is the Tietze variant of the emission that
     equals the simplified input up to renaming."""
 
-    presentation: Presentation
-    matched: Presentation
-    emission: LimitGroupEmission
-    report: dict
+    __slots__ = ("presentation", "matched", "emission", "report")
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        matched: Presentation,
+        emission: LimitGroupEmission,
+        report: dict,
+    ):
+        _set(self, "presentation", presentation)
+        _set(self, "matched", matched)
+        _set(self, "emission", emission)
+        _set(self, "report", report)
 
     def reverify(self) -> bool:
         """Re-check the witness chain: the retraction equations against a
@@ -406,13 +417,15 @@ class Limit:
             return False
 
 
-@dataclass(frozen=True)
-class NotLimit:
+class NotLimit(Value):
     """Negative verdict, backed by a witness."""
 
-    presentation: Presentation
-    witness: Witness
-    report: dict
+    __slots__ = ("presentation", "witness", "report")
+
+    def __init__(self, presentation: Presentation, witness: Witness, report: dict):
+        _set(self, "presentation", presentation)
+        _set(self, "witness", witness)
+        _set(self, "report", report)
 
     def reverify(self, wp: WordOracle) -> bool:
         if check_witness(self.presentation, wp, self.witness) is not True:
@@ -421,32 +434,40 @@ class NotLimit:
         return refute_sentence(s, _CROSSCHECK_BOUND) is None
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Value):
     """The budget ran out before either branch reached a verdict."""
 
-    presentation: Presentation
-    report: dict
+    __slots__ = ("presentation", "report")
+
+    def __init__(self, presentation: Presentation, report: dict):
+        _set(self, "presentation", presentation)
+        _set(self, "report", report)
 
 
-@dataclass(frozen=True)
-class Free:
+class Free(Value):
     """The input Tietze-reduces to a presentation with no relators."""
 
-    presentation: Presentation
-    free_presentation: Presentation
-    report: dict
+    __slots__ = ("presentation", "free_presentation", "report")
+
+    def __init__(self, presentation: Presentation, free_presentation: Presentation, report: dict):
+        _set(self, "presentation", presentation)
+        _set(self, "free_presentation", free_presentation)
+        _set(self, "report", report)
 
 
-@dataclass(frozen=True)
-class NotFree:
+class NotFree(Value):
     """A certificate rules freeness out; `witness` is set when the
     certificate is a recognition witness rather than an abelian one."""
 
-    presentation: Presentation
-    reason: str
-    witness: Witness | None
-    report: dict
+    __slots__ = ("presentation", "reason", "witness", "report")
+
+    def __init__(
+        self, presentation: Presentation, reason: str, witness: Witness | None, report: dict
+    ):
+        _set(self, "presentation", presentation)
+        _set(self, "reason", reason)
+        _set(self, "witness", witness)
+        _set(self, "report", report)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ word problem the caller can decide.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, matvec
@@ -20,15 +19,14 @@ from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
 from .freegroup import FreeGroup
 from .oracles import WordOracle, dovetail_oracle
 from .presentation import Presentation, substitute, tietze_simplify
-from .words import EMPTY, Word, validate_word, words_of_length
+from .words import EMPTY, Value, Word, _set, validate_word, words_of_length
 
 
 class RetractError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Retraction:
+class Retraction(Value):
     """A verified retraction of K onto the subgroup generated by S.
 
     k_pres: presentation of K on generators X;
@@ -36,9 +34,12 @@ class Retraction:
     s_exprs[i]: the i-th element of S expressed as a word over X.
     """
 
-    k_pres: Presentation
-    y_words: tuple[Word, ...]
-    s_exprs: tuple[Word, ...]
+    __slots__ = ("k_pres", "y_words", "s_exprs")
+
+    def __init__(self, k_pres: Presentation, y_words: tuple[Word, ...], s_exprs: tuple[Word, ...]):
+        _set(self, "k_pres", k_pres)
+        _set(self, "y_words", y_words)
+        _set(self, "s_exprs", s_exprs)
 
     def rho_images(self) -> tuple[Word, ...]:
         """Images of K's generators under the retraction, as words over X."""
@@ -56,17 +57,28 @@ class Retraction:
         return tuple(eqs)
 
 
-@dataclass(frozen=True)
-class RetractionFound:
+class RetractionFound(Value):
     """Search result: the subgroup table, its presentation, the retraction."""
 
-    table: CosetTable
-    rs: RSResult
-    retraction: Retraction
-    cost: int
-    # the subgroup's presented quotients (_Subgroup.quotients), which
-    # present_from_retraction reads and fills; not part of the result
-    quotients: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("table", "rs", "retraction", "cost", "quotients")
+    # quotients holds the subgroup's presented quotients
+    # (_Subgroup.quotients), which present_from_retraction reads and
+    # fills; not part of the result
+    _fields = __slots__[:4]
+
+    def __init__(
+        self,
+        table: CosetTable,
+        rs: RSResult,
+        retraction: Retraction,
+        cost: int,
+        quotients: dict | None = None,
+    ):
+        _set(self, "table", table)
+        _set(self, "rs", rs)
+        _set(self, "retraction", retraction)
+        _set(self, "cost", cost)
+        _set(self, "quotients", {} if quotients is None else quotients)
 
     def verify(self, oracle: WordOracle):
         """Re-check every defining equation through the ambient oracle."""
@@ -80,9 +92,11 @@ class RetractionFound:
         return out
 
 
-@dataclass(frozen=True)
-class SearchExhausted:
-    steps: int
+class SearchExhausted(Value):
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: int):
+        _set(self, "steps", steps)
 
 
 def _weak_compositions(total: int, parts: int):
@@ -461,23 +475,33 @@ def find_retraction(
     return found
 
 
-@dataclass(frozen=True)
-class IncompleteResult:
-    reason: str
+class IncompleteResult(Value):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class SubgroupPresentationResult:
+class SubgroupPresentationResult(Value):
     """Presentation of the subgroup generated by S, with correspondences.
 
     gens_in_s[j]: output generator j over the abstract S alphabet;
     gens_ambient[j]: the same generator as an ambient word.
     """
 
-    presentation: Presentation
-    gens_in_s: tuple[Word, ...]
-    gens_ambient: tuple[Word, ...]
-    witness: RetractionFound
+    __slots__ = ("presentation", "gens_in_s", "gens_ambient", "witness")
+
+    def __init__(
+        self,
+        presentation: Presentation,
+        gens_in_s: tuple[Word, ...],
+        gens_ambient: tuple[Word, ...],
+        witness: RetractionFound,
+    ):
+        _set(self, "presentation", presentation)
+        _set(self, "gens_in_s", gens_in_s)
+        _set(self, "gens_ambient", gens_ambient)
+        _set(self, "witness", witness)
 
 
 def subgroup_presentation_lr(

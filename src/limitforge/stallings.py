@@ -11,20 +11,23 @@ straight off the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .coset import SchreierTree, _Enumerator, _standardize
-from .words import Word
+from .words import Value, Word, _set
 
 
-@dataclass(frozen=True)
-class SubgroupGraph:
+class SubgroupGraph(Value):
     """A folded graph: a coset table whose rows may miss edges (None)."""
 
-    rank: int
-    trans: tuple[tuple[int | None, ...], ...]
-    words: tuple[Word, ...]
+    __slots__ = ("rank", "trans", "words", "__dict__")
+
+    def __init__(
+        self, rank: int, trans: tuple[tuple[int | None, ...], ...], words: tuple[Word, ...]
+    ):
+        _set(self, "rank", rank)
+        _set(self, "trans", trans)
+        _set(self, "words", words)
 
     @cached_property
     def schreier(self) -> SchreierTree:

@@ -13,7 +13,7 @@ u^-1 v^-1 u v, and 1 denotes the empty word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class WordSyntaxError(ValueError):
@@ -50,14 +50,68 @@ def invert_ints(ints: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-x for x in reversed(ints))
 
 
-@dataclass(frozen=True)
-class Word:
+# how a Value's __init__ stores each field, past the __setattr__ that raises
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__, adding "__dict__" when it
+    keeps cached properties or memos, and its __init__ stores each field
+    with _set.  Instances of one class with equal fields are equal, and
+    an instance hashes as the tuple of its fields.  `_fields` defaults to
+    the slots; a subclass sets it to keep a slot out of ==, hash and repr.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(s for s in cls.__slots__ if s != "__dict__")
+        # the tuple of the fields, read in C: Presentation and CosetTable
+        # are set members and dict keys on hot paths
+        get = attrgetter(*cls._fields)
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(Value):
     """A freely reduced word. Use Word.make for raw letter sequences."""
 
-    ints: tuple[int, ...] = ()
+    __slots__ = ("ints", "__dict__")
     # presentation.canonical_relator keeps its result here on first use;
     # not a field, so ==, hash and repr ignore it
     _canonical = None
+
+    def __init__(self, ints: tuple[int, ...] = ()):
+        _set(self, "ints", ints)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ints == other.ints
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ints,))
 
     @classmethod
     def make(cls, letters) -> "Word":

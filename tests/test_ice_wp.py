@@ -23,7 +23,7 @@ from limitforge.ice import (
     wp_ice,
 )
 from limitforge.presentation import parse, serialize
-from limitforge.words import Word, commutator, format_word
+from limitforge.words import Word, commutator, format_word, words_upto
 
 from oracles import (
     conjugate,
@@ -343,6 +343,40 @@ def test_edge_commutator_built_once_per_word(monkeypatch):
         for ints in level._edge_memo
     )
     assert entries and len(built) == entries
+
+
+def test_base_rank_one_edge_needs_no_commutator(monkeypatch):
+    """Over base rank 1 the level below a second step is Z^2, abelian, so
+    the top edge group is all of it: `_in_edge` decides no commutator
+    there, and its answers are the commutator path's."""
+    t = tower_from_json({"base_rank": 1, "steps": [{"g": "a", "n": 1}, {"g": "a*t", "n": 1}]})
+    asked, decided = [], []
+    in_edge, wp_uncached = ice._in_edge, ice._wp_uncached
+
+    def counting_in_edge(level, ints):
+        asked.append(ints)
+        return in_edge(level, ints)
+
+    def counting_wp(level, ints):
+        if sys._getframe(1).f_code.co_name == "_in_edge":
+            decided.append(ints)
+        return wp_uncached(level, ints)
+
+    monkeypatch.setattr(ice, "_in_edge", counting_in_edge)
+    monkeypatch.setattr(ice, "_wp_uncached", counting_wp)
+    rng = random.Random(20261019)
+    rels = presentation_of(t).relators
+    for i in range(60):
+        w = random_reduced_word(rng, t.rank, rng.randint(1, 10))
+        if i % 2:
+            w = w * conjugate(rng.choice(rels), random_reduced_word(rng, t.rank, 3))
+        if not wp_ice(t, w):
+            centralizer_ice(t, w)
+    assert asked and not decided
+    monkeypatch.undo()
+    low, g = t.lower(), t.steps[-1].g
+    for u in words_upto(low.rank, 4):
+        assert ice._in_edge(t, u.ints) is wp_ice(low, commutator(u, g)), u
 
 
 def _tower_doc_reference(t):

@@ -73,6 +73,28 @@ def test_no_module_global_caches():
     assert found == set()
 
 
+def test_package_imports_lean():
+    """Every call imports the package before it does any work, so the
+    import loads no module that only some runs need: value classes are
+    slotted classes, not dataclasses (whose import pulls in `inspect`),
+    and the process modules load when an external oracle starts.  The
+    check compares against the modules loaded before the import, since
+    `site` may preload some of them."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "before = set(sys.modules)\n"
+        "import limitforge.recognize, limitforge.ice, limitforge.oracles\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    added = set(out.split())
+    assert "limitforge.oracles" in added
+    assert not added & {"dataclasses", "inspect", "subprocess", "select", "atexit"}
+
+
 def test_recognition_budgets_script_runs():
     script = ROOT / "scripts" / "recognition_budgets.py"
     out = subprocess.run(
@@ -303,10 +325,12 @@ def _setattr_store(node) -> str | None:
 
 def test_every_stored_attribute_is_read():
     """Every `self.<name> = ...` in a class of the package, and every
-    `object.__setattr__(obj, "<name>", ...)` anywhere in it (the stores of
-    frozen dataclasses and of the memos kept on them), has a read of
+    `object.__setattr__(obj, "<name>", ...)` anywhere in it (the memos
+    kept on value classes, such as `Word._canonical`), has a read of
     `.<name>` somewhere in the package: state that nothing reads lives as
-    long as its object for nothing.  `WordSyntaxError.pos` is exempt, the
+    long as its object for nothing.  The fields that a `words.Value`
+    subclass stores with `words._set` in its `__init__` are its declared
+    interface and are not counted.  `WordSyntaxError.pos` is exempt, the
     position that the exception carries to its catcher."""
     package = pathlib.Path(limitforge.__file__).parent
     stored, loaded = set(), set()

@@ -1,6 +1,27 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from limitforge.coset import CosetTable, Overflow, RSResult
+from limitforge.freegroup import FreeGroup
+from limitforge.ice import Classification, ExtensionStep, IceTower, LimitGroupEmission
+from limitforge.presentation import Presentation, SimplifyTrace
+from limitforge.recognize import (
+    Free,
+    Limit,
+    NotFree,
+    NotLimit,
+    Sentence,
+    Unknown,
+    Witness,
+)
+from limitforge.retracts import (
+    IncompleteResult,
+    Retraction,
+    RetractionFound,
+    SearchExhausted,
+    SubgroupPresentationResult,
+)
+from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
     Word,
@@ -163,3 +184,94 @@ def test_concat_associative_with_reduction(xs, ys):
 def test_format_parse_round_trip(xs):
     w = Word.make(xs)
     assert parse_word(format_word(w, NAMES), NAMES) == w
+
+
+# ---------------------------------------------------------------------------
+# Value classes: every immutable record of the package
+
+_A, _B = Word((1,)), Word((2,))
+_P = Presentation(("a", "b"), [commutator(_A, _B)])
+_Q = Presentation(("a", "b"), [_A])
+_TABLE = CosetTable(2, ((0, 0, 0, 0),))
+_TRACE = SimplifyTrace((_A, _B), (0, 1))
+_RS = RSResult(_TABLE, _P, (_A, _B), _TRACE)
+_STEP = ExtensionStep(_A, 1, ("t",), (_A,))
+_TOWER = IceTower(2, (_STEP,))
+_RETRACTION = Retraction(_P, (_A, _B), (_A, _B))
+_FOUND = RetractionFound(_TABLE, _RS, _RETRACTION, 1)
+_RESULT = SubgroupPresentationResult(_P, (_A, _B), (_A, _B), _FOUND)
+_EMISSION = LimitGroupEmission(_P, _TOWER, (_A, _B), _RESULT)
+_WITNESS = Witness((_A,), "torsion", {"g": _A, "n": 2})
+
+# (class, its fields in order, arguments, arguments that differ in one field)
+VALUE_CLASSES = [
+    (Word, ("ints",), ((1, -2),), ((1, 2),)),
+    (Overflow, ("allocated",), (7,), (8,)),
+    (CosetTable, ("ngens", "rows", "subgens"), (2, ((0, 0, 0, 0),), (_A,)), (2, ((0, 0, 0, 0),))),
+    (RSResult, ("table", "presentation", "gens_ambient", "trace"), (_TABLE, _P, (_A,), _TRACE),
+     (_TABLE, _Q, (_A,), _TRACE)),
+    (FreeGroup, ("names",), (("a", "b"),), (("a", "c"),)),
+    (ExtensionStep, ("g", "n", "names", "basis"), (_A, 1, ("t",), (_A,)), (_A, 2, ("t",), (_A,))),
+    (IceTower, ("base_rank", "steps"), (2, (_STEP,)), (2, ())),
+    (Classification, ("kind", "level", "conjugator"), ("parabolic", 1, _B), ("parabolic", 1, _A)),
+    (LimitGroupEmission, ("presentation", "tower", "s_words", "result"),
+     (_P, _TOWER, (_A, _B), _RESULT), (_P, _TOWER, (_B, _A), _RESULT)),
+    (Presentation, ("names", "relators"), (("a", "b"), (_A,)), (("a", "b"), (_B,))),
+    (SimplifyTrace, ("gen_images", "kept"), ((_A, _B), (0, 1)), ((_A, _B), (1, 0))),
+    (Sentence, ("variables", "equations", "inequations"), (("x", "y"), (_A,), (_B,)),
+     (("x", "y"), (_B,), (_B,))),
+    (Witness, ("elements", "kind", "data"), ((_A,), "torsion", {"g": _A, "n": 2}),
+     ((_A,), "torsion", {"g": _A, "n": 3})),
+    (Limit, ("presentation", "matched", "emission", "report"), (_P, _P, _EMISSION, {}),
+     (_P, _Q, _EMISSION, {})),
+    (NotLimit, ("presentation", "witness", "report"), (_P, _WITNESS, {}), (_Q, _WITNESS, {})),
+    (Unknown, ("presentation", "report"), (_P, {"used": 1}), (_P, {"used": 2})),
+    (Free, ("presentation", "free_presentation", "report"), (_P, _Q, {}), (_Q, _Q, {})),
+    (NotFree, ("presentation", "reason", "witness", "report"), (_P, "torsion", None, {}),
+     (_P, "torsion", _WITNESS, {})),
+    (Retraction, ("k_pres", "y_words", "s_exprs"), (_P, (_A,), (_B,)), (_P, (_A,), (_A,))),
+    (RetractionFound, ("table", "rs", "retraction", "cost"), (_TABLE, _RS, _RETRACTION, 1),
+     (_TABLE, _RS, _RETRACTION, 2)),
+    (SearchExhausted, ("steps",), (5,), (6,)),
+    (IncompleteResult, ("reason",), ("oracle",), ("budget",)),
+    (SubgroupPresentationResult, ("presentation", "gens_in_s", "gens_ambient", "witness"),
+     (_P, (_A,), (_B,), _FOUND), (_P, (_A,), (_A,), _FOUND)),
+    (SubgroupGraph, ("rank", "trans", "words"), (1, ((0, 0),), (_A,)), (1, ((0, 0),), ())),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, args, other", VALUE_CLASSES, ids=[case[0].__name__ for case in VALUE_CLASSES]
+)
+def test_value_class_semantics(cls, fields, args, other):
+    """Equal by class and fields, hashed as the field tuple, shown as
+    Class(field=value, ...), and immutable."""
+    a, b = cls(*args), cls(*args)
+    values = tuple(getattr(a, f) for f in fields)
+    assert a == b and not a != b
+    assert a != cls(*other)
+    assert a.__eq__(values) is NotImplemented
+    assert a != type("Sub", (cls,), {})(*args)
+    try:
+        hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(values)
+    if cls is not Presentation:  # which prints as its text
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, values))
+        assert repr(a) == f"{cls.__qualname__}({shown})"
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(a, fields[0])
+    assert a == b
+
+
+def test_retraction_found_compares_without_its_quotients():
+    a = RetractionFound(_TABLE, _RS, _RETRACTION, 1, {(_A,): "memo"})
+    assert a == _FOUND and hash(a) == hash(_FOUND)
+    assert repr(a) == repr(_FOUND) and "quotients" not in repr(a)
+    assert a.quotients == {(_A,): "memo"} and _FOUND.quotients == {}
