@@ -106,13 +106,6 @@ class IceTower(Value):
         return Lattice([exponent_vector(b, self.rank) for b in self.steps[-1].basis], self.rank)
 
     @cached_property
-    def _edge_spans_lower(self) -> bool:
-        # whether _edge_lattice holds every unit vector of the level below,
-        # and so the exponent vector of every word there
-        lo = self.rank - self.steps[-1].n
-        return all([int(i == j) for j in range(self.rank)] in self._edge_lattice for i in range(lo))
-
-    @cached_property
     def _edge_images(self) -> list[tuple[list[Word], Word, list[int]]]:
         # the retractions of the level below that keep the top step's edge
         # group nontrivial, each with its images, the root r of the edge
@@ -226,9 +219,8 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
     centralizer of a nontrivial g, is the whole level below.  Over a free
     level E is the cyclic group of the basis root.  Higher up, a word
     whose exponent vector is outside the span of the basis vectors is not
-    in E, a test skipped where that span holds every lower vector, and
-    any other is when it commutes with the step's g, decided uncached,
-    since no other path asks."""
+    in E, and any other is when it commutes with the step's g, decided
+    uncached, since no other path asks."""
     if t.base_rank == 1:
         return True
     memo = t._edge_memo
@@ -237,7 +229,7 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
         u = Word(ints)
         if len(t.steps) == 1:
             got = is_power_of(u, t.steps[-1].basis[0]) is not None
-        elif not t._edge_spans_lower and exponent_vector(u, t.rank) not in t._edge_lattice:
+        elif exponent_vector(u, t.rank) not in t._edge_lattice:
             got = False
         else:
             got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)

@@ -54,6 +54,14 @@ def invert_ints(ints: tuple[int, ...]) -> tuple[int, ...]:
 _set = object.__setattr__
 
 
+def _rebuild(cls, state: dict):
+    """The instance of cls that holds state, for copy and pickle."""
+    self = cls.__new__(cls)
+    for name, value in state.items():
+        _set(self, name, value)
+    return self
+
+
 class Value:
     """Base of the package's immutable value classes.
 
@@ -92,6 +100,14 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # every stored slot, including those outside _fields, and the memos
+        state = dict(getattr(self, "__dict__", ()))
+        for name in self.__slots__:
+            if name != "__dict__" and hasattr(self, name):
+                state[name] = getattr(self, name)
+        return _rebuild, (self.__class__, state)
 
 
 class Word(Value):

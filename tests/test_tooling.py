@@ -308,13 +308,18 @@ def test_every_public_name_is_referenced():
 
 
 def _setattr_store(node) -> str | None:
-    """The name that `object.__setattr__(obj, "<name>", value)` stores."""
+    """The name that `object.__setattr__(obj, "<name>", value)`, or its
+    alias `words._set(obj, "<name>", value)`, stores."""
     if (
         isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "__setattr__"
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "object"
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            or isinstance(node.func, ast.Name)
+            and node.func.id == "_set"
+        )
         and len(node.args) == 3
         and isinstance(node.args[1], ast.Constant)
         and isinstance(node.args[1].value, str)
@@ -323,24 +328,40 @@ def _setattr_store(node) -> str | None:
     return None
 
 
+def _value_init_stores(tree: ast.Module) -> set[int]:
+    """The ids of the store calls in the `__init__` of each class that
+    derives from `Value` directly."""
+    return {
+        id(call)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Value" for base in cls.bases)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for call in ast.walk(init)
+        if _setattr_store(call) is not None
+    }
+
+
 def test_every_stored_attribute_is_read():
     """Every `self.<name> = ...` in a class of the package, and every
-    `object.__setattr__(obj, "<name>", ...)` anywhere in it (the memos
-    kept on value classes, such as `Word._canonical`), has a read of
-    `.<name>` somewhere in the package: state that nothing reads lives as
-    long as its object for nothing.  The fields that a `words.Value`
-    subclass stores with `words._set` in its `__init__` are its declared
-    interface and are not counted.  `WordSyntaxError.pos` is exempt, the
-    position that the exception carries to its catcher."""
+    `object.__setattr__(obj, "<name>", ...)` or `_set(obj, "<name>", ...)`
+    anywhere in it (the memos kept on value classes, such as
+    `Word._canonical`), has a read of `.<name>` somewhere in the package:
+    state that nothing reads lives as long as its object for nothing.
+    The fields that a `words.Value` subclass stores in its `__init__` are
+    its declared interface and are not counted.  `WordSyntaxError.pos` is
+    exempt, the position that the exception carries to its catcher."""
     package = pathlib.Path(limitforge.__file__).parent
     stored, loaded = set(), set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text())
+        fields = _value_init_stores(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
             name = _setattr_store(node)
-            if name is not None:
+            if name is not None and id(node) not in fields:
                 stored.add((f"{path.stem}.{name}", name))
             if not isinstance(node, ast.ClassDef):
                 continue

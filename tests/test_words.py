@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -268,6 +271,11 @@ def test_value_class_semantics(cls, fields, args, other):
     with pytest.raises(AttributeError):
         delattr(a, fields[0])
     assert a == b
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a, protocol=0)),
+                 pickle.loads(pickle.dumps(a))):
+        assert twin == a and type(twin) is cls
+        with pytest.raises(AttributeError):
+            setattr(twin, fields[0], values[0])
 
 
 def test_retraction_found_compares_without_its_quotients():
@@ -275,3 +283,16 @@ def test_retraction_found_compares_without_its_quotients():
     assert a == _FOUND and hash(a) == hash(_FOUND)
     assert repr(a) == repr(_FOUND) and "quotients" not in repr(a)
     assert a.quotients == {(_A,): "memo"} and _FOUND.quotients == {}
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin.quotients == {(_A,): "memo"}
+
+
+def test_copies_keep_memos():
+    """A copied value keeps what its `__dict__` held, as the frozen
+    dataclasses did."""
+    w = Word((1, 2))
+    object.__setattr__(w, "_canonical", False)
+    assert pickle.loads(pickle.dumps(w))._canonical is False
+    t = IceTower(2, (_STEP,))
+    assert t.rank == 3
+    assert vars(copy.copy(t))["rank"] == 3 == vars(copy.deepcopy(t))["rank"]
