@@ -28,7 +28,7 @@ from .freegroup import (
     primitive_root,
 )
 from .oracles import WordOracle
-from .presentation import Presentation
+from .presentation import Presentation, abelianization
 from .retracts import (
     RetractionSearch,
     SubgroupAtlas,
@@ -703,13 +703,34 @@ class LimitEnumeration:
     each pair one list, [tower, search, the search's `spent` when its
     share of the round is paid], since the search holds S and the
     oracle.
+
+    With a `target` presentation, only pairs that can emit a group
+    isomorphic to the target, or one with its abelianization, get a
+    search.  Both rules are exact:
+
+    - An S with fewer words than b1, the target's first Betti number,
+      is drawn but opens no search: the group it emits is generated by
+      |S| elements, so its b1 is at most |S|.
+    - When the target has as many generators as its b1 and at least one
+      relator, a tower with no steps is not admitted, though its round
+      is used as for a repeated presentation.  Every subgroup of that
+      tower is free (Nielsen-Schreier), and the target is not: it is a
+      quotient of F_b1 by a nontrivial relator, and F_b1 is Hopfian, so
+      it has no proper quotient isomorphic to itself.
+
+    Every surviving pair gets the same round, steps and retraction as
+    without a target.  `skipped_pairs` and `skipped_towers` count what
+    the rules left out.
     """
 
     S_PER_UNIT = 8
     FRESH_STEPS = 256
     ROUND_STEPS = 64
 
-    def __init__(self):
+    def __init__(self, target: Presentation | None = None):
+        b1 = 0 if target is None else abelianization(target)[0]
+        self._min_words = b1
+        self._free_ok = target is None or not (target.rank == b1 and target.relators)
         self._ice = enumerate_ice()
         self._towers: list[tuple] = []
         self._presented: set[Presentation] = set()
@@ -717,6 +738,8 @@ class LimitEnumeration:
         self._kept: list[list] = []  # pairs of this round still searching
         self.round = 0
         self.steps = 0
+        self.skipped_pairs = 0
+        self.skipped_towers = 0
 
     def _open_round(self) -> None:
         self.round += 1
@@ -727,10 +750,17 @@ class LimitEnumeration:
         t, p = next(self._ice)
         if p not in self._presented:
             self._presented.add(p)
-            self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), _subset_stream(t.rank)))
+            if t.steps or self._free_ok:
+                self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), _subset_stream(t.rank)))
+            else:
+                self.skipped_towers += 1
         for tower, oracle, atlas, subsets in self._towers:
             for _ in range(1 if tower is t else self.S_PER_UNIT):
-                search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
+                s = next(subsets)
+                if len(s) < self._min_words:
+                    self.skipped_pairs += 1
+                    continue
+                search = RetractionSearch(atlas.p, s, oracle, atlas)
                 self._todo.append([tower, search, self.FRESH_STEPS])
 
     def next_round(self, limit: int | None = None) -> list[LimitGroupEmission]:

@@ -504,10 +504,11 @@ class _Expansion(Metered):
 class _MatchBranch:
     """Walks the limit-group enumeration hunting the target presentation.
 
-    Every emission is checked directly for a renaming match; emissions
-    whose abelianization invariants agree with the target also spawn a
-    Tietze expander, and the expanders are advanced round-robin with
-    the leftover allowance of each slice.
+    The enumeration is given the target, so it opens only the pairs that
+    can emit it.  Every emission is checked directly for a renaming
+    match; emissions whose abelianization invariants agree with the
+    target also spawn a Tietze expander, and the expanders are advanced
+    round-robin with the leftover allowance of each slice.
     """
 
     def __init__(self, target: Presentation):
@@ -516,7 +517,7 @@ class _MatchBranch:
         except NormalizeCapError:
             self._key = None
         self._ab = abelianization(target)
-        self.enum = LimitEnumeration()
+        self.enum = LimitEnumeration(target)
         self.expansion = _Expansion(self._match)
         self._seen: set[Presentation] = set()
         self.emissions = 0
@@ -580,6 +581,8 @@ def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict
             "expanders": len(a.expansion.expanders),
             "expanded": a.expansion.spent // a.expansion.price,
             "matchable": a.matchable,
+            "skipped_pairs": a.enum.skipped_pairs,
+            "skipped_towers": a.enum.skipped_towers,
         }
     return out
 

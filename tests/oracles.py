@@ -1023,7 +1023,9 @@ class MatchBranchLoop:
         except NormalizeCapError:
             self._key = None
         self._ab = abelianization(target)
-        self.enum = LimitEnumeration()
+        # the same target-filtered stream as the branch, so the two
+        # compare the meter and the expander loop, not the filters
+        self.enum = LimitEnumeration(target)
         self._expanders = []
         self._seen = set()
         self._cursor = 0

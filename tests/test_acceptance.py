@@ -322,14 +322,14 @@ def test_criterion_09(recognition_runs):
 # exact steps each corpus row spends; a reordered table or candidate
 # stream shows here even when every verdict stays the same
 RECOGNITION_STEPS = {
-    "F1": 171,
-    "F2": 421,
-    "Z^2": 823,
-    "Z^3": 39_540,
-    "height-one tower": 97_836,
+    "F1": 167,
+    "F2": 346,
+    "Z^2": 439,
+    "Z^3": 4219,
+    "height-one tower": 16_304,
     "Z/2": 4,
-    "F2 x Z": 441,
-    "Klein bottle": 16,
+    "F2 x Z": 273,
+    "Klein bottle": 14,
     "genus 2 surface": 100_000,
 }
 

@@ -96,7 +96,7 @@ def test_recognize_json_is_deterministic_and_parseable(capsys, grp):
 
 def test_budget_env_and_flag(capsys, grp, monkeypatch):
     path = grp("z2.grp", "< a, b | [a,b] >")
-    monkeypatch.setenv("LIMITFORGE_BUDGET", "500")
+    monkeypatch.setenv("LIMITFORGE_BUDGET", "300")
     code, out, _ = run(capsys, "recognize", "--pres", path, "--oracle", "builtin:abelian")
     assert code == 2
     assert out.splitlines()[0] == "Unknown"

@@ -1,5 +1,6 @@
 """Enumeration streams: towers, and limit-group presentations from them."""
 
+import functools
 import itertools
 
 import pytest
@@ -11,7 +12,13 @@ from limitforge.ice import (
     presentation_of,
     tower_to_json,
 )
-from limitforge.presentation import abelianization, normalize_key, parse, serialize
+from limitforge.presentation import (
+    abelianization,
+    normalize_key,
+    parse,
+    serialize,
+    tietze_simplify,
+)
 from oracles import LimitEnumerationReference, present_from_retraction_reference
 
 
@@ -116,13 +123,15 @@ def test_sliced_rounds_match_whole_rounds(limit):
 
 
 def _emissions_by_round(enum, last):
-    """Emissions (presentation, tower, S) of each round through `last`,
-    the tower written as its JSON string."""
+    """Emissions of each round through `last`, with the retraction each
+    came from: (presentation, tower, S, retraction images)."""
     rounds = []
     while enum.round < last:
-        got = enum.next_round()
         rounds.append(
-            [(e.presentation, str(tower_to_json(e.tower)), e.s_words) for e in got]
+            [
+                (e.presentation, e.tower, e.s_words, e.result.witness.retraction.rho_images())
+                for e in enum.next_round()
+            ]
         )
     return rounds
 
@@ -136,11 +145,10 @@ def test_repeated_presentations_lose_no_emission():
     last = 10
     first_tower, repeated = {}, {}  # presentation -> its first tower; tower -> that
     for t, p in itertools.islice(enumerate_ice(), last):
-        tower = str(tower_to_json(t))
         if p in first_tower:
-            repeated[tower] = first_tower[p]
+            repeated[t] = first_tower[p]
         else:
-            first_tower[p] = tower
+            first_tower[p] = t
     assert len(repeated) == 4  # towers 4, 7, 8 and 9
     got = _emissions_by_round(LimitEnumeration(), last)
     ref = _emissions_by_round(LimitEnumerationReference(), last)
@@ -149,9 +157,9 @@ def test_repeated_presentations_lose_no_emission():
     for got_round, ref_round in zip(got, ref, strict=True):
         assert got_round == [e for e in ref_round if e[1] not in repeated]
         emitted.update(got_round)
-        for p, tower, s in ref_round:
+        for p, tower, s, images in ref_round:
             if tower in repeated:
-                assert (p, repeated[tower], s) in emitted
+                assert (p, repeated[tower], s, images) in emitted
                 dropped += 1
     assert dropped > 0
 
@@ -176,3 +184,74 @@ def test_emissions_match_unmemoized_presentations():
         assert e.result.gens_ambient == want.gens_ambient
     # the memo was read: fewer quotients were built than emitted
     assert sum(map(len, memos.values())) < len(emissions)
+
+
+# --- the target filters -------------------------------------------------------
+
+FILTER_TARGETS = {
+    "F2": "< a, b | >",
+    "Z3": "< a, b, c | [a,b], [a,c], [b,c] >",
+    "tower1": "< a, b, t | [a,t] >",
+    "genus2": "< a, b, c, d | [a,b]*[c,d]^-1 >",
+}
+FILTER_ROUNDS = 20
+
+
+@functools.cache
+def _unfiltered_rounds():
+    enum = LimitEnumeration()
+    rounds = _emissions_by_round(enum, FILTER_ROUNDS)
+    assert enum.skipped_pairs == enum.skipped_towers == 0
+    return rounds
+
+
+@pytest.mark.parametrize("name", FILTER_TARGETS)
+def test_target_filters_drop_only_pairs_that_cannot_emit_the_target(name):
+    """With a target, each round emits exactly what the unfiltered stream
+    emits in that round from the surviving pairs, in the same order and
+    from the same retractions.  A dropped emission comes from an S with
+    fewer words than b1(target), and has b1 at most |S|, or from a tower
+    with no steps, skipped for a target that is not free."""
+    target, _ = tietze_simplify(parse(FILTER_TARGETS[name]))
+    b1 = abelianization(target)[0]
+    no_free_towers = target.rank == b1 and bool(target.relators)
+    enum = LimitEnumeration(target)
+    got = _emissions_by_round(enum, FILTER_ROUNDS)
+    by_rule = [0, 0]
+    for got_round, ref_round in zip(got, _unfiltered_rounds(), strict=True):
+        kept = []
+        for e in ref_round:
+            presentation, tower, s, _ = e
+            if len(s) < b1:
+                assert abelianization(presentation)[0] <= len(s)
+                by_rule[0] += 1
+            elif no_free_towers and not tower.steps:
+                by_rule[1] += 1
+            else:
+                kept.append(e)
+        assert got_round == kept
+    assert by_rule[0] > 0 and enum.skipped_pairs > 0
+    assert (by_rule[1] > 0) == (enum.skipped_towers > 0) == no_free_towers
+
+
+def _free_towers(n):
+    return sum(not t.steps for t, _ in take_towers(n))
+
+
+@pytest.mark.parametrize(
+    "text, fires",
+    [
+        ("< a, b | [a,b] >", True),  # Z^2: rank = b1 = 2, one relator
+        ("< a, b | >", False),  # F2: no relator
+        ("< a, b | b*a*b^-1*a >", False),  # Klein bottle: b1 = 1 < rank 2
+    ],
+)
+def test_free_towers_are_skipped_only_for_non_free_targets(text, fires):
+    """A tower with no steps is skipped exactly when the target has as
+    many generators as its b1 and a relator; its round is still used."""
+    enum = LimitEnumeration(parse(text))
+    emitted_free = False
+    while enum.round < 6:
+        emitted_free |= any(not e.tower.steps for e in enum.next_round())
+    assert enum.skipped_towers == (_free_towers(6) if fires else 0)
+    assert emitted_free is not fires

@@ -609,22 +609,26 @@ def test_pinched_validates_second_factor_letters():
 # --- whole reports, and the meter against the loops it replaced -------------
 
 # verdict and report of each CORPUS row at the CLI default budget, and of
-# recognize_free on genus two with the pinched oracle at two budgets, as
-# taken before the resumable searches shared one meter
+# recognize_free on genus two with the pinched oracle at two budgets.  The
+# recognize_free rows were taken before the resumable searches shared one
+# meter; the CORPUS rows since the enumeration skips the pairs and towers
+# that cannot emit the target
 RECOGNITION_REPORTS = {
     "free rank 1": (
         "Limit",
         {
             "budget": 10_000_000,
-            "used": 171,
+            "used": 167,
             "certify": {"spent": 128, "candidates": 40, "max_cost": 4},
             "enumeration": {
                 "rounds": 2,
-                "steps": 43,
-                "emissions": 2,
+                "steps": 39,
+                "emissions": 1,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 2,
+                "skipped_towers": 0,
             },
         },
     ),
@@ -632,15 +636,17 @@ RECOGNITION_REPORTS = {
         "Limit",
         {
             "budget": 10_000_000,
-            "used": 421,
+            "used": 346,
             "certify": {"spent": 253, "candidates": 91, "max_cost": 3},
             "enumeration": {
                 "rounds": 3,
-                "steps": 168,
-                "emissions": 24,
+                "steps": 93,
+                "emissions": 12,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 13,
+                "skipped_towers": 0,
             },
         },
     ),
@@ -648,15 +654,17 @@ RECOGNITION_REPORTS = {
         "Limit",
         {
             "budget": 10_000_000,
-            "used": 823,
-            "certify": {"spent": 385, "candidates": 135, "max_cost": 3},
+            "used": 439,
+            "certify": {"spent": 379, "candidates": 133, "max_cost": 3},
             "enumeration": {
                 "rounds": 4,
-                "steps": 430,
-                "emissions": 49,
-                "expanders": 1,
-                "expanded": 1,
+                "steps": 60,
+                "emissions": 2,
+                "expanders": 0,
+                "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 5,
+                "skipped_towers": 2,
             },
         },
     ),
@@ -664,15 +672,17 @@ RECOGNITION_REPORTS = {
         "Limit",
         {
             "budget": 10_000_000,
-            "used": 39_540,
-            "certify": {"spent": 18_148, "candidates": 4711, "max_cost": 4},
+            "used": 4219,
+            "certify": {"spent": 1964, "candidates": 665, "max_cost": 4},
             "enumeration": {
                 "rounds": 14,
-                "steps": 21_392,
-                "emissions": 448,
+                "steps": 2255,
+                "emissions": 10,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 187,
+                "skipped_towers": 4,
             },
         },
     ),
@@ -680,15 +690,17 @@ RECOGNITION_REPORTS = {
         "Limit",
         {
             "budget": 10_000_000,
-            "used": 97_836,
-            "certify": {"spent": 45_384, "candidates": 10_572, "max_cost": 5},
+            "used": 16_304,
+            "certify": {"spent": 7808, "candidates": 2126, "max_cost": 4},
             "enumeration": {
                 "rounds": 19,
-                "steps": 52_452,
-                "emissions": 715,
-                "expanders": 2,
-                "expanded": 0,
+                "steps": 8448,
+                "emissions": 41,
+                "expanders": 1,
+                "expanded": 6,
                 "matchable": True,
+                "skipped_pairs": 297,
+                "skipped_towers": 4,
             },
         },
     ),
@@ -705,6 +717,8 @@ RECOGNITION_REPORTS = {
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 0,
+                "skipped_towers": 0,
             },
         },
     ),
@@ -712,15 +726,17 @@ RECOGNITION_REPORTS = {
         "NotLimit",
         {
             "budget": 10_000_000,
-            "used": 441,
+            "used": 273,
             "certify": {"spent": 273, "candidates": 105, "max_cost": 3},
             "enumeration": {
                 "rounds": 3,
-                "steps": 168,
-                "emissions": 27,
+                "steps": 0,
+                "emissions": 0,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 1,
+                "skipped_towers": 2,
             },
         },
     ),
@@ -728,15 +744,17 @@ RECOGNITION_REPORTS = {
         "NotLimit",
         {
             "budget": 10_000_000,
-            "used": 16,
+            "used": 14,
             "certify": {"spent": 14, "candidates": 7, "max_cost": 2},
             "enumeration": {
                 "rounds": 1,
-                "steps": 2,
-                "emissions": 1,
+                "steps": 0,
+                "emissions": 0,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 1,
+                "skipped_towers": 0,
             },
         },
     ),
@@ -745,14 +763,16 @@ RECOGNITION_REPORTS = {
         {
             "budget": 100_000,
             "used": 100_000,
-            "certify": {"spent": 47_548, "candidates": 12_291, "max_cost": 4},
+            "certify": {"spent": 53_972, "candidates": 13_897, "max_cost": 4},
             "enumeration": {
-                "rounds": 19,
-                "steps": 52_452,
-                "emissions": 767,
+                "rounds": 93,
+                "steps": 46_028,
+                "emissions": 132,
                 "expanders": 0,
                 "expanded": 0,
                 "matchable": True,
+                "skipped_pairs": 7084,
+                "skipped_towers": 5,
             },
         },
     ),
