@@ -21,13 +21,10 @@ def _inv(s: int) -> int:
     return s ^ 1
 
 
-class Overflow(Value):
+class Overflow:
     """Coset limit hit; the index may still be finite or infinite."""
 
-    __slots__ = ("allocated",)
-
-    def __init__(self, allocated: int):
-        _set(self, "allocated", allocated)
+    __slots__ = ()
 
 
 class CosetTable(Value):
@@ -283,7 +280,7 @@ def todd_coxeter(p: Presentation, subgens, max_cosets: int = 100000):
                     eng.define(c, s)
             eng.process_coincidences()
     except _OverflowSignal:
-        return Overflow(len(eng.table))
+        return Overflow()
 
     live = [c for c in range(len(eng.table)) if eng.find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
@@ -395,15 +392,6 @@ def subgroups_of_index(p: Presentation, n: int):
 
 # ---------------------------------------------------------------------------
 # Reidemeister-Schreier
-
-
-def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
-    """Express w over the raw Schreier generators, or None if w moves the
-    base coset."""
-    if not t.is_complete():
-        raise ValueError("rewriting needs a complete table")
-    end, expr = t.schreier.walk(0, w)
-    return expr if end == 0 else None
 
 
 class RSResult(Value):

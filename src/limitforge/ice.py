@@ -8,7 +8,9 @@ abelian side, which yields a total word problem, an element
 classification (conjugate into a noncyclic maximal abelian subgroup or
 not), and centralizer bases.  On top of those sit two fair streams:
 all towers, and presentations of all finitely generated subgroups of
-tower groups.
+tower groups.  The streams import presentations, oracles and the
+retraction search where they use them, so the tower engine loads
+without those modules.
 """
 
 from __future__ import annotations
@@ -27,14 +29,6 @@ from .freegroup import (
     is_power_of,
     primitive_root,
 )
-from .oracles import WordOracle
-from .presentation import Presentation, abelianization
-from .retracts import (
-    RetractionSearch,
-    SubgroupAtlas,
-    SubgroupPresentationResult,
-    present_from_retraction,
-)
 from .words import (
     EMPTY,
     Value,
@@ -46,7 +40,6 @@ from .words import (
     reduce_ints,
     validate_word,
     words_of_length,
-    words_upto,
 )
 
 _EXT_POOL = "tuvwxyz"
@@ -142,6 +135,8 @@ def tower_names(t: IceTower) -> tuple[str, ...]:
 
 def presentation_of(t: IceTower) -> Presentation:
     """Amalgam presentation: new generators commute with the step basis."""
+    from .presentation import Presentation
+
     relators = []
     offset = t.base_rank
     for step in t.steps:
@@ -266,6 +261,8 @@ def wp_ice(t: IceTower, w: Word) -> bool:
 
 
 def ice_oracle(t: IceTower) -> WordOracle:
+    from .oracles import WordOracle
+
     return WordOracle(lambda w: wp_ice(t, w), True, "ice")
 
 
@@ -648,10 +645,11 @@ def _subset_stream(rank: int):
     descending (many short generators before few long ones), then pool
     order."""
     yield ()
+    pool: list[Word] = []
     total = 0
     while True:
         total += 1
-        pool = [w for w in words_upto(rank, total) if w.ints]
+        pool.extend(words_of_length(rank, total))
         for count in range(total, 0, -1):
             yield from _pick_words(pool, 0, count, total)
 
@@ -728,6 +726,8 @@ class LimitEnumeration:
     ROUND_STEPS = 64
 
     def __init__(self, target: Presentation | None = None):
+        from .presentation import abelianization
+
         b1 = 0 if target is None else abelianization(target)[0]
         self._min_words = b1
         self._free_ok = target is None or not (target.rank == b1 and target.relators)
@@ -742,6 +742,8 @@ class LimitEnumeration:
         self.skipped_towers = 0
 
     def _open_round(self) -> None:
+        from .retracts import RetractionSearch, SubgroupAtlas
+
         self.round += 1
         for pair in self._kept:
             pair[2] += self.ROUND_STEPS
@@ -770,6 +772,8 @@ class LimitEnumeration:
         the middle of a pair if need be; the rest of the round stays
         pending, and the next call finishes it before opening another.
         """
+        from .retracts import SubgroupPresentationResult, present_from_retraction
+
         if not self._todo:
             self._open_round()
         out: list[LimitGroupEmission] = []

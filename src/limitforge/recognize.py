@@ -140,17 +140,13 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
 # Witnesses
 
 
-_SCHEMAS = ("torsion", "inversion", "commutation-transitivity")
-
-
 class Witness(Value):
     """Finitely many wp-nontrivial elements that cannot all survive a
     homomorphism to a free group, given the presented relations.
 
     `data` holds the certificate backing the kind: a, b, c for
     commutation transitivity, g and the exponent n for torsion, g and
-    the conjugator h for inversion.  External witnesses carry a
-    "schema" entry naming which of the three shapes justifies them.
+    the conjugator h for inversion.
     """
 
     __slots__ = ("elements", "kind", "data")
@@ -165,8 +161,6 @@ def _witness_checks(w: Witness):
     """The (must-be-trivial, must-be-nontrivial) word lists for a witness."""
     kind = w.kind
     data = w.data
-    if kind == "external":
-        kind = data.get("schema")
     if kind == "torsion":
         g, n = data["g"], data["n"]
         if n < 2:
@@ -215,25 +209,6 @@ def check_witness(p: Presentation, wp: WordOracle, w: Witness):
         elif v is not False:
             return False
     return out
-
-
-def external_witness(p: Presentation, wp: WordOracle, schema: str, **data) -> Witness:
-    """Wrap user-supplied certificate data as a witness.
-
-    The justification must fit one of the shipped schemas; the premises
-    are checked against wp and the claim is cross-checked by bounded
-    refutation before the witness is accepted.
-    """
-    if schema not in _SCHEMAS:
-        raise ValueError(f"unknown schema {schema!r}")
-    probe = Witness((), "external", {"schema": schema, **data})
-    _, nontriv = _witness_checks(probe)
-    w = Witness(tuple(nontriv), "external", {"schema": schema, **data})
-    if check_witness(p, wp, w) is not True:
-        raise ValueError("certificate data fails its word-problem checks")
-    if refute_sentence(witness_sentence(p, w), _CROSSCHECK_BOUND) is not None:
-        raise ValueError("certificate is refuted over the free group")
-    return w
 
 
 class CertifySearch(Metered):

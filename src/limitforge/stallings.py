@@ -20,14 +20,11 @@ from .words import Value, Word, _set
 class SubgroupGraph(Value):
     """A folded graph: a coset table whose rows may miss edges (None)."""
 
-    __slots__ = ("rank", "trans", "words", "__dict__")
+    __slots__ = ("rank", "trans", "__dict__")
 
-    def __init__(
-        self, rank: int, trans: tuple[tuple[int | None, ...], ...], words: tuple[Word, ...]
-    ):
+    def __init__(self, rank: int, trans: tuple[tuple[int | None, ...], ...]):
         _set(self, "rank", rank)
         _set(self, "trans", trans)
-        _set(self, "words", words)
 
     @cached_property
     def schreier(self) -> SchreierTree:
@@ -55,7 +52,7 @@ def fold(rank: int, words) -> SubgroupGraph:
     live = [c for c in range(len(eng.table)) if eng.find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
     rows = [[renum.get(eng.get(c, s)) for s in range(eng.n2)] for c in live]
-    return SubgroupGraph(rank, _standardize(rank, rows), words)
+    return SubgroupGraph(rank, _standardize(rank, rows))
 
 
 def basis_of(g: SubgroupGraph) -> tuple[Word, ...]:

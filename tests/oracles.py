@@ -7,7 +7,8 @@ test, so agreement is evidence rather than tautology.  The word-kernel
 references at the end use only Word arithmetic, except the tower
 syllable reduction, which keeps the tower word problem for its edge
 tests.  The Stallings folder shares only the breadth-first renumbering
-with the package.  The Tietze-expansion references at the end keep the
+with the package; the subgroup rewriting reference takes only the
+Schreier basis of the table from it.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
@@ -27,7 +28,7 @@ import math
 import random
 from collections import deque
 
-from limitforge.coset import _standardize
+from limitforge.coset import CosetTable, _standardize
 from limitforge.freegroup import FreeGroup, eval_hom
 from limitforge.ice import LimitEnumeration, _subset_stream, _wp, ice_oracle
 from limitforge.presentation import (
@@ -69,6 +70,7 @@ from limitforge.words import (
     invert_ints,
     reduce_ints,
     slot,
+    unslot,
     words_of_length,
     words_upto,
 )
@@ -604,7 +606,37 @@ def fold_reference(rank: int, words) -> SubgroupGraph:
     for v, row in live.items():
         for s, t in row.items():
             rows[ids[v]][s] = ids[t]
-    return SubgroupGraph(rank, _standardize(rank, rows), words)
+    return SubgroupGraph(rank, _standardize(rank, rows))
+
+
+def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
+    """Express w over the table's Schreier basis, or None if w moves the
+    base coset.  Letter by letter, the path of w from coset 0 is the
+    product of the words rep(v) * x * rep(v.x)^-1, where rep(v) is the
+    breadth-first tree word of coset v; each is empty (a tree edge) or a
+    basis word or its inverse."""
+    if not t.is_complete():
+        raise ValueError("rewriting needs a complete table")
+    reps = {0: EMPTY}
+    bfs = deque([0])
+    while bfs:
+        v = bfs.popleft()
+        for s, d in enumerate(t.rows[v]):
+            if d not in reps:
+                reps[d] = reps[v] * Word((unslot(s),))
+                bfs.append(d)
+    letter = {}
+    for i, b in enumerate(t.schreier.basis):
+        letter[b.ints] = i + 1
+        letter[b.inv().ints] = -(i + 1)
+    v, out = 0, []
+    for x in w.ints:
+        d = t.rows[v][slot(x)]
+        g = reps[v] * Word((x,)) * reps[d].inv()
+        if g.ints:
+            out.append(letter[g.ints])
+        v = d
+    return Word.make(out) if v == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from limitforge.coset import (
     CosetTable,
     Overflow,
     low_index,
-    rewrite_in_subgroup,
     rs_presentation,
     subgroups_of_index,
     todd_coxeter,
@@ -19,7 +18,7 @@ from limitforge.presentation import parse
 from limitforge.stallings import basis_of, fold, member
 from limitforge.words import Word
 
-from oracles import FINITE_CORPUS, hall_counts, perm_group_order
+from oracles import FINITE_CORPUS, hall_counts, perm_group_order, rewrite_in_subgroup
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")

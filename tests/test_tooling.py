@@ -95,6 +95,32 @@ def test_package_imports_lean():
     assert not added & {"dataclasses", "inspect", "subprocess", "select", "atexit"}
 
 
+def test_tower_engine_loads_without_the_enumeration():
+    """The tower word problem and centralizers need only `words`,
+    `freegroup` and `abelian`; the enumeration's modules load when an
+    enumeration runs, so a call that only decides tower words compiles
+    none of them."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "from limitforge.ice import centralizer_ice, tower_from_json, wp_ice\n"
+        "from limitforge.words import Word, commutator\n"
+        "t = tower_from_json({'base_rank': 2, 'steps': [{'g': 'a', 'n': 1}]})\n"
+        "a, b, t3 = Word((1,)), Word((2,)), Word((3,))\n"
+        "assert wp_ice(t, commutator(a, t3)) is True\n"
+        "assert wp_ice(t, commutator(b, t3)) is False\n"
+        "assert len(centralizer_ice(t, a)) == 2\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('limitforge'))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "limitforge.ice" in loaded
+    enumeration = {"limitforge." + m for m in ("presentation", "coset", "oracles", "retracts")}
+    assert not loaded & enumeration, sorted(loaded & enumeration)
+
+
 def test_recognition_budgets_script_runs():
     script = ROOT / "scripts" / "recognition_budgets.py"
     out = subprocess.run(
@@ -260,8 +286,6 @@ ENTRY_POINTS = {
     "stallings.member",
     "stallings.graph_rank_index",
     "ice.enumerate_limit_groups",
-    "recognize.external_witness",
-    "coset.rewrite_in_subgroup",
     "recognize.Limit.reverify",
     "recognize.NotLimit.reverify",
 }

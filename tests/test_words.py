@@ -4,7 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitforge.coset import CosetTable, Overflow, RSResult
+from limitforge.coset import CosetTable, RSResult
 from limitforge.freegroup import FreeGroup
 from limitforge.ice import Classification, ExtensionStep, IceTower, LimitGroupEmission
 from limitforge.presentation import Presentation, SimplifyTrace
@@ -209,7 +209,6 @@ _WITNESS = Witness((_A,), "torsion", {"g": _A, "n": 2})
 # (class, its fields in order, arguments, arguments that differ in one field)
 VALUE_CLASSES = [
     (Word, ("ints",), ((1, -2),), ((1, 2),)),
-    (Overflow, ("allocated",), (7,), (8,)),
     (CosetTable, ("ngens", "rows", "subgens"), (2, ((0, 0, 0, 0),), (_A,)), (2, ((0, 0, 0, 0),))),
     (RSResult, ("table", "presentation", "gens_ambient", "trace"), (_TABLE, _P, (_A,), _TRACE),
      (_TABLE, _Q, (_A,), _TRACE)),
@@ -239,7 +238,7 @@ VALUE_CLASSES = [
     (IncompleteResult, ("reason",), ("oracle",), ("budget",)),
     (SubgroupPresentationResult, ("presentation", "gens_in_s", "gens_ambient", "witness"),
      (_P, (_A,), (_B,), _FOUND), (_P, (_A,), (_A,), _FOUND)),
-    (SubgroupGraph, ("rank", "trans", "words"), (1, ((0, 0),), (_A,)), (1, ((0, 0),), ())),
+    (SubgroupGraph, ("rank", "trans"), (1, ((0, 0),)), (1, ((None, None),))),
 ]
 
 
