@@ -15,7 +15,7 @@ from collections import deque
 from functools import cached_property
 
 from .presentation import Presentation, SimplifyTrace, substitute, tietze_simplify
-from .words import Value, Word, _set, slot, unslot
+from .words import EMPTY, Value, Word, _set, slot, unslot
 
 def _inv(s: int) -> int:
     return s ^ 1
@@ -71,39 +71,36 @@ class SchreierTree:
     grows from vertex 0 scanning slots ascending, and reps[v] is the tree
     word from 0 to v.  The non-tree positive edges, ordered by (slot,
     vertex), number the Schreier basis: the i-th is (v, s), and basis[i]
-    is the ambient word reps[v] * s * reps[trans[v][s]]^-1.
+    is the ambient word reps[v] * s * reps[trans[v][s]]^-1.  `walk` reads
+    only the edge numbers; `basis` is built the first time it is read.
     """
 
     def __init__(self, trans, rank: int):
         self.trans = trans
-        n2 = 2 * rank
-        reps: list[Word | None] = [None] * len(trans)
-        reps[0] = Word()
         tree: set[tuple[int, int]] = set()
-        bfs = deque([0])
-        while bfs:
-            v = bfs.popleft()
-            for s in range(n2):
-                d = trans[v][s]
-                if d is not None and reps[d] is None:
-                    reps[d] = reps[v] * Word((unslot(s),))
-                    tree.add((v, s))
-                    tree.add((d, _inv(s)))
-                    bfs.append(d)
-        edges = [
-            (v, s)
-            for s in range(0, n2, 2)
-            for v in range(len(trans))
-            if trans[v][s] is not None and (v, s) not in tree
-        ]
-        self.basis = tuple(
-            reps[v] * Word((unslot(s),)) * reps[trans[v][s]].inv() for v, s in edges
-        )
+        for v, s, d in _tree_edges(trans):
+            tree.update(((v, s), (d, _inv(s))))
         # basis letter of each non-tree edge, read in either direction
         self._letter: dict[tuple[int, int], int] = {}
-        for i, (v, s) in enumerate(edges):
-            self._letter[(v, s)] = i + 1
-            self._letter[(trans[v][s], _inv(s))] = -(i + 1)
+        i = 0
+        for s in range(0, 2 * rank, 2):
+            for v, row in enumerate(trans):
+                if row[s] is not None and (v, s) not in tree:
+                    i += 1
+                    self._letter[(v, s)] = i
+                    self._letter[(row[s], _inv(s))] = -i
+
+    @cached_property
+    def basis(self) -> tuple[Word, ...]:
+        trans = self.trans
+        reps = [EMPTY] * len(trans)
+        for v, s, d in _tree_edges(trans):
+            reps[d] = reps[v] * Word((unslot(s),))
+        return tuple(
+            reps[v] * Word((unslot(s),)) * reps[trans[v][s]].inv()
+            for (v, s), i in self._letter.items()
+            if i > 0
+        )
 
     def walk(self, v: int, w: Word):
         """Follow w from vertex v.
@@ -124,24 +121,29 @@ class SchreierTree:
         return v, Word.make(out)
 
 
-def _standardize(ngens: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Renumber cosets in BFS order from 0, slots ascending."""
-    n2 = 2 * ngens
-    order = {0: 0}
+def _tree_edges(trans):
+    """The breadth-first tree's edges (v, s, d), trans[v][s] = d, in the
+    order the tree takes them."""
+    seen = {0}
     bfs = deque([0])
     while bfs:
-        c = bfs.popleft()
-        for s in range(n2):
-            d = rows[c][s]
-            if d is not None and d not in order:
-                order[d] = len(order)
+        v = bfs.popleft()
+        for s, d in enumerate(trans[v]):
+            if d is not None and d not in seen:
+                seen.add(d)
                 bfs.append(d)
-    out = [[None] * n2 for _ in order]
+                yield v, s, d
+
+
+def _standardize(rows) -> tuple[tuple[int, ...], ...]:
+    """Renumber cosets in BFS order from 0, slots ascending."""
+    order = {0: 0}
+    for _, _, d in _tree_edges(rows):
+        order[d] = len(order)
+    out = [()] * len(order)
     for c, row in enumerate(rows):
-        for s in range(n2):
-            if row[s] is not None:
-                out[order[c]][s] = order[row[s]]
-    return tuple(tuple(r) for r in out)
+        out[order[c]] = tuple([None if d is None else order[d] for d in row])
+    return tuple(out)
 
 
 class _OverflowSignal(Exception):
@@ -287,7 +289,7 @@ def todd_coxeter(p: Presentation, subgens, max_cosets: int = 100000):
     rows = [
         [renum[eng.get(c, s)] for s in range(eng.n2)] for c in live
     ]
-    rows = _standardize(p.rank, rows)
+    rows = _standardize(rows)
     table = CosetTable(p.rank, rows, subgens)
     _assert_valid(p, table)
     return table

@@ -640,16 +640,18 @@ def _towers_rec(t: IceTower, rem: int):
                 yield from _towers_rec(extend_centralizer(t, g, n), rem - s)
 
 
-def _subset_stream(rank: int):
+def _subset_stream(rank: int, pool: list[Word]):
     """All finite sets of nonempty words, by total length, then count
     descending (many short generators before few long ones), then pool
-    order."""
+    order.  The streams of one rank may share `pool`: a stream extends it
+    only by a length it lacks, and `_pick_words` stops at the first word
+    too long, so what another stream adds never changes what this yields."""
     yield ()
-    pool: list[Word] = []
     total = 0
     while True:
         total += 1
-        pool.extend(words_of_length(rank, total))
+        if not pool or len(pool[-1].ints) < total:
+            pool.extend(words_of_length(rank, total))
         for count in range(total, 0, -1):
             yield from _pick_words(pool, 0, count, total)
 
@@ -700,7 +702,7 @@ class LimitEnumeration:
     tower keeps one record, (tower, oracle, atlas, subset stream), and
     each pair one list, [tower, search, the search's `spent` when its
     share of the round is paid], since the search holds S and the
-    oracle.
+    oracle.  The subset streams of one rank share one word pool.
 
     With a `target` presentation, only pairs that can emit a group
     isomorphic to the target, or one with its abelianization, get a
@@ -734,6 +736,7 @@ class LimitEnumeration:
         self._ice = enumerate_ice()
         self._towers: list[tuple] = []
         self._presented: set[Presentation] = set()
+        self._pools: dict[int, list[Word]] = {}  # rank -> subset-stream pool
         self._todo: deque[list] = deque()  # pairs yet to run this round
         self._kept: list[list] = []  # pairs of this round still searching
         self.round = 0
@@ -753,7 +756,8 @@ class LimitEnumeration:
         if p not in self._presented:
             self._presented.add(p)
             if t.steps or self._free_ok:
-                self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), _subset_stream(t.rank)))
+                subsets = _subset_stream(t.rank, self._pools.setdefault(t.rank, []))
+                self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), subsets))
             else:
                 self.skipped_towers += 1
         for tower, oracle, atlas, subsets in self._towers:

@@ -485,21 +485,18 @@ class IncompleteResult(Value):
 class SubgroupPresentationResult(Value):
     """Presentation of the subgroup generated by S, with correspondences.
 
-    gens_in_s[j]: output generator j over the abstract S alphabet;
-    gens_ambient[j]: the same generator as an ambient word.
+    gens_ambient[j]: output generator j as an ambient word.
     """
 
-    __slots__ = ("presentation", "gens_in_s", "gens_ambient", "witness")
+    __slots__ = ("presentation", "gens_ambient", "witness")
 
     def __init__(
         self,
         presentation: Presentation,
-        gens_in_s: tuple[Word, ...],
         gens_ambient: tuple[Word, ...],
         witness: RetractionFound,
     ):
         _set(self, "presentation", presentation)
-        _set(self, "gens_in_s", gens_in_s)
         _set(self, "gens_ambient", gens_ambient)
         _set(self, "witness", witness)
 
@@ -555,6 +552,5 @@ def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle)
         out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
         got = found.quotients[images] = (out, trace.kept)
     out, kept = got
-    gens_in_s = tuple(found.retraction.y_words[k] for k in kept)
-    gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
-    return SubgroupPresentationResult(out, gens_in_s, gens_ambient, found)
+    gens = tuple(substitute(found.retraction.y_words[k], s_words) for k in kept)
+    return SubgroupPresentationResult(out, gens, found)

@@ -52,7 +52,7 @@ def fold(rank: int, words) -> SubgroupGraph:
     live = [c for c in range(len(eng.table)) if eng.find(c) == c]
     renum = {c: i for i, c in enumerate(live)}
     rows = [[renum.get(eng.get(c, s)) for s in range(eng.n2)] for c in live]
-    return SubgroupGraph(rank, _standardize(rank, rows))
+    return SubgroupGraph(rank, _standardize(rows))
 
 
 def basis_of(g: SubgroupGraph) -> tuple[Word, ...]:

@@ -47,7 +47,7 @@ def concat(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def invert_ints(ints: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-x for x in reversed(ints))
+    return tuple([-x for x in ints[::-1]])
 
 
 # how a Value's __init__ stores each field, past the __setattr__ that raises
@@ -146,8 +146,6 @@ class Word(Value):
         return Word(invert_ints(self.ints))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
         base = self.ints if n > 0 else invert_ints(self.ints)
         return Word(reduce_ints(base * abs(n)))
 

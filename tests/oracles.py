@@ -606,7 +606,32 @@ def fold_reference(rank: int, words) -> SubgroupGraph:
     for v, row in live.items():
         for s, t in row.items():
             rows[ids[v]][s] = ids[t]
-    return SubgroupGraph(rank, _standardize(rank, rows))
+    return SubgroupGraph(rank, _standardize(rows))
+
+
+def schreier_basis_reference(trans, rank: int) -> tuple[Word, ...]:
+    """The Schreier basis of a Schreier graph, built at once: breadth-first
+    tree words rep(v) from vertex 0, slots ascending, then
+    rep(v) * s * rep(v.s)^-1 for each non-tree positive edge (v, s), by
+    (slot, vertex)."""
+    reps: list[Word | None] = [None] * len(trans)
+    reps[0] = EMPTY
+    tree = set()
+    bfs = deque([0])
+    while bfs:
+        v = bfs.popleft()
+        for s in range(2 * rank):
+            d = trans[v][s]
+            if d is not None and reps[d] is None:
+                reps[d] = reps[v] * Word((unslot(s),))
+                tree.update({(v, s), (d, inv_slot(s))})
+                bfs.append(d)
+    return tuple(
+        reps[v] * Word((unslot(s),)) * reps[trans[v][s]].inv()
+        for s in range(0, 2 * rank, 2)
+        for v in range(len(trans))
+        if trans[v][s] is not None and (v, s) not in tree
+    )
 
 
 def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
@@ -775,7 +800,7 @@ class LimitEnumerationReference(LimitEnumeration):
         t, p = next(self._ice)
         if p not in self._atlases:
             self._atlases[p] = SubgroupAtlas(p)
-        self._towers.append((t, ice_oracle(t), self._atlases[p], _subset_stream(t.rank)))
+        self._towers.append((t, ice_oracle(t), self._atlases[p], _subset_stream(t.rank, [])))
         for tower, oracle, atlas, subsets in self._towers:
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 search = RetractionSearch(atlas.p, next(subsets), oracle, atlas)
@@ -785,6 +810,7 @@ class LimitEnumerationReference(LimitEnumeration):
 # ---------------------------------------------------------------------------
 # Presenting the span of S before each subgroup kept its quotients: the
 # quotient by x * rho(x)^-1 is built and simplified for every retraction.
+# Returns the result with the kept generators over the abstract S alphabet.
 
 
 def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
@@ -804,7 +830,7 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
     gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
     gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
-    return SubgroupPresentationResult(out, gens_in_s, gens_ambient, found)
+    return SubgroupPresentationResult(out, gens_ambient, found), gens_in_s
 
 
 # ---------------------------------------------------------------------------

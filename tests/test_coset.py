@@ -1,5 +1,6 @@
 """Coset enumeration, low-index search, subgroup rewriting."""
 
+import hashlib
 import math
 
 import pytest
@@ -15,13 +16,22 @@ from limitforge.coset import (
     todd_coxeter,
 )
 from limitforge.presentation import parse
+from limitforge.oracles import oracle_from
+from limitforge.retracts import RetractionSearch, SubgroupAtlas
 from limitforge.stallings import basis_of, fold, member
 from limitforge.words import Word
 
-from oracles import FINITE_CORPUS, hall_counts, perm_group_order, rewrite_in_subgroup
+from oracles import (
+    FINITE_CORPUS,
+    hall_counts,
+    perm_group_order,
+    rewrite_in_subgroup,
+    schreier_basis_reference,
+)
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
+GENUS2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
 
 
 def test_orders_match_permutation_closure():
@@ -118,6 +128,49 @@ def test_rs_presentation_with_relators():
         rs = rs_presentation(Z2, t)
         simplified = abelian_invariants(rs.presentation.rank, rs.presentation.relators)
         assert simplified == (2, ())  # every index-2 subgroup of Z^2 is Z^2
+
+
+@pytest.mark.parametrize("p", [F2, GENUS2], ids=["F2", "genus2"])
+def test_lazy_schreier_basis_matches_eager_reference(p):
+    """A Schreier tree builds its basis only when it is read, and then
+    equal to the basis built at once, on every table of index <= 4."""
+    for t in low_index(p, 4):
+        tree = t.schreier
+        assert "basis" not in tree.__dict__
+        assert tree.basis == schreier_basis_reference(t.rows, p.rank)
+    for words in ([Word((1, 1)), Word((2, 1, -2))], [Word((1, 2, 1))]):
+        g = fold(2, words)  # missing edges
+        assert basis_of(g) == schreier_basis_reference(g.trans, 2)
+
+
+def test_retraction_search_presents_only_tables_that_hold_s():
+    """Membership of S reads only the Schreier walk: a table that misses
+    S keeps no basis, and each table that holds S is presented."""
+    atlas = SubgroupAtlas(GENUS2)
+    s_words = (Word((1, 1)), Word((2,)))
+    search = RetractionSearch(GENUS2, s_words, oracle_from(GENUS2, "builtin:pinched"), atlas)
+    assert search.run(2000) is None and search.cost > 3
+    missed = held = 0
+    for index in range(1, search.cost):  # the indices walked in full
+        for t in atlas.tables(index):
+            if all(t.schreier.walk(0, w)[0] == 0 for w in s_words):
+                held += 1
+                assert "basis" in t.schreier.__dict__
+            else:
+                missed += 1
+                assert "basis" not in t.schreier.__dict__
+    assert missed > 0 and held > 0
+
+
+def test_rs_presentations_do_not_move():
+    """Every Reidemeister-Schreier presentation of index <= 4 in F2 and
+    <= 3 in genus two, with its generators and trace, as first pinned."""
+    h = hashlib.sha256()
+    for p, n in ((F2, 4), (GENUS2, 3)):
+        for t in low_index(p, n):
+            rs = rs_presentation(p, t)
+            h.update(repr((rs.presentation, rs.gens_ambient, rs.trace)).encode())
+    assert h.hexdigest() == "1260335be9878615e6af3a552c3f27d277dd4569c6f304f2fa7eae0107e5a560"
 
 
 def test_rewrite_in_subgroup():

@@ -7,6 +7,7 @@ import pytest
 
 from limitforge.ice import (
     LimitEnumeration,
+    _subset_stream,
     enumerate_ice,
     enumerate_limit_groups,
     presentation_of,
@@ -17,8 +18,10 @@ from limitforge.presentation import (
     normalize_key,
     parse,
     serialize,
+    substitute,
     tietze_simplify,
 )
+from limitforge.words import words_of_length
 from oracles import LimitEnumerationReference, present_from_retraction_reference
 
 
@@ -178,10 +181,10 @@ def test_emissions_match_unmemoized_presentations():
     for e in emissions:
         found = e.result.witness
         memos[id(found.quotients)] = found.quotients
-        want = present_from_retraction_reference(e.s_words, found, ice_oracle(e.tower))
+        want, gens_in_s = present_from_retraction_reference(e.s_words, found, ice_oracle(e.tower))
         assert e.presentation == e.result.presentation == want.presentation
-        assert e.result.gens_in_s == want.gens_in_s
         assert e.result.gens_ambient == want.gens_ambient
+        assert e.result.gens_ambient == tuple(substitute(y, e.s_words) for y in gens_in_s)
     # the memo was read: fewer quotients were built than emitted
     assert sum(map(len, memos.values())) < len(emissions)
 
@@ -255,3 +258,45 @@ def test_free_towers_are_skipped_only_for_non_free_targets(text, fires):
         emitted_free |= any(not e.tower.steps for e in enum.next_round())
     assert enum.skipped_towers == (_free_towers(6) if fires else 0)
     assert emitted_free is not fires
+
+
+# --- one subset-stream pool per rank ---------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_streams_sharing_a_pool_yield_the_unshared_sets(rank):
+    """Streams of one rank drawn round-robin over one pool, as the rounds
+    draw them (a tower's first round draws one set, later rounds
+    S_PER_UNIT each), some joining late, each yield exactly the first
+    3,000 sets of a stream with a pool of its own."""
+    n, per_round = 3000, LimitEnumeration.S_PER_UNIT
+    want = list(itertools.islice(_subset_stream(rank, []), n))
+    pool = []
+    joins = (0, 0, 5, 40)  # the round in which each stream starts
+    streams = [None] * len(joins)
+    got = [[] for _ in joins]
+    r = 0
+    while any(len(sets) < n for sets in got):
+        for k, start in enumerate(joins):
+            if r < start:
+                continue
+            if streams[k] is None:
+                streams[k] = _subset_stream(rank, pool)
+            draws = 1 if r == start else per_round
+            got[k] += itertools.islice(streams[k], min(draws, n - len(got[k])))
+        r += 1
+    assert got == [want] * len(joins)
+    longest = len(pool[-1])
+    assert pool == [w for k in range(1, longest + 1) for w in words_of_length(rank, k)]
+
+
+def test_enumeration_holds_one_pool_per_rank():
+    """Every admitted tower's subset stream reads the pool of its rank."""
+    target, _ = tietze_simplify(parse(FILTER_TARGETS["genus2"]))
+    enum = LimitEnumeration(target)
+    while enum.round < FILTER_ROUNDS:
+        enum.next_round()
+    ranks = [tower.rank for tower, *_ in enum._towers]
+    assert len(ranks) > len(set(ranks)) and sorted(enum._pools) == sorted(set(ranks))
+    for tower, _, _, subsets in enum._towers:
+        assert subsets.gi_frame.f_locals["pool"] is enum._pools[tower.rank]

@@ -28,7 +28,12 @@ from limitforge.retracts import (
 )
 from limitforge.words import EMPTY, Word, commutator
 
-from oracles import RetractionSearchLoop, check_vectors_reference, random_reduced_word
+from oracles import (
+    RetractionSearchLoop,
+    check_vectors_reference,
+    present_from_retraction_reference,
+    random_reduced_word,
+)
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
@@ -197,8 +202,9 @@ def test_subgroup_presentation_correspondences_substitute():
     s_words = (W(1, 1), W(1, 2))
     res = subgroup_presentation_lr(F2, s_words, oracle=free_oracle(F2))
     assert isinstance(res, SubgroupPresentationResult)
-    for j in range(res.presentation.rank):
-        over_s = res.gens_in_s[j]
+    want, gens_in_s = present_from_retraction_reference(s_words, res.witness, free_oracle(F2))
+    assert want == res and len(gens_in_s) == res.presentation.rank
+    for j, over_s in enumerate(gens_in_s):
         assert substitute(over_s, s_words) == res.gens_ambient[j]
 
 

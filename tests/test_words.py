@@ -31,6 +31,7 @@ from limitforge.words import (
     WordSyntaxError,
     commutator,
     format_word,
+    invert_ints,
     parse_word,
     reduce_ints,
     slot,
@@ -87,6 +88,20 @@ def test_commutator_matches_word_products(xs, ys, shape):
     assert got.ints == reduce_ints(
         tuple(-x for x in reversed(u.ints)) + tuple(-x for x in reversed(v.ints)) + u.ints + v.ints
     )
+
+
+def test_inverse_and_commutator_kernels_exhaustive():
+    """Over every reduced word of length <= 4 in rank 2, the letter-tuple
+    kernels equal Word.make of the raw letter sequence they stand for."""
+    short = list(words_upto(2, 4))
+    assert len(short) == 1 + 4 + 12 + 36 + 108
+    for u in short:
+        raw_inv = [-x for x in reversed(u.ints)]
+        got = invert_ints(u.ints)
+        assert type(got) is tuple and Word(got) == Word.make(raw_inv)
+        for v in short:
+            raw = raw_inv + [-x for x in reversed(v.ints)] + list(u.ints) + list(v.ints)
+            assert commutator(u, v) == Word.make(raw)
 
 
 def test_slot_order_interleaves_inverses():
@@ -202,7 +217,7 @@ _STEP = ExtensionStep(_A, 1, ("t",), (_A,))
 _TOWER = IceTower(2, (_STEP,))
 _RETRACTION = Retraction(_P, (_A, _B), (_A, _B))
 _FOUND = RetractionFound(_TABLE, _RS, _RETRACTION, 1)
-_RESULT = SubgroupPresentationResult(_P, (_A, _B), (_A, _B), _FOUND)
+_RESULT = SubgroupPresentationResult(_P, (_A, _B), _FOUND)
 _EMISSION = LimitGroupEmission(_P, _TOWER, (_A, _B), _RESULT)
 _WITNESS = Witness((_A,), "torsion", {"g": _A, "n": 2})
 
@@ -236,8 +251,8 @@ VALUE_CLASSES = [
      (_TABLE, _RS, _RETRACTION, 2)),
     (SearchExhausted, ("steps",), (5,), (6,)),
     (IncompleteResult, ("reason",), ("oracle",), ("budget",)),
-    (SubgroupPresentationResult, ("presentation", "gens_in_s", "gens_ambient", "witness"),
-     (_P, (_A,), (_B,), _FOUND), (_P, (_A,), (_A,), _FOUND)),
+    (SubgroupPresentationResult, ("presentation", "gens_ambient", "witness"),
+     (_P, (_B,), _FOUND), (_P, (_A,), _FOUND)),
     (SubgroupGraph, ("rank", "trans"), (1, ((0, 0),)), (1, ((None, None),))),
 ]
 
