@@ -22,7 +22,7 @@ import sys
 
 from . import __version__
 from .coset import low_index
-from .freegroup import FreeGroup, primitive_root
+from .freegroup import primitive_root, standard_names
 from .ice import (
     centralizer_ice,
     enumerate_ice,
@@ -183,7 +183,7 @@ def _cmd_words(args) -> int:
     if args.names:
         names = tuple(n.strip() for n in args.names.split(","))
     else:
-        names = FreeGroup.standard(args.rank).names
+        names = standard_names(args.rank)
     w = parse_word(args.word, names)
     inputs = {"word": args.word, "names": list(names), "op": args.op}
     if args.op == "reduce":
@@ -303,30 +303,22 @@ def _cmd_ice(args) -> int:
     return _emit(args, "ice centralizer", inputs, payload, 0, [f"rank {len(basis)}"] + out)
 
 
-def _recognize_common(args, runner, default_budget: int) -> int:
+def _cmd_recognize(args) -> int:
     p, pres_in = _load_pres(args.pres)
     tower = None
     inputs = {"pres": pres_in, "oracle": args.oracle}
     if args.tower:
         tower, tower_in = _load_tower(args.tower)
         inputs["tower"] = tower_in
-    budget = _budget(args, default_budget)
+    budget = _budget(args, args.default_budget)
     inputs["budget"] = budget
     wp = oracle_from(p, args.oracle, tower=tower)
-    verdict = runner(p, wp, budget)
+    verdict = args.runner(p, wp, budget)
     return _verdict_out(args, args.command, inputs, p, verdict)
 
 
-def _cmd_recognize(args) -> int:
-    return _recognize_common(args, recognize_limit, 10**7)
-
-
-def _cmd_recognize_free(args) -> int:
-    return _recognize_common(args, recognize_free, 10**6)
-
-
 def _cmd_recognize_pinched(args) -> int:
-    names = FreeGroup.standard(args.rank1 + args.rank2).names
+    names = standard_names(args.rank1 + args.rank2)
     u = parse_word(args.u, names)
     v = parse_word(args.v, names)
     if any(abs(x) <= args.rank1 for x in v.ints):
@@ -357,7 +349,7 @@ def _cmd_refute(args) -> int:
         "bound": args.bound,
         "target_rank": args.target_rank,
     }
-    target = FreeGroup.standard(args.target_rank).names
+    target = standard_names(args.target_rank)
     if hit is None:
         payload = {"counterexample": None}
         return _emit(args, "refute", inputs, payload, 1, ["none within bound"])
@@ -515,17 +507,15 @@ def _parser() -> _Parser:
     common(en, budget=False)
     en.set_defaults(fn=_cmd_ice)
 
-    rc = sub.add_parser("recognize", help="is the presented group a limit group?")
-    rc.add_argument("--pres", required=True)
-    rc.add_argument("--tower", default=None, help="tower file for builtin:ice")
-    common(rc, oracle="builtin:auto")
-    rc.set_defaults(fn=_cmd_recognize)
-
-    rf = sub.add_parser("recognize-free", help="is the presented group free?")
-    rf.add_argument("--pres", required=True)
-    rf.add_argument("--tower", default=None, help="tower file for builtin:ice")
-    common(rf, oracle="builtin:auto")
-    rf.set_defaults(fn=_cmd_recognize_free)
+    for name, question, runner, default_budget in (
+        ("recognize", "a limit group", recognize_limit, 10**7),
+        ("recognize-free", "free", recognize_free, 10**6),
+    ):
+        rc = sub.add_parser(name, help=f"is the presented group {question}?")
+        rc.add_argument("--pres", required=True)
+        rc.add_argument("--tower", default=None, help="tower file for builtin:ice")
+        common(rc, oracle="builtin:auto")
+        rc.set_defaults(fn=_cmd_recognize, runner=runner, default_budget=default_budget)
 
     rp = sub.add_parser(
         "recognize-pinched",

@@ -1,37 +1,37 @@
 """Coset enumeration and subgroup presentations.
 
 Todd-Coxeter (HLT with coincidence handling), low-index subgroup
-enumeration by backtracking over standardized partial tables, and the
-Reidemeister-Schreier rewriting process with Tietze cleanup.
+enumeration by backtracking over standardized partial tables, folded
+subgroup graphs of free groups, and the Reidemeister-Schreier rewriting
+process with Tietze cleanup.
 
 Tables use slot columns (slot 2k = generator k, 2k+1 = its inverse) and are
 standardized: cosets numbered in breadth-first order from the base coset 0
-scanning slots ascending.
+scanning slots ascending.  A row entry is None where an edge is missing.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import cached_property
 
-from .presentation import Presentation, SimplifyTrace, substitute, tietze_simplify
+from .freegroup import eval_hom
+from .presentation import Presentation, SimplifyTrace, tietze_simplify
 from .words import EMPTY, Value, Word, _set, slot, unslot
 
-def _inv(s: int) -> int:
-    return s ^ 1
 
-
-class Overflow:
+class Overflow(ValueError):
     """Coset limit hit; the index may still be finite or infinite."""
-
-    __slots__ = ()
 
 
 class CosetTable(Value):
+    """A standardized coset table; the rows of a folded graph may hold None."""
+
     __slots__ = ("ngens", "rows", "subgens", "__dict__")
 
     def __init__(
-        self, ngens: int, rows: tuple[tuple[int, ...], ...], subgens: tuple[Word, ...] = ()
+        self, ngens: int, rows: tuple[tuple[int | None, ...], ...], subgens: tuple[Word, ...] = ()
     ):
         _set(self, "ngens", ngens)
         _set(self, "rows", rows)
@@ -79,7 +79,7 @@ class SchreierTree:
         self.trans = trans
         tree: set[tuple[int, int]] = set()
         for v, s, d in _tree_edges(trans):
-            tree.update(((v, s), (d, _inv(s))))
+            tree.update(((v, s), (d, s ^ 1)))
         # basis letter of each non-tree edge, read in either direction
         self._letter: dict[tuple[int, int], int] = {}
         i = 0
@@ -88,7 +88,7 @@ class SchreierTree:
                 if row[s] is not None and (v, s) not in tree:
                     i += 1
                     self._letter[(v, s)] = i
-                    self._letter[(row[s], _inv(s))] = -i
+                    self._letter[(row[s], s ^ 1)] = -i
 
     @cached_property
     def basis(self) -> tuple[Word, ...]:
@@ -135,7 +135,7 @@ def _tree_edges(trans):
                 yield v, s, d
 
 
-def _standardize(rows) -> tuple[tuple[int, ...], ...]:
+def _standardize(rows) -> tuple[tuple[int | None, ...], ...]:
     """Renumber cosets in BFS order from 0, slots ascending."""
     order = {0: 0}
     for _, _, d in _tree_edges(rows):
@@ -144,10 +144,6 @@ def _standardize(rows) -> tuple[tuple[int, ...], ...]:
     for c, row in enumerate(rows):
         out[order[c]] = tuple([None if d is None else order[d] for d in row])
     return tuple(out)
-
-
-class _OverflowSignal(Exception):
-    pass
 
 
 class _Enumerator:
@@ -173,12 +169,12 @@ class _Enumerator:
 
     def define(self, c: int, s: int) -> int:
         if len(self.table) >= self.max:
-            raise _OverflowSignal
+            raise Overflow(f"more than {self.max} cosets")
         d = len(self.table)
         self.table.append([None] * self.n2)
         self.parent.append(d)
         self.table[c][s] = d
-        self.table[d][_inv(s)] = c
+        self.table[d][s ^ 1] = c
         self.dirty.append(d)
         return d
 
@@ -191,9 +187,9 @@ class _Enumerator:
         elif cur != d:
             self.pending.append((cur, d))
             return
-        rcur = self.get(d, _inv(s))
+        rcur = self.get(d, s ^ 1)
         if rcur is None:
-            self.table[d][_inv(s)] = c
+            self.table[d][s ^ 1] = c
             self.dirty.append(d)
         elif rcur != c:
             self.pending.append((rcur, c))
@@ -231,7 +227,7 @@ class _Enumerator:
                     self.pending.append((f, b))
                 return
             while j >= i:
-                prv = self.get(b, _inv(slots[j]))
+                prv = self.get(b, slots[j] ^ 1)
                 if prv is None:
                     break
                 b, j = prv, j - 1
@@ -241,19 +237,27 @@ class _Enumerator:
                 return
             if j == i:
                 self.table[f][slots[i]] = b
-                self.table[b][_inv(slots[i])] = f
+                self.table[b][slots[i] ^ 1] = f
                 self.dirty.append(f)
                 self.dirty.append(b)
                 return
             self.define(f, slots[i])
             # loop: the forward scan can now continue
 
+    def rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The live cosets' rows, renumbered and standardized.  The base
+        coset survives every merge, so it stays coset 0; a missing edge
+        looks up None in renum and stays None."""
+        live = [c for c in range(len(self.table)) if self.find(c) == c]
+        renum = {c: i for i, c in enumerate(live)}
+        return _standardize([[renum.get(self.get(c, s)) for s in range(self.n2)] for c in live])
+
 
 def todd_coxeter(p: Presentation, subgens, max_cosets: int = 100000):
     """Enumerate cosets of <subgens> in the presented group.
 
-    Returns a complete standardized CosetTable, or Overflow when more than
-    max_cosets cosets would be needed before closing.
+    Returns a complete standardized CosetTable; raises Overflow when more
+    than max_cosets cosets would be needed before closing.
     """
     subgens = tuple(subgens)
     for w in subgens:
@@ -263,34 +267,24 @@ def todd_coxeter(p: Presentation, subgens, max_cosets: int = 100000):
     rel_slots = [r.slots() for r in p.relators]
     sub_slots = [w.slots() for w in subgens if w.ints]
 
-    try:
-        for ws in sub_slots:
-            eng.scan(0, ws)
+    for ws in sub_slots:
+        eng.scan(0, ws)
+        eng.process_coincidences()
+    while eng.dirty:
+        c = eng.dirty.popleft()
+        if eng.find(c) != c:
+            continue
+        for ws in rel_slots:
+            eng.scan(c, ws)
             eng.process_coincidences()
-        while eng.dirty:
-            c = eng.dirty.popleft()
             if eng.find(c) != c:
-                continue
-            for ws in rel_slots:
-                eng.scan(c, ws)
-                eng.process_coincidences()
-                if eng.find(c) != c:
-                    break
-            c = eng.find(c)
-            for s in range(eng.n2):
-                if eng.get(c, s) is None:
-                    eng.define(c, s)
-            eng.process_coincidences()
-    except _OverflowSignal:
-        return Overflow()
-
-    live = [c for c in range(len(eng.table)) if eng.find(c) == c]
-    renum = {c: i for i, c in enumerate(live)}
-    rows = [
-        [renum[eng.get(c, s)] for s in range(eng.n2)] for c in live
-    ]
-    rows = _standardize(rows)
-    table = CosetTable(p.rank, rows, subgens)
+                break
+        c = eng.find(c)
+        for s in range(eng.n2):
+            if eng.get(c, s) is None:
+                eng.define(c, s)
+        eng.process_coincidences()
+    table = CosetTable(p.rank, eng.rows(), subgens)
     _assert_valid(p, table)
     return table
 
@@ -309,6 +303,42 @@ def _assert_valid(p: Presentation, t: CosetTable):
         assert t.trace(0, w) == 0, "subgroup generator moves the base coset"
 
 
+def fold(rank: int, words) -> CosetTable:
+    """The folded subgroup graph of <words> in the free group of the given
+    rank: coset enumeration with no relators, whose table misses edges.
+
+    The generators are reduced words, so the folded bouquet is an
+    immersion: every vertex but the base lies on a reduced loop through
+    the base and keeps two edges, and nothing needs trimming.
+    """
+    words = tuple(words)
+    for w in words:
+        if w.max_index() > rank:
+            raise ValueError(f"generator word exceeds ambient rank {rank}")
+    # a scan of w defines at most |w| - 1 cosets, so this bound never overflows
+    eng = _Enumerator(rank, 1 + sum(len(w) for w in words))
+    for w in words:
+        eng.scan(0, w.slots())
+        eng.process_coincidences()
+    return CosetTable(rank, eng.rows(), words)
+
+
+def member(t: CosetTable, w: Word) -> Word | None:
+    """Express w in the table's Schreier basis, or None if w is not in the
+    subgroup: a word over one generator per basis element, in order."""
+    end, expr = t.schreier.walk(0, w)
+    return expr if end == 0 else None
+
+
+def graph_rank_index(t: CosetTable) -> tuple[int, float]:
+    """(free rank of a folded graph's subgroup, its index or math.inf).
+
+    The basis has one element per non-tree positive edge, E - V + 1 of
+    them, which is the rank.
+    """
+    return len(t.schreier.basis), (t.index if t.is_complete() else math.inf)
+
+
 def low_index(p: Presentation, n: int):
     """All subgroups of index <= n, one standardized complete table each."""
     if n < 1:
@@ -321,9 +351,9 @@ def low_index(p: Presentation, n: int):
         if rows[c][s] is not None:
             return rows[c][s] == d
         rows[c][s] = d
-        r = rows[d][_inv(s)]
+        r = rows[d][s ^ 1]
         if r is None:
-            rows[d][_inv(s)] = c
+            rows[d][s ^ 1] = c
             return True
         return r == c
 
@@ -334,8 +364,8 @@ def low_index(p: Presentation, n: int):
             f, i = rows[f][slots[i]], i + 1
         if i > j:
             return "ok" if f == b else "fail"
-        while j >= i and rows[b][_inv(slots[j])] is not None:
-            b, j = rows[b][_inv(slots[j])], j - 1
+        while j >= i and rows[b][slots[j] ^ 1] is not None:
+            b, j = rows[b][slots[j] ^ 1], j - 1
         if j < i:
             return "ok" if f == b else "fail"
         if j == i:
@@ -421,7 +451,7 @@ class RSResult(Value):
 
     def embed(self, w: Word) -> Word:
         """Ambient word of a subgroup word over the final generators."""
-        return substitute(w, self.gens_ambient)
+        return eval_hom(self.gens_ambient, w)
 
 
 def rs_presentation(p: Presentation, t: CosetTable) -> RSResult:

@@ -3,30 +3,16 @@ and normal forms in an amalgam of two groups given by words."""
 
 from __future__ import annotations
 
-from .words import Value, Word, _set, concat, invert_ints, reduce_ints, validate_word
+from .words import Word, concat, invert_ints, reduce_ints
 
 _STANDARD = "abcdefghijklmnopqrs"
 
 
-class FreeGroup(Value):
-    __slots__ = ("names",)
-
-    def __init__(self, names: tuple[str, ...]):
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator name")
-        _set(self, "names", names)
-
-    @property
-    def rank(self) -> int:
-        return len(self.names)
-
-    @classmethod
-    def standard(cls, rank: int) -> "FreeGroup":
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if rank <= len(_STANDARD):
-            return cls(tuple(_STANDARD[:rank]))
-        return cls(tuple(_STANDARD) + tuple(f"x{i}" for i in range(len(_STANDARD), rank)))
+def standard_names(rank: int) -> tuple[str, ...]:
+    """Default generator names: a, b, ..., s, then x19, x20, ..."""
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    return tuple(_STANDARD[:rank]) + tuple(f"x{i}" for i in range(len(_STANDARD), rank))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -178,7 +164,7 @@ def amalgam_reduce(ints: tuple[int, ...], bound: int, edge) -> list:
 
 
 __all__ = [
-    "FreeGroup",
+    "standard_names",
     "cyclic_reduce",
     "primitive_root",
     "is_power_of",
@@ -186,5 +172,4 @@ __all__ = [
     "amalgam_reduce",
     "amalgam_push",
     "amalgam_close",
-    "validate_word",
 ]

@@ -20,7 +20,6 @@ from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, solve
 from .freegroup import (
-    FreeGroup,
     amalgam_close,
     amalgam_push,
     amalgam_reduce,
@@ -28,6 +27,7 @@ from .freegroup import (
     eval_hom,
     is_power_of,
     primitive_root,
+    standard_names,
 )
 from .words import (
     EMPTY,
@@ -127,7 +127,7 @@ def _fresh_ext_names(used: set, n: int) -> tuple[str, ...]:
 
 
 def tower_names(t: IceTower) -> tuple[str, ...]:
-    names = list(FreeGroup.standard(t.base_rank).names)
+    names = list(standard_names(t.base_rank))
     for step in t.steps:
         names.extend(step.names)
     return tuple(names)

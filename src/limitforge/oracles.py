@@ -84,11 +84,10 @@ def free_abelian_oracle(p: Presentation) -> WordOracle:
 
 
 def finite_oracle(p: Presentation, max_cosets: int = 100000) -> WordOracle:
-    t = todd_coxeter(p, (), max_cosets=max_cosets)
-    if isinstance(t, Overflow):
-        raise ValueError(
-            f"group not confirmed finite within {max_cosets} cosets"
-        )
+    try:
+        t = todd_coxeter(p, (), max_cosets=max_cosets)
+    except Overflow:
+        raise ValueError(f"group not confirmed finite within {max_cosets} cosets") from None
     return WordOracle(lambda w: t.trace(0, w) == 0, True, f"finite:{t.index}")
 
 

@@ -210,11 +210,6 @@ def serialize(p: Presentation) -> str:
 # Tietze moves
 
 
-def substitute(w: Word, images) -> Word:
-    """Apply the letter substitution generator k -> images[k] to w."""
-    return eval_hom(tuple(images), w)
-
-
 def _single_occurrence_pairs(p: Presentation):
     """(relator index, generator index) pairs where the relator uses the
     generator exactly once."""
@@ -259,7 +254,7 @@ def _remove_generator(p: Presentation, gidx: int):
         else:
             images.append(Word((renum(k),)))
     new_rels = [
-        substitute(p.relators[j], images) for j in range(len(p.relators)) if j != i
+        eval_hom(images, p.relators[j]) for j in range(len(p.relators)) if j != i
     ]
     q = Presentation(p.names[:gidx] + p.names[gidx + 1 :], new_rels)
     return q, tuple(images)
@@ -288,7 +283,7 @@ def tietze_simplify(p: Presentation) -> tuple[Presentation, SimplifyTrace]:
             break
         _, g = min(pairs, key=lambda ig: (len(cur.relators[ig[0]]), ig[0], ig[1]))
         cur, subst = _remove_generator(cur, g)
-        images = [substitute(w, subst) for w in images]
+        images = [eval_hom(subst, w) for w in images]
         kept.pop(g)
     return cur, SimplifyTrace(tuple(images), tuple(kept))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .abelian import exponent_vector
-from .freegroup import FreeGroup
+from .freegroup import eval_hom, standard_names
 from .ice import LimitEnumeration, LimitGroupEmission, ice_oracle
 from .oracles import WordOracle, pinched_oracle
 from .presentation import (
@@ -24,7 +24,6 @@ from .presentation import (
     enumerate_presentations,
     normalize_key,
     relator_lattice,
-    substitute,
     tietze_simplify,
 )
 from .retracts import _REPRICE, Metered
@@ -91,7 +90,7 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
             checks[k].append((w, trivial, others, memo))
     for level in checks:
         level.sort(key=lambda check: check[3] is None)
-    if any(bool(substitute(w, ()).ints) == trivial for w, trivial, _, _ in checks[0]):
+    if any(bool(eval_hom((), w).ints) == trivial for w, trivial, _, _ in checks[0]):
         return None
     assign: list[Word] = []
     picked: list[int] = []  # pool index of each bound variable
@@ -102,7 +101,7 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
         out = []
         for i in candidates:
             images[-1] = pool[i]
-            if bool(substitute(w, images).ints) != trivial:
+            if bool(eval_hom(images, w).ints) != trivial:
                 out.append(i)
         return out
 
@@ -683,7 +682,7 @@ def recognize_cyclically_pinched(
     validate_word(v, rank2)
     if not u.ints or not v.ints:
         raise ValueError("edge words must be nontrivial")
-    names = FreeGroup.standard(rank1 + rank2).names
+    names = standard_names(rank1 + rank2)
     shifted = Word(tuple(x + rank1 if x > 0 else x - rank1 for x in v.ints))
     p = Presentation(names, (u * shifted.inv(),))
     wp = pinched_oracle(rank1, rank2, u, shifted)

@@ -16,9 +16,9 @@ from functools import cached_property
 
 from .abelian import Lattice, exponent_vector, matvec
 from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
-from .freegroup import FreeGroup
+from .freegroup import eval_hom, standard_names
 from .oracles import WordOracle, dovetail_oracle
-from .presentation import Presentation, substitute, tietze_simplify
+from .presentation import Presentation, tietze_simplify
 from .words import EMPTY, Value, Word, _set, validate_word, words_of_length
 
 
@@ -43,7 +43,7 @@ class Retraction(Value):
 
     def rho_images(self) -> tuple[Word, ...]:
         """Images of K's generators under the retraction, as words over X."""
-        return tuple(substitute(y, self.s_exprs) for y in self.y_words)
+        return tuple(eval_hom(self.s_exprs, y) for y in self.y_words)
 
     def check_words(self) -> tuple[Word, ...]:
         """Words over X that must be trivial in K for this to be a retraction.
@@ -52,8 +52,8 @@ class Retraction(Value):
         (the retraction fixes S pointwise).
         """
         rho = self.rho_images()
-        eqs = [substitute(r, rho) for r in self.k_pres.relators]
-        eqs += [substitute(e, rho) * e.inv() for e in self.s_exprs]
+        eqs = [eval_hom(rho, r) for r in self.k_pres.relators]
+        eqs += [eval_hom(rho, e) * e.inv() for e in self.s_exprs]
         return tuple(eqs)
 
 
@@ -379,7 +379,7 @@ class RetractionSearch(Metered):
             walks.append(raw)
         sub = self.atlas.subgroup(t)
         images = sub.rs.trace.gen_images
-        return _Branch(sub, tuple(substitute(raw, images) for raw in walks))
+        return _Branch(sub, tuple(eval_hom(images, raw) for raw in walks))
 
     def _y_tuples(self, branch: _Branch, total: int):
         """The candidates Y of this total length, in search order; a
@@ -538,7 +538,7 @@ def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle)
     rs = found.rs
     images = found.retraction.rho_images()
     for j, w in enumerate(images):
-        v = oracle(rs.embed(substitute(w, images) * w.inv()))
+        v = oracle(rs.embed(eval_hom(images, w) * w.inv()))
         if v is False:
             raise RetractError(f"images are not idempotent at generator {j}")
         if v is None:
@@ -549,8 +549,8 @@ def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle)
         extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
         quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
         simplified, trace = tietze_simplify(quotient)
-        out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
+        out = Presentation(standard_names(simplified.rank), simplified.relators)
         got = found.quotients[images] = (out, trace.kept)
     out, kept = got
-    gens = tuple(substitute(found.retraction.y_words[k], s_words) for k in kept)
+    gens = tuple(eval_hom(s_words, found.retraction.y_words[k]) for k in kept)
     return SubgroupPresentationResult(out, gens, found)

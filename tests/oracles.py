@@ -29,7 +29,7 @@ import random
 from collections import deque
 
 from limitforge.coset import CosetTable, _standardize
-from limitforge.freegroup import FreeGroup, eval_hom
+from limitforge.freegroup import eval_hom, standard_names
 from limitforge.ice import LimitEnumeration, _subset_stream, _wp, ice_oracle
 from limitforge.presentation import (
     _CHILD_CAP,
@@ -46,7 +46,6 @@ from limitforge.presentation import (
     enumerate_presentations,
     normalize_key,
     serialize,
-    substitute,
     tietze_simplify,
 )
 from limitforge.recognize import CertifySearch
@@ -62,7 +61,6 @@ from limitforge.retracts import (
     _Branch,
     _weak_compositions,
 )
-from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
     Word,
@@ -520,7 +518,7 @@ def inv_slot(s: int) -> int:
     return s ^ 1
 
 
-def fold_reference(rank: int, words) -> SubgroupGraph:
+def fold_reference(rank: int, words) -> CosetTable:
     """Fold the bouquet of the given subgroup generators."""
     words = tuple(words)
     for w in words:
@@ -606,7 +604,7 @@ def fold_reference(rank: int, words) -> SubgroupGraph:
     for v, row in live.items():
         for s, t in row.items():
             rows[ids[v]][s] = ids[t]
-    return SubgroupGraph(rank, _standardize(rows))
+    return CosetTable(rank, _standardize(rows), words)
 
 
 def schreier_basis_reference(trans, rank: int) -> tuple[Word, ...]:
@@ -818,7 +816,7 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     rs = found.rs
     images = found.retraction.rho_images()
     for j, w in enumerate(images):
-        v = oracle(rs.embed(substitute(w, images) * w.inv()))
+        v = oracle(rs.embed(eval_hom(images, w) * w.inv()))
         if v is False:
             raise RetractError(f"images are not idempotent at generator {j}")
         if v is None:
@@ -827,9 +825,9 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
     quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
     simplified, trace = tietze_simplify(quotient)
-    out = Presentation(FreeGroup.standard(simplified.rank).names, simplified.relators)
+    out = Presentation(standard_names(simplified.rank), simplified.relators)
     gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
-    gens_ambient = tuple(substitute(y, s_words) for y in gens_in_s)
+    gens_ambient = tuple(eval_hom(s_words, y) for y in gens_in_s)
     return SubgroupPresentationResult(out, gens_ambient, found), gens_in_s
 
 
@@ -917,7 +915,7 @@ class RetractionSearchLoop(RetractionSearch):
             end, raw = t.schreier.walk(0, s)
             if end != 0:
                 return None
-            exprs.append(substitute(raw, sub.rs.trace.gen_images))
+            exprs.append(eval_hom(sub.rs.trace.gen_images, raw))
         return _Branch(sub, tuple(exprs))
 
     def _y_tuples(self, branch, total: int):

@@ -16,8 +16,9 @@ import time
 import pytest
 
 from limitforge.abelian import solve
-from limitforge.coset import low_index, rs_presentation, todd_coxeter
-from limitforge.freegroup import primitive_root
+from limitforge.cli import CORPUS, corpus_verdict
+from limitforge.coset import fold, low_index, member, rs_presentation, todd_coxeter
+from limitforge.freegroup import eval_hom, primitive_root
 from limitforge.ice import (
     LimitEnumeration,
     centralizer_ice,
@@ -37,18 +38,15 @@ from limitforge.oracles import (
     oracle_from,
     product_oracle,
 )
-from limitforge.presentation import abelianization, parse, serialize, substitute
+from limitforge.presentation import abelianization, parse, serialize
 from limitforge.recognize import (
     Limit,
     NotLimit,
-    Unknown,
     recognize_cyclically_pinched,
-    recognize_limit,
     refute_sentence,
     witness_sentence,
 )
 from limitforge.retracts import SubgroupPresentationResult, subgroup_presentation_lr
-from limitforge.stallings import basis_of, fold, member
 from limitforge.words import Word, commutator, reduce_ints, words_upto
 
 from oracles import (
@@ -65,10 +63,6 @@ from oracles import (
 from conftest import ACCEPTANCE_RESULTS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-# the genus-two input is the documented incompleteness: recognition is a
-# semi-decision and this presentation stays Unknown at desk budgets
-GENUS2_BUDGET = 10**5
 
 
 def criterion(num, label):
@@ -118,11 +112,11 @@ def test_criterion_02():
         nset = rng.randint(1, 3)
         gens = [random_reduced_word(rng, 2, rng.randint(1, 4)) for _ in range(nset)]
         g = fold(2, gens)
-        basis = basis_of(g)
+        basis = g.schreier.basis
         for ints in product_closure(gens, 4):
             expr = member(g, Word(ints))
             assert expr is not None, (gens, ints)
-            assert substitute(expr, basis) == Word(ints)
+            assert eval_hom(basis, expr) == Word(ints)
         wider = product_closure(gens, 6)
         for _ in range(5):
             w = random_reduced_word(rng, 2, rng.randint(0, 6))
@@ -265,78 +259,64 @@ def test_criterion_08():
         assert torsion == (), serialize(p)
 
 
-RECOGNITION_CORPUS = (
-    ("F1", "< a | >", "builtin:free", None, Limit),
-    ("F2", "< a, b | >", "builtin:free", None, Limit),
-    ("Z^2", "< a, b | [a,b] >", "builtin:abelian", None, Limit),
-    ("Z^3", "< a, b, c | [a,b], [a,c], [b,c] >", "builtin:abelian", None, Limit),
-    (
-        "height-one tower",
-        "< a, b, t | [a,t] >",
-        "builtin:ice",
-        {"base_rank": 2, "steps": [{"g": "a", "n": 1}]},
-        Limit,
-    ),
-    ("Z/2", "< a | a^2 >", "builtin:finite", None, NotLimit),
-    ("F2 x Z", "< a, b, z | [a,z], [b,z] >", "builtin:product", None, NotLimit),
-    ("Klein bottle", "< a, b | b*a*b^-1*a >", "builtin:klein", None, NotLimit),
-)
+def _corpus_oracle(row):
+    _, text, strategy, tower_doc = row[:4]
+    tower = tower_from_json(tower_doc) if tower_doc else None
+    return oracle_from(parse(text), strategy, tower=tower)
 
 
 @pytest.fixture(scope="module")
 def recognition_runs():
     started = time.monotonic()
-    runs = []
-    for name, text, strategy, tower_doc, expected in RECOGNITION_CORPUS:
-        p = parse(text)
-        tower = tower_from_json(tower_doc) if tower_doc else None
-        wp = oracle_from(p, strategy, tower=tower)
-        v = recognize_limit(p, wp, budget=10**7)
-        runs.append((name, p, wp, v, expected))
-    g2 = commutator(Word((1,)), Word((2,)))
-    v = recognize_cyclically_pinched(2, 2, g2, g2, GENUS2_BUDGET)
-    runs.append(("genus 2 surface", v.presentation, None, v, None))
+    runs = [(row, corpus_verdict(row, 10**7)) for row in CORPUS]
     return runs, time.monotonic() - started
 
 
 @criterion(9, "recognition corpus verdicts with re-verifiable witness chains")
 def test_criterion_09(recognition_runs):
+    # the genus-two row also accepts Unknown, the documented
+    # incompleteness: it is a limit group, but the witness search does not
+    # reach it at desk budgets
     runs, elapsed = recognition_runs
-    for name, p, wp, v, expected in runs:
-        if expected is None:
-            # documented incompleteness: the genus-two surface group is a
-            # limit group, but the witness search does not reach it at desk
-            # budgets, so Unknown is the accepted verdict here
-            assert isinstance(v, (Limit, Unknown)), name
-            assert v.report["used"] <= v.report["budget"], name
-            continue
-        assert isinstance(v, expected), (name, v)
+    for row, v in runs:
+        name, accepted = row[0], row[4]
+        assert type(v).__name__ in accepted, (name, v)
         assert v.report["used"] <= v.report["budget"], name
         if isinstance(v, Limit):
             assert v.reverify() is True, name
-        else:
-            assert v.reverify(wp) is True, name
+        elif isinstance(v, NotLimit):
+            assert v.reverify(_corpus_oracle(row)) is True, name
     assert elapsed < 600.0
+
+
+def test_pinched_genus_two_matches_the_corpus_row(recognition_runs):
+    """recognize_cyclically_pinched on [a,b] and [c,d] builds the genus-two
+    row's presentation and oracle, so it reaches the same verdict."""
+    runs, _ = recognition_runs
+    row, want = next((row, v) for row, v in runs if row[0] == "genus two surface")
+    g2 = commutator(Word((1,)), Word((2,)))
+    v = recognize_cyclically_pinched(2, 2, g2, g2, row[5])
+    assert (type(v), v.presentation, v.report) == (type(want), want.presentation, want.report)
 
 
 # exact steps each corpus row spends; a reordered table or candidate
 # stream shows here even when every verdict stays the same
 RECOGNITION_STEPS = {
-    "F1": 167,
-    "F2": 346,
-    "Z^2": 439,
-    "Z^3": 4219,
-    "height-one tower": 16_304,
-    "Z/2": 4,
-    "F2 x Z": 273,
-    "Klein bottle": 14,
-    "genus 2 surface": 100_000,
+    "free rank 1": 167,
+    "free rank 2": 346,
+    "free abelian rank 2": 439,
+    "free abelian rank 3": 4219,
+    "centralizer extension": 16_304,
+    "order two": 4,
+    "product with center": 273,
+    "klein bottle": 14,
+    "genus two surface": 100_000,
 }
 
 
 def test_recognition_step_counts_are_pinned(recognition_runs):
     runs, _ = recognition_runs
-    used = {name: v.report["used"] for name, p, wp, v, expected in runs}
+    used = {row[0]: v.report["used"] for row, v in runs}
     assert used == RECOGNITION_STEPS
 
 
@@ -344,10 +324,10 @@ def test_recognition_step_counts_are_pinned(recognition_runs):
 def test_criterion_10(recognition_runs):
     runs, _ = recognition_runs
     checked = 0
-    for name, p, wp, v, expected in runs:
+    for row, v in runs:
         if not isinstance(v, NotLimit):
             continue
-        s = witness_sentence(p, v.witness)
-        assert refute_sentence(s, 3) is None, name
+        s = witness_sentence(v.presentation, v.witness)
+        assert refute_sentence(s, 3) is None, row[0]
         checked += 1
     assert checked == 3

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from limitforge.freegroup import eval_hom
 from limitforge.ice import (
     LimitEnumeration,
     _subset_stream,
@@ -18,7 +19,6 @@ from limitforge.presentation import (
     normalize_key,
     parse,
     serialize,
-    substitute,
     tietze_simplify,
 )
 from limitforge.words import words_of_length
@@ -184,7 +184,7 @@ def test_emissions_match_unmemoized_presentations():
         want, gens_in_s = present_from_retraction_reference(e.s_words, found, ice_oracle(e.tower))
         assert e.presentation == e.result.presentation == want.presentation
         assert e.result.gens_ambient == want.gens_ambient
-        assert e.result.gens_ambient == tuple(substitute(y, e.s_words) for y in gens_in_s)
+        assert e.result.gens_ambient == tuple(eval_hom(e.s_words, y) for y in gens_in_s)
     # the memo was read: fewer quotients were built than emitted
     assert sum(map(len, memos.values())) < len(emissions)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge import presentation
+from limitforge.freegroup import eval_hom
 from limitforge.presentation import (
     NormalizeCapError,
     Presentation,
@@ -21,7 +22,6 @@ from limitforge.presentation import (
     normalize_key,
     parse,
     serialize,
-    substitute,
     tietze_simplify,
 )
 from limitforge.words import EMPTY, Word, commutator
@@ -109,9 +109,9 @@ def test_normalize_key_caps_at_six_generators():
 
 def test_substitute():
     # replace letters by words, reducing as it goes
-    assert substitute(W(1, 2), (W(2), W(-2))) == EMPTY
-    assert substitute(W(1, -1), (W(1, 2),)) == EMPTY
-    assert substitute(EMPTY, ()) == EMPTY
+    assert eval_hom((W(2), W(-2)), W(1, 2)) == EMPTY
+    assert eval_hom((W(1, 2),), W(1, -1)) == EMPTY
+    assert eval_hom((), EMPTY) == EMPTY
 
 
 def test_enumerate_presentations_starts_at_input_and_dedups():

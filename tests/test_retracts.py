@@ -14,7 +14,8 @@ from limitforge.abelian import abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
 from limitforge.ice import ice_oracle, presentation_of, tower_from_json
 from limitforge.oracles import finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
-from limitforge.presentation import parse, substitute
+from limitforge.freegroup import eval_hom
+from limitforge.presentation import parse
 from limitforge.retracts import (
     Retraction,
     RetractionFound,
@@ -205,7 +206,7 @@ def test_subgroup_presentation_correspondences_substitute():
     want, gens_in_s = present_from_retraction_reference(s_words, res.witness, free_oracle(F2))
     assert want == res and len(gens_in_s) == res.presentation.rank
     for j, over_s in enumerate(gens_in_s):
-        assert substitute(over_s, s_words) == res.gens_ambient[j]
+        assert eval_hom(s_words, over_s) == res.gens_ambient[j]
 
 
 def test_retraction_search_is_deterministic():

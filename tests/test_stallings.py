@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from limitforge.presentation import substitute
-from limitforge.stallings import basis_of, fold, graph_rank_index, member
+from limitforge.freegroup import eval_hom
+from limitforge.coset import fold, graph_rank_index, member
 from limitforge.words import EMPTY, Word
 
 from oracles import fold_reference, product_closure, random_reduced_word
@@ -20,12 +20,12 @@ def test_single_generator():
     assert member(g, W(1, 1, 1)) is not None
     assert member(g, W(2)) is None
     assert member(g, W(1, 2)) is None
-    assert basis_of(g) == (W(1),)
+    assert g.schreier.basis == (W(1),)
 
 
 def test_empty_generating_set():
     g = fold(2, [])
-    assert basis_of(g) == ()
+    assert g.schreier.basis == ()
     assert member(g, EMPTY) == EMPTY
     assert member(g, W(1)) is None
     assert graph_rank_index(g)[0] == 0
@@ -53,16 +53,16 @@ def test_infinite_index_has_inf_marker():
 def test_member_expression_is_faithful():
     gens = [W(1, 1), W(1, 2)]
     g = fold(2, gens)
-    basis = basis_of(g)
+    basis = g.schreier.basis
     w = W(1, 1) * W(1, 2).inv() * W(1, 1)
     expr = member(g, w)
     assert expr is not None
-    assert substitute(expr, basis) == w
+    assert eval_hom(basis, expr) == w
 
 
 def test_fold_handles_redundant_generators():
     g = fold(2, [W(1), W(1, 1), EMPTY])
-    assert basis_of(g) == (W(1),)
+    assert g.schreier.basis == (W(1),)
     rank, _ = graph_rank_index(g)
     assert rank == 1
 
@@ -75,12 +75,12 @@ def test_membership_against_product_closure():
         nset = rng.randint(1, 3)
         gens = [random_reduced_word(rng, 2, rng.randint(1, 4)) for _ in range(nset)]
         g = fold(2, gens)
-        basis = basis_of(g)
+        basis = g.schreier.basis
         closure = product_closure(gens, 4)
         for ints in closure:
             expr = member(g, Word(ints))
             assert expr is not None, (gens, ints)
-            assert substitute(expr, basis) == Word(ints)
+            assert eval_hom(basis, expr) == Word(ints)
         wider = product_closure(gens, 6)
         for _ in range(20):
             w = random_reduced_word(rng, 2, rng.randint(0, 6))
@@ -103,11 +103,11 @@ def test_membership_against_product_closure():
 def test_generators_and_basis_are_members(raw):
     gens = [Word.make(xs) for xs in raw]
     g = fold(2, gens)
-    basis = basis_of(g)
+    basis = g.schreier.basis
     for w in gens:
         expr = member(g, w)
         assert expr is not None
-        assert substitute(expr, basis) == w
+        assert eval_hom(basis, expr) == w
     for b in basis:
         assert member(g, b) is not None
     # rank never exceeds the number of generators given
@@ -155,13 +155,13 @@ def fold_cases():
 
 def test_fold_matches_reference_folder(fold_cases):
     for rank, gens in fold_cases:
-        assert fold(rank, gens).trans == fold_reference(rank, gens).trans, (rank, gens)
+        assert fold(rank, gens).rows == fold_reference(rank, gens).rows, (rank, gens)
 
 
 def test_folded_graph_has_no_dangling_vertex(fold_cases):
     """Folding reduced words gives an immersion, so every vertex but the
     base keeps at least two edges."""
     for rank, gens in fold_cases:
-        trans = fold(rank, gens).trans
-        for v in range(1, len(trans)):
-            assert sum(d is not None for d in trans[v]) >= 2, (rank, gens, v)
+        rows = fold(rank, gens).rows
+        for v in range(1, len(rows)):
+            assert sum(d is not None for d in rows[v]) >= 2, (rank, gens, v)

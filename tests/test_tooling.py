@@ -45,16 +45,33 @@ def _imported_modules(path: pathlib.Path) -> set:
 
 def test_every_module_is_imported_by_the_package():
     """A module that no other package module imports is API that nothing
-    calls.  The exceptions are the entry points `__init__` and `cli`, and
-    `stallings`, the folded-graph library that acceptance criterion 2
-    calls directly and no engine needs."""
+    calls.  The exceptions are the entry points `__init__` and `cli`."""
     package = pathlib.Path(limitforge.__file__).parent
     modules = {path.stem: path for path in package.glob("*.py")}
     imported = set()
     for name, path in modules.items():
         imported |= _imported_modules(path) - {name}
-    orphans = set(modules) - imported - {"__init__", "cli", "stallings"}
+    orphans = set(modules) - imported - {"__init__", "cli"}
     assert not orphans, f"modules nothing in the package imports: {sorted(orphans)}"
+
+
+def test_no_module_imports_a_private_name():
+    """An underscore name belongs to its module, so no other package module
+    imports one.  The exemptions are `words._set`, the storage protocol
+    of `words.Value`, and `retracts._REPRICE`, the marker of `Metered`."""
+    package = pathlib.Path(limitforge.__file__).parent
+    found = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found.update(
+                    (path.stem, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    private = {(module, name) for module, name in found
+               if name not in ("words._set", "retracts._REPRICE")}
+    assert not private, sorted(private)
 
 
 def test_no_module_global_caches():
@@ -281,10 +298,9 @@ def test_goldens_regenerate_from_their_script(tmp_path):
 
 # Library entry points that only the tests and the acceptance criteria call.
 ENTRY_POINTS = {
-    "stallings.fold",
-    "stallings.basis_of",
-    "stallings.member",
-    "stallings.graph_rank_index",
+    "coset.fold",
+    "coset.member",
+    "coset.graph_rank_index",
     "ice.enumerate_limit_groups",
     "recognize.Limit.reverify",
     "recognize.NotLimit.reverify",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from limitforge.coset import CosetTable, RSResult
-from limitforge.freegroup import FreeGroup
 from limitforge.ice import Classification, ExtensionStep, IceTower, LimitGroupEmission
 from limitforge.presentation import Presentation, SimplifyTrace
 from limitforge.recognize import (
@@ -24,7 +23,6 @@ from limitforge.retracts import (
     SearchExhausted,
     SubgroupPresentationResult,
 )
-from limitforge.stallings import SubgroupGraph
 from limitforge.words import (
     EMPTY,
     Word,
@@ -227,7 +225,6 @@ VALUE_CLASSES = [
     (CosetTable, ("ngens", "rows", "subgens"), (2, ((0, 0, 0, 0),), (_A,)), (2, ((0, 0, 0, 0),))),
     (RSResult, ("table", "presentation", "gens_ambient", "trace"), (_TABLE, _P, (_A,), _TRACE),
      (_TABLE, _Q, (_A,), _TRACE)),
-    (FreeGroup, ("names",), (("a", "b"),), (("a", "c"),)),
     (ExtensionStep, ("g", "n", "names", "basis"), (_A, 1, ("t",), (_A,)), (_A, 2, ("t",), (_A,))),
     (IceTower, ("base_rank", "steps"), (2, (_STEP,)), (2, ())),
     (Classification, ("kind", "level", "conjugator"), ("parabolic", 1, _B), ("parabolic", 1, _A)),
@@ -253,7 +250,6 @@ VALUE_CLASSES = [
     (IncompleteResult, ("reason",), ("oracle",), ("budget",)),
     (SubgroupPresentationResult, ("presentation", "gens_ambient", "witness"),
      (_P, (_B,), _FOUND), (_P, (_A,), _FOUND)),
-    (SubgroupGraph, ("rank", "trans"), (1, ((0, 0),)), (1, ((None, None),))),
 ]
 
 
