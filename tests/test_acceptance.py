@@ -259,12 +259,6 @@ def test_criterion_08():
         assert torsion == (), serialize(p)
 
 
-def _corpus_oracle(row):
-    _, text, strategy, tower_doc = row[:4]
-    tower = tower_from_json(tower_doc) if tower_doc else None
-    return oracle_from(parse(text), strategy, tower=tower)
-
-
 @pytest.fixture(scope="module")
 def recognition_runs():
     started = time.monotonic()
@@ -285,7 +279,7 @@ def test_criterion_09(recognition_runs):
         if isinstance(v, Limit):
             assert v.reverify() is True, name
         elif isinstance(v, NotLimit):
-            assert v.reverify(_corpus_oracle(row)) is True, name
+            assert v.reverify(oracle_from(v.presentation, row[2])) is True, name
     assert elapsed < 600.0
 
 
