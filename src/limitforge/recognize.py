@@ -26,7 +26,7 @@ from .presentation import (
     relator_lattice,
     tietze_simplify,
 )
-from .retracts import _REPRICE, Metered
+from .retracts import _REPRICE, Metered, set_bits
 from .words import EMPTY, Value, Word, _set, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
@@ -233,6 +233,9 @@ class CertifySearch(Metered):
         self.wp = wp
         self._lattice = relator_lattice(p)
         self._counted = 0  # candidates handed to the meter, owed ones too
+        # (lb, lc) -> b's index among the words of length lb -> bitmask of
+        # the c of length lc for which [b, c] was not False
+        self._live: dict[tuple[int, int], dict[int, int]] = {}
         self.max_cost = 0
         super().__init__()
 
@@ -269,16 +272,41 @@ class CertifySearch(Metered):
                         yield dead
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
-                    pool = pools[cost - la - lb]
+                    lc = cost - la - lb
+                    pool = pools[lc]
+                    live = self._live.setdefault((lb, lc), {})
                     for a in pools[la]:
-                        for b in pools[lb]:
-                            # the premises on (a, b) do not depend on c;
-                            # an undecided one is asked again for the
-                            # next c, as a semi-decision may decide it
-                            # later, and a failed one kills the rest
-                            pair = None
+                        for ib, b in enumerate(pools[lb]):
+                            # the premises on (a, b) do not depend on c
+                            pair = self._ct_pair(a, b)
+                            if pair is True:
+                                # [b, c] does not depend on a: a c for which
+                                # an earlier full pass got False is dead for
+                                # every a, and the rest are asked again
+                                known = live.get(ib)
+                                keep = done = 0
+                                for k in range(len(pool)) if known is None else set_bits(known):
+                                    if k > done:
+                                        self._counted += k - done
+                                        yield k - done
+                                    self._counted += 1
+                                    c = pool[k]
+                                    bc = self.wp(commutator(b, c))
+                                    if bc is not False:
+                                        keep |= 1 << k
+                                    yield self._ct_tail(a, b, c) if bc else None
+                                    done = k + 1
+                                if len(pool) > done:
+                                    self._counted += len(pool) - done
+                                    yield len(pool) - done
+                                live[ib] = keep
+                                continue
+                            # an undecided premise is asked again for the
+                            # next c, as a semi-decision may decide it later,
+                            # and a failed one kills the rest; such a pass
+                            # asks [b, c] only for some c, so keeps nothing
                             for k, c in enumerate(pool):
-                                if pair is None:
+                                if pair is None and k:
                                     pair = self._ct_pair(a, b)
                                 if pair is False:
                                     self._counted += len(pool) - k
@@ -326,11 +354,14 @@ class CertifySearch(Metered):
 
     def _ct(self, a: Word, b: Word, c: Word):
         # the caller has checked the premises on (a, b)
-        wp = self.wp
-        if wp(commutator(b, c)) is not True:
+        if self.wp(commutator(b, c)) is not True:
             return None
+        return self._ct_tail(a, b, c)
+
+    def _ct_tail(self, a: Word, b: Word, c: Word):
+        # the caller has also checked that [b, c] is trivial
         gac = commutator(a, c)
-        if wp(gac) is not False:
+        if self.wp(gac) is not False:
             return None
         witness = Witness(
             (b, gac), "commutation-transitivity", {"a": a, "b": b, "c": c}

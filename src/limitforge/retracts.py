@@ -151,6 +151,7 @@ class SubgroupAtlas:
         self._tables: dict[int, list[CosetTable]] = {}
         self._subgroups: dict[CosetTable, _Subgroup] = {}
         self._pools: dict[tuple[int, int], tuple[Word, ...]] = {}
+        self._holding: dict[tuple[int, tuple[int, ...]], int] = {}
         self._compositions: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     def tables(self, index: int) -> list[CosetTable]:
@@ -159,6 +160,23 @@ class SubgroupAtlas:
         if got is None:
             got = self._tables[index] = list(subgroups_of_index(self.p, index))
         return got
+
+    def holding(self, index: int, words) -> int:
+        """Bitmask of the tables of this index that hold every word: bit i
+        is set when tables(index)[i] leads coset 0 back to 0 along each.
+        Each word's mask is traced once and kept."""
+        tables = self.tables(index)
+        mask = (1 << len(tables)) - 1
+        for w in words:
+            got = self._holding.get((index, w.ints))
+            if got is None:
+                got = 0
+                for i, t in enumerate(tables):
+                    if t.trace(0, w) == 0:
+                        got |= 1 << i
+                self._holding[index, w.ints] = got
+            mask &= got
+        return mask
 
     def subgroup(self, t: CosetTable) -> _Subgroup:
         got = self._subgroups.get(t)
@@ -281,6 +299,14 @@ def _combine(coeffs, vecs, rank: int) -> tuple[int, ...]:
 _REPRICE = object()  # Metered stream marker: `price` has just changed
 
 
+def set_bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Metered:
     """A resumable search charged per item of its stream, `_stream`.
 
@@ -369,8 +395,7 @@ class RetractionSearch(Metered):
     # -- dovetail internals
 
     def _make_branch(self, t: CosetTable) -> _Branch | None:
-        # membership needs only the Schreier walk, so a table that misses
-        # S is never presented
+        # the stream calls this only on tables that hold S (atlas.holding)
         walks = []
         for s in self.s_words:
             end, raw = t.schreier.walk(0, s)
@@ -382,40 +407,56 @@ class RetractionSearch(Metered):
         return _Branch(sub, tuple(eval_hom(images, raw) for raw in walks))
 
     def _y_tuples(self, branch: _Branch, total: int):
-        """The candidates Y of this total length, in search order; a
-        candidate that the packed zero-lane test rejects comes as None."""
+        """The candidates Y of this total length, in search order.  A
+        positive int n stands for the next n candidates, all rejected by
+        the packed zero-lane test."""
         m = len(self.s_words)
         packing = branch.packing
-        for comp in self.atlas.compositions(total, branch.rank):
-            if packing is None:
+        if packing is None:
+            for comp in self.atlas.compositions(total, branch.rank):
                 yield from itertools.product(*[self.atlas.pool(m, n) for n in comp])
-                continue
+            return
+        coeffs, _, target = packing
+        # C_j * sigma(w) for the words w of one length at position j, built
+        # once per call: the walk is over the product of the pools
+        scaled: dict[tuple[int, int], list[int]] = {}
+        for comp in self.atlas.compositions(total, branch.rank):
             # a length-0 position holds EMPTY, whose packed image is 0, so
             # only the nonzero positions are walked
             nonzero = [j for j, n in enumerate(comp) if n]
             if not nonzero:
-                yield (EMPTY,) * len(comp) if packing[2] == 0 else None
+                yield (EMPTY,) * len(comp) if target == 0 else 1
                 continue
             pools = [self.atlas.pool(m, comp[j]) for j in nonzero]
-            # C_j * sigma(w) per position: the walk is over the product of
-            # the pools, so the parts cost little to build for each split
-            parts = [
-                [packing[0][j] * image for image in branch.images(comp[j], pool)]
-                for j, pool in zip(nonzero, pools)
-            ]
+            parts = []
+            for j, pool in zip(nonzero, pools):
+                got = scaled.get((j, comp[j]))
+                if got is None:
+                    c = coeffs[j]
+                    got = scaled[j, comp[j]] = [c * image for image in branch.images(comp[j], pool)]
+                parts.append(got)
             # the last position varies fastest: the rest of the sum is fixed
-            # along its pool, and a tuple is built only for a survivor
+            # along its pool, so each head finds the places where the last
+            # part meets the target, and a tuple is built only there
             last, last_parts = pools.pop(), parts.pop()
+            dead = 0
             for head, head_parts in zip(itertools.product(*pools), itertools.product(*parts)):
-                need = packing[2] - sum(head_parts)
-                for w, part in zip(last, last_parts):
-                    if part == need:
-                        y = [EMPTY] * len(comp)
-                        for j, word in zip(nonzero, head + (w,)):
-                            y[j] = word
-                        yield tuple(y)
-                    else:
-                        yield None
+                need = target - sum(head_parts)
+                k = -1
+                for _ in range(last_parts.count(need)):
+                    start = k + 1
+                    k = last_parts.index(need, start)
+                    dead += k - start
+                    if dead:
+                        yield dead
+                        dead = 0
+                    y = [EMPTY] * len(comp)
+                    for j, word in zip(nonzero, head + (last[k],)):
+                        y[j] = word
+                    yield tuple(y)
+                dead += len(last) - k - 1
+            if dead:
+                yield dead
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:
         # the abelian lattice test rejects almost every candidate, so it
@@ -432,12 +473,15 @@ class RetractionSearch(Metered):
         )
 
     def _candidates(self, branch: _Branch, total: int):
-        """One item per candidate Y of this total length on the branch."""
+        """One item per candidate Y of this total length on the branch; a
+        run of candidates that the packed test rejects comes as its count."""
         for y in self._y_tuples(branch, total):
-            if y is not None:
-                found = self._admit(branch, y)
-                if found is not None:
-                    yield found
+            if y.__class__ is int:
+                yield y
+                continue
+            found = self._admit(branch, y)
+            if found is not None:
+                yield found
             yield None
 
     def _stream(self):
@@ -448,12 +492,20 @@ class RetractionSearch(Metered):
             # enumerating the new cost's coset tables is the expensive tail
             for br in branches:
                 yield from self._candidates(br, self.cost - br.index)
-            for t in self.atlas.tables(self.cost):
-                br = self._make_branch(t)
+            # a table that misses S still costs its step, in a dead run, and
+            # is never walked or presented
+            tables = self.atlas.tables(self.cost)
+            done = 0
+            for i in set_bits(self.atlas.holding(self.cost, self.s_words)):
+                if i > done:
+                    yield i - done
+                br = self._make_branch(tables[i])
                 yield None
-                if br is not None:
-                    branches.append(br)
-                    yield from self._candidates(br, 0)
+                branches.append(br)
+                yield from self._candidates(br, 0)
+                done = i + 1
+            if len(tables) > done:
+                yield len(tables) - done
 
 
 def find_retraction(

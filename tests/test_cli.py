@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, reports, budget resolution."""
 
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -12,6 +14,7 @@ from limitforge.cli import main
 from limitforge.words import Word
 
 FAKE_ORACLE = pathlib.Path(__file__).resolve().parent / "fake_oracle.py"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -159,6 +162,22 @@ def test_retract(capsys, grp):
     )
     assert code == 0
     assert out.splitlines()[0] == "cost 4, subgroup of index 2"
+
+
+@pytest.mark.parametrize("command", ["retract", "present-subgroup"])
+def test_budget_bounds_the_default_oracle(grp, command):
+    """With no --oracle, each query of the default dovetail oracle gets
+    --budget too: one query cannot outlast a small budget."""
+    path = grp("z2.grp", "< a, b | [a,b] >")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "limitforge.cli", command, "--pres", path,
+         "--word", "a*a", "--word", "b", "--budget", "300"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "exhausted after 300 steps" in proc.stdout
 
 
 def test_refute_exit_codes(capsys):

@@ -145,8 +145,8 @@ def test_lazy_schreier_basis_matches_eager_reference(p):
 
 
 def test_retraction_search_presents_only_tables_that_hold_s():
-    """Membership of S reads only the Schreier walk: a table that misses
-    S keeps no basis, and each table that holds S is presented."""
+    """Membership of S reads only the coset table: a table that misses S
+    builds no Schreier tree, and each table that holds S is presented."""
     atlas = SubgroupAtlas(GENUS2)
     s_words = (Word((1, 1)), Word((2,)))
     search = RetractionSearch(GENUS2, s_words, oracle_from(GENUS2, "builtin:pinched"), atlas)
@@ -154,12 +154,12 @@ def test_retraction_search_presents_only_tables_that_hold_s():
     missed = held = 0
     for index in range(1, search.cost):  # the indices walked in full
         for t in atlas.tables(index):
-            if all(t.schreier.walk(0, w)[0] == 0 for w in s_words):
+            if all(t.trace(0, w) == 0 for w in s_words):
                 held += 1
                 assert "basis" in t.schreier.__dict__
             else:
                 missed += 1
-                assert "basis" not in t.schreier.__dict__
+                assert "schreier" not in t.__dict__
     assert missed > 0 and held > 0
 
 

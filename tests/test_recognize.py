@@ -51,6 +51,7 @@ from limitforge.recognize import (
     refute_sentence,
     witness_sentence,
 )
+from limitforge.retracts import _REPRICE
 from limitforge.words import Word, commutator
 
 from oracles import (
@@ -448,6 +449,64 @@ def test_certify_search_matches_reference(case):
                 assert w in sent
     else:
         assert all(len((sent[w] | asked[w]) - {None}) <= 1 for w in sent)
+
+
+def _scripted_product_oracle():
+    """The F2 x Z oracle, but undecided on [a^+-1, b^+-1], so no witness
+    has a = a^+-1, and on the first ask of z: the pass of the witness
+    search for (a, z) starts undecided and asks [z, c] only from its
+    second c on."""
+    wp = product_oracle(PRODUCT)
+    a, b, z = Word((1,)), Word((2,)), Word((3,))
+    never = {commutator(x, y).ints for x in (a, a.inv()) for y in (b, b.inv())}
+    once = {z.ints}
+    fn = wp.fn
+
+    def scripted(w):
+        if w.ints in never:
+            return None
+        if w.ints in once:
+            once.discard(w.ints)
+            return None
+        return fn(w)
+
+    wp.fn = scripted
+    return wp
+
+
+def test_certify_search_reasks_a_pass_decided_late():
+    """The witness search skips a c for b only after a pass that asked
+    [b, c] for every c.  The pass for (a, z) never asks [z, a]; the first
+    full pass for z, (a^-1, z), does, and keeps c = a alive, so (b, z, a)
+    is found where the old loop finds it, in the same slices."""
+    new = CertifySearch(PRODUCT, _scripted_product_oracle())
+    old = CertifySearchLoop(PRODUCT, _scripted_product_oracle())
+    slices = itertools.cycle(METER_SLICES)
+    while old.found is None:
+        k = next(slices)
+        assert new.run(k) == old.run(k)
+        for attr in ("spent", "candidates", "max_cost", "found"):
+            assert getattr(new, attr) == getattr(old, attr)
+    assert old.found.data == {"a": Word((2,)), "b": Word((3,)), "c": Word((1,))}
+
+
+@pytest.mark.parametrize("case", list(CERTIFY_CASES))
+def test_certify_stream_yields_no_empty_run(case):
+    """Every dead run the witness search yields counts at least one
+    candidate."""
+    pres, make_oracle, units, _, _ = CERTIFY_CASES[case]
+    search = CertifySearch(pres, make_oracle(pres))
+    spent = 0
+    for item in search._stream():
+        if item.__class__ is int:
+            assert item > 0
+            spent += item * search.price
+        elif item is not _REPRICE:
+            spent += search.price
+            if item is not None:
+                break
+        if spent >= units:
+            break
 
 
 # --- the verdict engines ----------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import limitforge.retracts as retracts
 from limitforge.abelian import abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
-from limitforge.ice import ice_oracle, presentation_of, tower_from_json
+from limitforge.ice import _subset_stream, ice_oracle, presentation_of, tower_from_json
 from limitforge.oracles import finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
 from limitforge.freegroup import eval_hom
 from limitforge.presentation import parse
@@ -38,6 +38,7 @@ from oracles import (
 
 F2 = parse("< a, b | >")
 Z2 = parse("< a, b | [a,b] >")
+GENUS2 = parse("< a, b, c, d | [a,b]*[c,d]^-1 >")
 TOWER1 = tower_from_json({"base_rank": 2, "steps": [{"g": "a", "n": 1}]})
 TOWER1_P = presentation_of(TOWER1)
 
@@ -418,7 +419,8 @@ def test_only_tables_that_hold_s_are_presented(monkeypatch):
 def test_y_tuples_keep_the_old_order(case):
     """The candidate stream walks Y in the old order, putting None only
     in place of candidates that the lattice test rejects, and with no
-    Smith entry above 1, in place of every one of them."""
+    Smith entry above 1, in place of every one of them.  A dead run of n
+    candidates stands for n Nones."""
     p, wp = PREFILTER_CASES[case]
     atlas = PREFILTER_ATLASES[case]
     for s in _s_sets(p.rank):
@@ -429,7 +431,9 @@ def test_y_tuples_keep_the_old_order(case):
             if br is None:
                 continue
             for total in range(6):
-                got = list(new._y_tuples(br, total))
+                got = []
+                for y in new._y_tuples(br, total):
+                    got.extend([None] * y if y.__class__ is int else [y])
                 expected = list(old._y_tuples(br, total))
                 assert len(got) == len(expected)
                 for y_new, y in zip(got, expected):
@@ -438,3 +442,47 @@ def test_y_tuples_keep_the_old_order(case):
                     else:
                         assert y_new == y
                         assert _lattice_admits(br, y) or not _torsion_free(br)
+
+
+@pytest.mark.parametrize("p", [F2, GENUS2, TOWER1_P], ids=["F2", "genus2", "T1"])
+def test_holding_matches_schreier_walks(p):
+    """atlas.holding marks exactly the tables of an index whose Schreier
+    walk of every word of S returns to coset 0, for every table of index
+    <= 4 and the first 2,000 sets of the enumeration's subset stream."""
+    atlas = SubgroupAtlas(p)
+    held = {}  # (index, word) -> bitmask of the tables whose walk ends at 0
+    for s in itertools.islice(_subset_stream(p.rank, []), 2000):
+        for index in range(1, 5):
+            tables = atlas.tables(index)
+            want = (1 << len(tables)) - 1
+            for w in s:
+                got = held.get((index, w))
+                if got is None:
+                    got = held[index, w] = sum(
+                        1 << i for i, t in enumerate(tables) if t.schreier.walk(0, w)[0] == 0
+                    )
+                want &= got
+            assert atlas.holding(index, s) == want
+
+
+STREAM_CASES = PREFILTER_CASES + ((GENUS2, oracle_from(GENUS2, "builtin:pinched")),)
+
+
+@pytest.mark.parametrize("case", range(len(STREAM_CASES)))
+def test_retraction_stream_yields_no_empty_run(case):
+    """Every dead run, of tables that miss S or of candidates that the
+    packed test rejects, counts at least one item."""
+    p, wp = STREAM_CASES[case]
+    atlas = SubgroupAtlas(p)
+    for s in _s_sets(p.rank):
+        spent = 0
+        for item in RetractionSearch(p, s, wp, atlas)._stream():
+            if item.__class__ is int:
+                assert item > 0
+                spent += item
+            else:
+                spent += 1
+                if item is not None:
+                    break
+            if spent >= 3000:
+                break
