@@ -32,7 +32,7 @@ from .ice import (
     tower_to_json,
     wp_ice,
 )
-from .oracles import OracleProtocolError, dovetail_oracle, oracle_from
+from .oracles import OracleProtocolError, oracle_from
 from .presentation import Presentation, parse, serialize
 from .recognize import (
     Free,
@@ -221,8 +221,7 @@ def _cmd_present_subgroup(args) -> int:
     p, pres_in = _load_pres(args.pres)
     s_words = _parse_s_words(args.word, p.names)
     budget = _budget(args, 200_000)
-    # the default oracle's work is bounded per query by the same budget
-    oracle = oracle_from(p, args.oracle) if args.oracle else dovetail_oracle(p, budget)
+    oracle = oracle_from(p, args.oracle) if args.oracle else None
     res = subgroup_presentation_lr(p, s_words, budget=budget, oracle=oracle)
     inputs = {"pres": pres_in, "words": list(args.word), "budget": budget}
     if isinstance(res, SubgroupPresentationResult):
@@ -243,8 +242,7 @@ def _cmd_retract(args) -> int:
     p, pres_in = _load_pres(args.pres)
     s_words = _parse_s_words(args.word, p.names)
     budget = _budget(args, 200_000)
-    # the default oracle's work is bounded per query by the same budget
-    oracle = oracle_from(p, args.oracle) if args.oracle else dovetail_oracle(p, budget)
+    oracle = oracle_from(p, args.oracle) if args.oracle else None
     found = find_retraction(p, s_words, budget=budget, oracle=oracle)
     inputs = {"pres": pres_in, "words": list(args.word), "budget": budget}
     if isinstance(found, SearchExhausted):

@@ -361,7 +361,11 @@ class _Dovetail:
         return None
 
 
-def dovetail_oracle(p: Presentation, budget: int = 10**6) -> WordOracle:
+# units of work the dovetail oracle gets per query when no budget is given
+DOVETAIL_QUERY_CAP = 10**6
+
+
+def dovetail_oracle(p: Presentation, budget: int = DOVETAIL_QUERY_CAP) -> WordOracle:
     engine = _Dovetail(p, budget)
     return WordOracle(engine.query, False, f"dovetail:{budget}")
 

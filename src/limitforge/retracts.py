@@ -17,7 +17,7 @@ from functools import cached_property
 from .abelian import Lattice, exponent_vector, matvec
 from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
 from .freegroup import eval_hom, standard_names
-from .oracles import WordOracle, dovetail_oracle
+from .oracles import DOVETAIL_QUERY_CAP, WordOracle, dovetail_oracle
 from .presentation import Presentation, tietze_simplify
 from .words import EMPTY, Value, Word, _set, validate_word, words_of_length
 
@@ -394,13 +394,12 @@ class RetractionSearch(Metered):
 
     # -- dovetail internals
 
-    def _make_branch(self, t: CosetTable) -> _Branch | None:
+    def _make_branch(self, t: CosetTable) -> _Branch:
         # the stream calls this only on tables that hold S (atlas.holding)
         walks = []
         for s in self.s_words:
             end, raw = t.schreier.walk(0, s)
-            if end != 0:
-                return None  # S is not inside this subgroup
+            assert end == 0, "S is not inside this subgroup"
             walks.append(raw)
         sub = self.atlas.subgroup(t)
         images = sub.rs.trace.gen_images
@@ -517,9 +516,13 @@ def find_retraction(
     """First verified (subgroup, retraction) pair in dovetail order.
 
     Returns a RetractionFound, or SearchExhausted after `budget` steps.
+    With no oracle, each query of the default dovetail oracle gets
+    `budget` units of work, never more than DOVETAIL_QUERY_CAP.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+    if oracle is None:
+        oracle = dovetail_oracle(p, min(budget, DOVETAIL_QUERY_CAP))
     search = RetractionSearch(p, s_words, oracle)
     found = search.run(budget)
     if found is None:
@@ -564,11 +567,12 @@ def subgroup_presentation_lr(
     Pipeline: find a finite-index overgroup with a retraction onto the
     span of S, present the overgroup, then eliminate the retraction's
     kernel generators.  Returns SearchExhausted or IncompleteResult when
-    the search or the oracle runs out.
+    the search or the oracle runs out.  The default oracle is that of
+    find_retraction.
     """
     s_words = tuple(s_words)
     if oracle is None:
-        oracle = dovetail_oracle(p)
+        oracle = dovetail_oracle(p, min(budget, DOVETAIL_QUERY_CAP))
     found = find_retraction(p, s_words, budget, oracle)
     if isinstance(found, SearchExhausted):
         return found

@@ -13,7 +13,7 @@ import limitforge.retracts as retracts
 from limitforge.abelian import abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
 from limitforge.ice import _subset_stream, ice_oracle, presentation_of, tower_from_json
-from limitforge.oracles import finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
+from limitforge.oracles import DOVETAIL_QUERY_CAP, finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
 from limitforge.freegroup import eval_hom
 from limitforge.presentation import parse
 from limitforge.retracts import (
@@ -25,6 +25,7 @@ from limitforge.retracts import (
     SubgroupPresentationResult,
     _Branch,
     find_retraction,
+    set_bits,
     subgroup_presentation_lr,
 )
 from limitforge.words import EMPTY, Word, commutator
@@ -86,6 +87,24 @@ def test_negative_budget_is_refused():
         find_retraction(F2, (W(1),), budget=-1, oracle=free_oracle(F2))
     got = find_retraction(F2, (W(1),), budget=0, oracle=free_oracle(F2))
     assert got == SearchExhausted(0)
+
+
+@pytest.mark.parametrize("budget, cap", [(300, 300), (10**7, DOVETAIL_QUERY_CAP)])
+def test_default_oracle_queries_are_capped_by_the_budget(monkeypatch, budget, cap):
+    """With no oracle, find_retraction and subgroup_presentation_lr build
+    the dovetail oracle with the budget per query, never above
+    DOVETAIL_QUERY_CAP, so a large budget does not lift the cap."""
+    caps = []
+
+    def recording_dovetail(p, per_query):
+        caps.append(per_query)
+        return free_abelian_oracle(p)
+
+    monkeypatch.setattr(retracts, "dovetail_oracle", recording_dovetail)
+    assert isinstance(find_retraction(Z2, (W(1, 1), W(2)), budget), RetractionFound)
+    res = subgroup_presentation_lr(Z2, (W(1, 1), W(2)), budget)
+    assert isinstance(res, SubgroupPresentationResult)
+    assert caps == [cap, cap]
 
 
 class _Script(retracts.Metered):
@@ -426,22 +445,22 @@ def test_y_tuples_keep_the_old_order(case):
     for s in _s_sets(p.rank):
         new = RetractionSearch(p, s, wp, atlas)
         old = RetractionSearchLoop(p, s, wp, atlas)
-        for t in (t for n in (1, 2) for t in atlas.tables(n)):
-            br = new._make_branch(t)
-            if br is None:
-                continue
-            for total in range(6):
-                got = []
-                for y in new._y_tuples(br, total):
-                    got.extend([None] * y if y.__class__ is int else [y])
-                expected = list(old._y_tuples(br, total))
-                assert len(got) == len(expected)
-                for y_new, y in zip(got, expected):
-                    if y_new is None:
-                        assert not _lattice_admits(br, y)
-                    else:
-                        assert y_new == y
-                        assert _lattice_admits(br, y) or not _torsion_free(br)
+        for n in (1, 2):
+            tables = atlas.tables(n)
+            for i in set_bits(atlas.holding(n, s)):
+                br = new._make_branch(tables[i])
+                for total in range(6):
+                    got = []
+                    for y in new._y_tuples(br, total):
+                        got.extend([None] * y if y.__class__ is int else [y])
+                    expected = list(old._y_tuples(br, total))
+                    assert len(got) == len(expected)
+                    for y_new, y in zip(got, expected):
+                        if y_new is None:
+                            assert not _lattice_admits(br, y)
+                        else:
+                            assert y_new == y
+                            assert _lattice_admits(br, y) or not _torsion_free(br)
 
 
 @pytest.mark.parametrize("p", [F2, GENUS2, TOWER1_P], ids=["F2", "genus2", "T1"])
