@@ -233,7 +233,7 @@ def _cmd_present_subgroup(args) -> int:
         for j, w in enumerate(res.gens_ambient):
             lines.append(f"  {res.presentation.names[j]} = {format_word(w, p.names)}")
         return _emit(args, "present-subgroup", inputs, payload, 0, lines)
-    reason = getattr(res, "reason", None) or f"exhausted after {res.steps} steps"
+    reason = f"exhausted after {res.steps} steps"
     payload = {"incomplete": reason}
     return _emit(args, "present-subgroup", inputs, payload, 2, [f"incomplete: {reason}"])
 

@@ -776,7 +776,7 @@ class LimitEnumeration:
         the middle of a pair if need be; the rest of the round stays
         pending, and the next call finishes it before opening another.
         """
-        from .retracts import SubgroupPresentationResult, present_from_retraction
+        from .retracts import present_from_retraction
 
         if not self._todo:
             self._open_round()
@@ -795,9 +795,8 @@ class LimitEnumeration:
             if found is None:
                 self._kept.append(pair)
                 continue
-            res = present_from_retraction(search.s_words, found, search.oracle)
-            if isinstance(res, SubgroupPresentationResult):
-                out.append(LimitGroupEmission(res.presentation, tower, search.s_words, res))
+            res = present_from_retraction(search.s_words, found)
+            out.append(LimitGroupEmission(res.presentation, tower, search.s_words, res))
         return out
 
 

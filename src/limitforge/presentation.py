@@ -445,12 +445,13 @@ def normalize_key(p: Presentation):
 # Consequence enumeration
 
 
-def _compositions(total: int, k: int):
+def compositions(total: int, k: int):
+    """Tuples of k >= 1 positive ints summing to total, first part low."""
     if k == 1:
         yield (total,)
         return
     for first in range(1, total - k + 2):
-        for rest in _compositions(total - first, k - 1):
+        for rest in compositions(total - first, k - 1):
             yield (first,) + rest
 
 
@@ -498,7 +499,7 @@ def consequence_stream(p: Presentation):
 
     for total in itertools.count(1):
         for k in range(1, total + 1):
-            for comp in _compositions(total, k):
+            for comp in compositions(total, k):
                 for prod in products(comp):
                     if prod not in seen:
                         seen.add(prod)

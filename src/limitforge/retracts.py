@@ -18,12 +18,8 @@ from .abelian import Lattice, exponent_vector, matvec
 from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
 from .freegroup import eval_hom, standard_names
 from .oracles import DOVETAIL_QUERY_CAP, WordOracle, dovetail_oracle
-from .presentation import Presentation, tietze_simplify
+from .presentation import Presentation, compositions, tietze_simplify
 from .words import EMPTY, Value, Word, _set, validate_word, words_of_length
-
-
-class RetractError(ValueError):
-    pass
 
 
 class Retraction(Value):
@@ -97,20 +93,6 @@ class SearchExhausted(Value):
 
     def __init__(self, steps: int):
         _set(self, "steps", steps)
-
-
-def _weak_compositions(total: int, parts: int):
-    """Tuples of `parts` nonnegative ints summing to `total`, first part high."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 _LANE_BITS = 32  # width of one lane of the packed zero-lane test
@@ -196,9 +178,14 @@ class SubgroupAtlas:
         first: length is spread evenly before it piles up."""
         got = self._compositions.get((total, parts))
         if got is None:
-            got = self._compositions[total, parts] = tuple(
-                sorted(_weak_compositions(total, parts), key=lambda c: (max(c, default=0), c))
-            )
+            if not parts:
+                got = ((),) if total == 0 else ()
+            else:
+                # a split into nonnegative lengths is a composition of
+                # total + parts into positive parts, less 1 from each
+                splits = (tuple(n - 1 for n in c) for c in compositions(total + parts, parts))
+                got = tuple(sorted(splits, key=lambda c: (max(c), c)))
+            self._compositions[total, parts] = got
         return got
 
 
@@ -218,7 +205,8 @@ class _Branch:
     def packing(self):
         """The packed zero-lane test of a candidate Y: a coefficient
         integer C_j per position of Y, the packed image of each signed S
-        letter, and the target T; None where the test rejects nothing.
+        letter, and the target T.  With no lanes every packed image and T
+        are 0, and every candidate passes.
 
         Every check vector v must have u . v = 0 on each zero row u of the
         lattice.  A lane holds u . v for one check and one row, check k's
@@ -234,8 +222,6 @@ class _Branch:
         # S row in 0 holds on every candidate and gets no lane
         lanes = [matvec(self.s_rows, u) for u in self.sub.lattice.zero_rows]
         lanes = [row for row in lanes if any(row)]
-        if not lanes:
-            return None
         block = _LANE_BITS * len(lanes)
         s_packed = [
             sum(row[k] << (_LANE_BITS * i) for i, row in enumerate(lanes))
@@ -376,14 +362,14 @@ class RetractionSearch(Metered):
         self,
         p: Presentation,
         s_words,
-        oracle: WordOracle | None = None,
+        oracle: WordOracle,
         atlas: SubgroupAtlas | None = None,
     ):
         self.p = p
         self.s_words = tuple(s_words)
         for s in self.s_words:
             validate_word(s, p.rank)
-        self.oracle = oracle if oracle is not None else dovetail_oracle(p)
+        self.oracle = oracle
         self.atlas = atlas if atlas is not None else SubgroupAtlas(p)
         self.cost = 0
         super().__init__()
@@ -410,12 +396,7 @@ class RetractionSearch(Metered):
         positive int n stands for the next n candidates, all rejected by
         the packed zero-lane test."""
         m = len(self.s_words)
-        packing = branch.packing
-        if packing is None:
-            for comp in self.atlas.compositions(total, branch.rank):
-                yield from itertools.product(*[self.atlas.pool(m, n) for n in comp])
-            return
-        coeffs, _, target = packing
+        coeffs, _, target = branch.packing
         # C_j * sigma(w) for the words w of one length at position j, built
         # once per call: the walk is over the product of the pools
         scaled: dict[tuple[int, int], list[int]] = {}
@@ -530,13 +511,6 @@ def find_retraction(
     return found
 
 
-class IncompleteResult(Value):
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        _set(self, "reason", reason)
-
-
 class SubgroupPresentationResult(Value):
     """Presentation of the subgroup generated by S, with correspondences.
 
@@ -566,39 +540,30 @@ def subgroup_presentation_lr(
 
     Pipeline: find a finite-index overgroup with a retraction onto the
     span of S, present the overgroup, then eliminate the retraction's
-    kernel generators.  Returns SearchExhausted or IncompleteResult when
-    the search or the oracle runs out.  The default oracle is that of
-    find_retraction.
+    kernel generators.  Returns SearchExhausted when the search runs
+    out.  With no oracle, find_retraction builds the default one.
     """
     s_words = tuple(s_words)
-    if oracle is None:
-        oracle = dovetail_oracle(p, min(budget, DOVETAIL_QUERY_CAP))
     found = find_retraction(p, s_words, budget, oracle)
     if isinstance(found, SearchExhausted):
         return found
-    return present_from_retraction(s_words, found, oracle)
+    return present_from_retraction(s_words, found)
 
 
-def present_from_retraction(s_words, found: RetractionFound, oracle: WordOracle):
+def present_from_retraction(s_words, found: RetractionFound):
     """Turn a verified retraction into a presentation of the span of S.
 
     The span of S is the image of the retraction rho, the quotient of K
     by the relators x * rho(x)^-1, so those are appended and the kernel
-    generators are eliminated.  Idempotence of rho is checked through the
-    oracle first; a failed check raises, an unknown returns
-    IncompleteResult.  The quotient depends only on the subgroup and the
-    images, so it is built and simplified once per pair and kept in
-    `found.quotients`, the subgroup's.
+    generators are eliminated.  The search verified that rho is an
+    endomorphism of K fixing S with image in the span of S, so rho is
+    idempotent and no oracle is asked.  The quotient depends only on the
+    subgroup and the images, so it is built and simplified once per pair
+    and kept in `found.quotients`, the subgroup's.
     """
     s_words = tuple(s_words)
     rs = found.rs
     images = found.retraction.rho_images()
-    for j, w in enumerate(images):
-        v = oracle(rs.embed(eval_hom(images, w) * w.inv()))
-        if v is False:
-            raise RetractError(f"images are not idempotent at generator {j}")
-        if v is None:
-            return IncompleteResult("oracle could not confirm idempotence")
     got = found.quotients.get(images)
     if got is None:
         k_pres = rs.presentation

@@ -13,7 +13,8 @@ package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
 towers get pairs; the retraction-presentation reference builds and
-simplifies the quotient afresh for every retraction.  The witness-search
+simplifies the quotient afresh for every retraction and asserts that the
+retraction is idempotent.  The witness-search
 reference keeps the package's candidate checks and asks the oracle about
 every candidate.  The metering references at the end are the resumable
 searches as they ran before they shared one meter, each with its own run
@@ -38,11 +39,11 @@ from limitforge.presentation import (
     _NODE_GROWTH,
     NormalizeCapError,
     Presentation,
-    _compositions,
     _fresh_name,
     _remove_generator,
     _single_occurrence_pairs,
     abelianization,
+    compositions,
     enumerate_presentations,
     normalize_key,
     serialize,
@@ -51,15 +52,12 @@ from limitforge.presentation import (
 from limitforge.recognize import CertifySearch
 from limitforge.retracts import (
     _REPRICE,
-    IncompleteResult,
-    RetractError,
     Retraction,
     RetractionFound,
     RetractionSearch,
     SubgroupAtlas,
     SubgroupPresentationResult,
     _Branch,
-    _weak_compositions,
 )
 from limitforge.words import (
     EMPTY,
@@ -771,7 +769,7 @@ def consequence_stream_reference(p: Presentation):
 
     for total in itertools.count(1):
         for k in range(1, total + 1):
-            for comp in _compositions(total, k):
+            for comp in compositions(total, k):
                 for prod in products(comp):
                     if prod not in seen:
                         seen.add(prod)
@@ -807,8 +805,10 @@ class LimitEnumerationReference(LimitEnumeration):
 
 # ---------------------------------------------------------------------------
 # Presenting the span of S before each subgroup kept its quotients: the
-# quotient by x * rho(x)^-1 is built and simplified for every retraction.
-# Returns the result with the kept generators over the abstract S alphabet.
+# quotient by x * rho(x)^-1 is built and simplified for every retraction,
+# and rho o rho = rho is asserted through the oracle, which the library
+# leaves to the search's own verification.  Returns the result with the
+# kept generators over the abstract S alphabet.
 
 
 def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
@@ -817,10 +817,7 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     images = found.retraction.rho_images()
     for j, w in enumerate(images):
         v = oracle(rs.embed(eval_hom(images, w) * w.inv()))
-        if v is False:
-            raise RetractError(f"images are not idempotent at generator {j}")
-        if v is None:
-            return IncompleteResult("oracle could not confirm idempotence")
+        assert v is True, f"images are not idempotent at generator {j}: {v}"
     k_pres = rs.presentation
     extra = [Word((j + 1,)).inv() * w for j, w in enumerate(images)]
     quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
@@ -929,7 +926,9 @@ class RetractionSearchLoop(RetractionSearch):
             if total == 0:
                 yield tuple(EMPTY for _ in range(r))
             return
-        for comp in sorted(_weak_compositions(total, r), key=lambda c: (max(c), c)):
+        # nonnegative splits of total: positive ones of total + r, less 1 each
+        splits = (tuple(n - 1 for n in c) for c in compositions(total + r, r))
+        for comp in sorted(splits, key=lambda c: (max(c), c)):
             pools = [self.atlas.pool(m, length) for length in comp]
             yield from itertools.product(*pools)
 

@@ -10,12 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import limitforge.retracts as retracts
-from limitforge.abelian import abelian_invariants, exponent_vector
+from limitforge.abelian import Lattice, abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
-from limitforge.ice import _subset_stream, ice_oracle, presentation_of, tower_from_json
-from limitforge.oracles import DOVETAIL_QUERY_CAP, finite_oracle, free_abelian_oracle, free_oracle, klein_oracle
+from limitforge.ice import (
+    LimitGroupEmission,
+    _subset_stream,
+    ice_oracle,
+    presentation_of,
+    tower_from_json,
+)
+from limitforge.oracles import (
+    DOVETAIL_QUERY_CAP,
+    dovetail_oracle,
+    finite_oracle,
+    free_abelian_oracle,
+    free_oracle,
+    klein_oracle,
+)
 from limitforge.freegroup import eval_hom
 from limitforge.presentation import parse
+from limitforge.recognize import Limit, recognize_limit
 from limitforge.retracts import (
     Retraction,
     RetractionFound,
@@ -28,7 +42,7 @@ from limitforge.retracts import (
     set_bits,
     subgroup_presentation_lr,
 )
-from limitforge.words import EMPTY, Word, commutator
+from limitforge.words import EMPTY, Word, commutator, slot
 
 from oracles import (
     RetractionSearchLoop,
@@ -237,6 +251,56 @@ def test_retraction_search_is_deterministic():
     assert a.retraction == b.retraction
 
 
+# ---------------------------------------------------------------------------
+# The search's verification is what makes a found retraction a retraction,
+# so each of its answers is shown on a real retraction and on a tampered
+# copy, built through the value classes' constructors.
+
+LIMIT_ROWS = [row for row in CORPUS if row[4] == ("Limit",)]
+
+
+def _changed_image(found: RetractionFound) -> RetractionFound:
+    """found with one image y_j replaced by y_j * S1, the first such
+    change under which some check word has an exponent vector outside
+    the lattice of K's relators, so that it is nontrivial in K."""
+    r = found.retraction
+    k = r.k_pres
+    lattice = Lattice([exponent_vector(w, k.rank) for w in k.relators], k.rank)
+    for j, y in enumerate(r.y_words):
+        y_words = r.y_words[:j] + (y * W(1),) + r.y_words[j + 1:]
+        bad = Retraction(k, y_words, r.s_exprs)
+        if any(exponent_vector(w, k.rank) not in lattice for w in bad.check_words()):
+            return RetractionFound(found.table, found.rs, bad, found.cost)
+    raise AssertionError("no changed image breaks a check word")
+
+
+@pytest.mark.parametrize("row", LIMIT_ROWS, ids=[row[0] for row in LIMIT_ROWS])
+def test_a_changed_image_fails_verify_and_reverify(row):
+    """Changing one image of a verdict's retraction makes verify answer
+    False, and the Limit that carries it fails reverify()."""
+    _, text, strategy, tower_doc = row[:4]
+    p = parse(text)
+    tower = tower_from_json(tower_doc) if tower_doc else None
+    v = recognize_limit(p, oracle_from(p, strategy, tower=tower))
+    assert isinstance(v, Limit) and v.reverify() is True
+    em = v.emission
+    bad = _changed_image(em.result.witness)
+    assert em.result.witness.verify(ice_oracle(em.tower)) is True
+    assert bad.verify(ice_oracle(em.tower)) is False
+    result = SubgroupPresentationResult(em.result.presentation, em.result.gens_ambient, bad)
+    emission = LimitGroupEmission(em.presentation, em.tower, em.s_words, result)
+    assert Limit(v.presentation, v.matched, emission, v.report).reverify() is False
+
+
+def test_verify_is_unknown_when_the_oracle_runs_out():
+    """A dovetail oracle with no units left decides no nonempty check
+    word, so verify answers None where a total oracle answers True."""
+    found = find_retraction(Z2, (W(1), W(2)), oracle=free_abelian_oracle(Z2))
+    assert any(w.ints for w in found.retraction.check_words())
+    assert found.verify(free_abelian_oracle(Z2)) is True
+    assert found.verify(dovetail_oracle(Z2, 0)) is None
+
+
 def test_random_small_sets_verify():
     """Desk-scale sweep: whenever the search succeeds, the witness verifies
     and the S expressions embed back to the inputs."""
@@ -390,16 +454,13 @@ def test_packed_test_rejects_only_what_the_lattice_rejects(drawn):
     test; with no Smith entry above 1, the two tests agree."""
     case, br, y = drawn
     atlas = PREFILTER_ATLASES[case]
-    packing = br.packing
-    if packing is None:
-        packed = True
-    else:
-        m = len(br.s_exprs)
-        total = 0
-        for j, w in enumerate(y):
-            pool = atlas.pool(m, len(w))
-            total += packing[0][j] * br.images(len(w), pool)[pool.index(w)]
-        packed = total == packing[2]
+    coeffs, _, target = br.packing
+    m = len(br.s_exprs)
+    total = 0
+    for j, w in enumerate(y):
+        pool = atlas.pool(m, len(w))
+        total += coeffs[j] * br.images(len(w), pool)[pool.index(w)]
+    packed = total == target
     exact = _lattice_admits(br, y)
     if not packed:
         assert not exact
@@ -467,7 +528,15 @@ def test_y_tuples_keep_the_old_order(case):
 def test_holding_matches_schreier_walks(p):
     """atlas.holding marks exactly the tables of an index whose Schreier
     walk of every word of S returns to coset 0, for every table of index
-    <= 4 and the first 2,000 sets of the enumeration's subset stream."""
+    <= 4 and the first 2,000 sets of the enumeration's subset stream.  A
+    walk's end is found by stepping the tree's edges; no word is built."""
+
+    def walk_end(t, w):
+        v, trans = 0, t.schreier.trans
+        for x in w.ints:
+            v = trans[v][slot(x)]
+        return v
+
     atlas = SubgroupAtlas(p)
     held = {}  # (index, word) -> bitmask of the tables whose walk ends at 0
     for s in itertools.islice(_subset_stream(p.rank, []), 2000):
@@ -478,7 +547,7 @@ def test_holding_matches_schreier_walks(p):
                 got = held.get((index, w))
                 if got is None:
                     got = held[index, w] = sum(
-                        1 << i for i, t in enumerate(tables) if t.schreier.walk(0, w)[0] == 0
+                        1 << i for i, t in enumerate(tables) if walk_end(t, w) == 0
                     )
                 want &= got
             assert atlas.holding(index, s) == want

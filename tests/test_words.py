@@ -17,7 +17,6 @@ from limitforge.recognize import (
     Witness,
 )
 from limitforge.retracts import (
-    IncompleteResult,
     Retraction,
     RetractionFound,
     SearchExhausted,
@@ -247,7 +246,6 @@ VALUE_CLASSES = [
     (RetractionFound, ("table", "rs", "retraction", "cost"), (_TABLE, _RS, _RETRACTION, 1),
      (_TABLE, _RS, _RETRACTION, 2)),
     (SearchExhausted, ("steps",), (5,), (6,)),
-    (IncompleteResult, ("reason",), ("oracle",), ("budget",)),
     (SubgroupPresentationResult, ("presentation", "gens_ambient", "witness"),
      (_P, (_B,), _FOUND), (_P, (_A,), _FOUND)),
 ]
