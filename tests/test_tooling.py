@@ -1,6 +1,7 @@
 """Guards on the package surface and the shipped scripts."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -13,7 +14,8 @@ import sys
 import pytest
 
 import limitforge
-from limitforge.ice import presentation_of, tower_from_json
+from limitforge.ice import centralizer_ice, presentation_of, tower_from_json, wp_ice
+from limitforge.words import Word
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -206,6 +208,41 @@ def test_benchmark_towers_rebuild_to_their_frozen_data():
         assert list(p.names) == frozen["names"], frozen["tower"]
         assert [list(r.ints) for r in p.relators] == frozen["relators"], frozen["tower"]
         assert [[list(s.g.ints), s.n] for s in t.steps] == frozen["steps"], frozen["tower"]
+
+
+# perfbench/child.py's verdict digest of each tower-wp input, by seed
+TOWER_WP_DIGESTS = {
+    1: {"wp-prefix30": "bf4a7a56207f2f2a", "wp-height3": "d486504551c9a012"},
+    2: {"wp-prefix30": "1a876182a1e058c0", "wp-height3": "b0c285dc5f62c5fb"},
+    3: {"wp-prefix30": "9e41d7a4496eec53", "wp-height3": "0bb1a3dbfac07f11"},
+    4: {"wp-prefix30": "2c10ad145c03d8c5", "wp-height3": "d059c7fe9f3b93a0"},
+    5: {"wp-prefix30": "b18e0bb573c212ea", "wp-height3": "466a4a2315e31dd8"},
+    6: {"wp-prefix30": "4971151bb98b99ea", "wp-height3": "e2fdd1641aa1c141"},
+    7: {"wp-prefix30": "5ae5a83d70e223c4", "wp-height3": "cf1a2f77d894e312"},
+}
+
+
+def test_tower_wp_verdicts_keep_their_digests():
+    """Each tower-wp input of seeds 1-7, rebuilt from `perfbench/cases.py`
+    (read and run, not imported), answers with the verdict digest that
+    `perfbench/child.py` computes: sha256 of [answers, bases] as JSON,
+    on fresh towers, so every memo starts empty."""
+    path = ROOT / "perfbench" / "cases.py"
+    cases: dict = {}
+    exec(compile(path.read_text(), str(path), "exec"), cases)
+    for seed, want in TOWER_WP_DIGESTS.items():
+        got = {}
+        for spec in cases["inputs"]("tower-wp", seed):
+            towers = {int(k): tower_from_json(t) for k, t in spec["towers"].items()}
+            answers, bases = [], []
+            for i, ints in spec["words"]:
+                t, w = towers[i], Word(tuple(ints))
+                trivial = wp_ice(t, w)
+                answers.append(trivial)
+                bases.append(None if trivial else [list(b.ints) for b in centralizer_ice(t, w)])
+            digest = hashlib.sha256(json.dumps([answers, bases]).encode()).hexdigest()
+            got[spec["name"]] = digest[:16]
+        assert got == want, seed
 
 
 def _load_script(name: str):
