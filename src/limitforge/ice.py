@@ -81,7 +81,8 @@ class IceTower(Value):
         return IceTower(self.base_rank, self.steps[:-1])
 
     @cached_property
-    def _wp_memo(self) -> dict[tuple[int, ...], bool]:
+    def _wp_memo(self) -> dict[tuple[int, ...], bool | tuple]:
+        # word -> _wp_uncached(self, word): True or the word's syllables
         return {}
 
     @cached_property
@@ -155,20 +156,25 @@ def presentation_of(t: IceTower) -> Presentation:
 # Syllable pinching over the top amalgam
 
 
-def _syl_word(t: IceTower, f: int, body: tuple[int, ...]) -> Word:
-    """A syllable as a word.  A step syllable's body keeps its letters in
-    the order they joined; its lower letters, read in order, multiply to
-    its edge-group part, which commutes with the step letters and comes
+def _syl_letters(t: IceTower, f: int, body: tuple[int, ...]):
+    """A syllable's letters as its word writes them, before free
+    reduction.  A step syllable's body keeps its letters in the order
+    they joined; its lower letters, read in order, multiply to its
+    edge-group part, which commutes with the step letters and comes
     first, and then each step letter's power follows.  No two of these
-    parts share a letter, so they are written out without cancelling."""
+    parts share a letter, so only the edge-group part can cancel."""
     if not f:
-        return Word(body)
+        return body
     lo = t.rank - t.steps[-1].n
-    ints = reduce_ints(x for x in body if -lo <= x <= lo)
+    ints = [x for x in body if -lo <= x <= lo]
     for x in range(lo + 1, t.rank + 1):
         e = body.count(x) - body.count(-x)
         ints += (x,) * e if e > 0 else (-x,) * -e
-    return Word(ints)
+    return ints
+
+
+def _syl_word(t: IceTower, f: int, body: tuple[int, ...]) -> Word:
+    return Word(reduce_ints(_syl_letters(t, f, body)) if f else body)
 
 
 def _pinch(t: IceTower, w: Word, cyclic: bool):
@@ -180,7 +186,8 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
     returned word.  A lower syllable in the edge group joins a step
     syllable as it stands, since edge elements commute with the step
     generators; a step syllable whose step letters cancel is its lower
-    letters.
+    letters.  The cyclic form starts from the syllables of a nontrivial
+    word in the word-problem memo.
     """
     lo = t.rank - t.steps[-1].n
     tees = range(lo + 1, t.rank + 1)
@@ -193,7 +200,8 @@ def _pinch(t: IceTower, w: Word, cyclic: bool):
                 return None
         return reduce_ints(x for x in body if -lo <= x <= lo)
 
-    syls = amalgam_reduce(w.ints, lo, edge)
+    form = t._wp_memo.get(w.ints) if cyclic else None
+    syls = list(form) if form.__class__ is tuple else amalgam_reduce(w.ints, lo, edge)
     conj = EMPTY
     # The stack's bottom is the first syllable.  Every lower syllable with a
     # step neighbour has failed the edge test, so the ends reduce only when
@@ -227,7 +235,7 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
         elif exponent_vector(u, t.rank) not in t._edge_lattice:
             got = False
         else:
-            got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints)
+            got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints) is True
         memo[ints] = got
     return got
 
@@ -237,21 +245,20 @@ def _wp(t: IceTower, ints: tuple[int, ...]) -> bool:
     got = memo.get(ints)
     if got is None:
         got = memo[ints] = _wp_uncached(t, ints)
-    return got
+    return got is True
 
 
-def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool:
-    """ints is reduced; a word with no top step letters reaches the level
-    below as this same tuple, so both memos share it."""
+def _wp_uncached(t: IceTower, ints: tuple[int, ...]) -> bool | tuple:
+    """True when the reduced word ints is trivial, else its syllables over
+    the top amalgam as a tuple (False at the base).  A word with no top
+    step letters reaches the level below as this same tuple, so both
+    memos share it."""
     if not t.steps:
         return not ints
     syls, _ = _pinch(t, Word(ints), cyclic=False)
-    if not syls:
+    if not syls or len(syls) == 1 and not syls[0][0] and _wp(t.lower(), syls[0][1]):
         return True
-    if len(syls) > 1:
-        return False
-    f, body = syls[0]
-    return not f and _wp(t.lower(), body)
+    return tuple(syls)
 
 
 def wp_ice(t: IceTower, w: Word) -> bool:
@@ -510,8 +517,7 @@ def _max_root(t: IceTower, w: Word, pinched=None) -> tuple[Word, int]:
             raise ValueError("root extraction expects a hyperbolic word")
         root, e = _max_root(t.lower(), Word(body))
         return conj * root * conj.inv(), e
-    words = [_syl_word(t, *s) for s in syls]
-    core = _product(words)
+    core = Word(reduce_ints(x for s in syls for x in _syl_letters(t, *s)))
     count = len(syls)
     # A d-th root's e-th power has a reduced form of its d syllables
     # repeated, and reduced forms of one element differ by edge elements
@@ -520,11 +526,13 @@ def _max_root(t: IceTower, w: Word, pinched=None) -> tuple[Word, int]:
     # the one c in E that the edge equation at the first lower syllable
     # allows.  The least such d gives the maximal root.
     periods = [d for d in range(2, count, 2) if not count % d]
-    vecs = [exponent_vector(word, t.rank) for word in words] if periods else []
+    vecs = [exponent_vector(Word(body), t.rank) for _, body in syls] if periods else []
     i = 1 if syls[0][0] else 0
+    words = None
     for d in periods:
         if not all([x - y for x, y in zip(vecs[j + d], vecs[j])] in t._edge_lattice for j in range(count - d)):
             continue
+        words = words or [_syl_word(t, *s) for s in syls]
         a = _double_coset(t, words[i + d], words[i])
         if a is None:
             continue

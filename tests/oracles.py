@@ -6,7 +6,8 @@ specializing homomorphisms).  None of it calls the algorithms under
 test, so agreement is evidence rather than tautology.  The word-kernel
 references at the end use only Word arithmetic, except the tower
 syllable reduction, which keeps the tower word problem for its edge
-tests.  The Stallings folder shares only the breadth-first renumbering
+tests, and the root reference, which keeps the package's pinch, edge
+equation and word problem and builds every syllable as a word.  The Stallings folder shares only the breadth-first renumbering
 with the package; the subgroup rewriting reference takes only the
 Schreier basis of the table from it.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
@@ -30,8 +31,17 @@ import random
 from collections import deque
 
 from limitforge.coset import CosetTable, _standardize
-from limitforge.freegroup import eval_hom, standard_names
-from limitforge.ice import LimitEnumeration, _subset_stream, _wp, ice_oracle
+from limitforge.abelian import exponent_vector
+from limitforge.freegroup import eval_hom, primitive_root, standard_names
+from limitforge.ice import (
+    LimitEnumeration,
+    _double_coset,
+    _pinch,
+    _subset_stream,
+    _syl_word,
+    _wp,
+    ice_oracle,
+)
 from limitforge.presentation import (
     _CHILD_CAP,
     _CONSEQ_CAP,
@@ -504,6 +514,43 @@ def syl_word_reference(t, f: int, body: tuple[int, ...]) -> Word:
     for x in range(lo + 1, t.rank + 1):
         word = word * Word((x,)) ** (body.count(x) - body.count(-x))
     return word
+
+
+def max_root_reference(t, w: Word) -> tuple[Word, int]:
+    """Maximal root of a hyperbolic word of tower t, as `ice._max_root`
+    found it when every syllable was a word: all of them written with
+    `_syl_word`, the core their product, and the exponent vectors read
+    from those words."""
+    if not t.steps:
+        return primitive_root(w)
+    syls, conj = _pinch(t, w, cyclic=True)
+    if len(syls) == 1:
+        f, body = syls[0]
+        if f:
+            raise ValueError("root extraction expects a hyperbolic word")
+        root, e = max_root_reference(t.lower(), Word(body))
+        return conj * root * conj.inv(), e
+    words = [_syl_word(t, *s) for s in syls]
+    core = Word(reduce_ints(x for word in words for x in word.ints))
+    count = len(syls)
+    periods = [d for d in range(2, count, 2) if not count % d]
+    vecs = [exponent_vector(word, t.rank) for word in words] if periods else []
+    i = 1 if syls[0][0] else 0
+    for d in periods:
+        if not all([x - y for x, y in zip(vecs[j + d], vecs[j])] in t._edge_lattice for j in range(count - d)):
+            continue
+        a = _double_coset(t, words[i + d], words[i])
+        if a is None:
+            continue
+        if i:
+            a = words[d] * words[0].inv() * a
+            if a.ints and _wp(t.lower(), a.ints):
+                a = EMPTY
+        root = Word(reduce_ints(x for word in words[:d] for x in word.ints)) * a
+        e = count // d
+        if _wp(t, (root**e * core.inv()).ints):
+            return conj * root * conj.inv(), e
+    return conj * core * conj.inv(), 1
 
 
 # ---------------------------------------------------------------------------

@@ -117,10 +117,11 @@ def test_criterion_02():
             expr = member(g, Word(ints))
             assert expr is not None, (gens, ints)
             assert eval_hom(basis, expr) == Word(ints)
-        wider = product_closure(gens, 6)
+        wider = None  # built for the first sampled non-member
         for _ in range(5):
             w = random_reduced_word(rng, 2, rng.randint(0, 6))
             if member(g, w) is None:
+                wider = wider or product_closure(gens, 6)
                 assert w.ints not in wider, (gens, w)
 
 

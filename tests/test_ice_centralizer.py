@@ -34,7 +34,13 @@ from limitforge.ice import (
 )
 from limitforge.words import Word, commutator, words_upto
 
-from oracles import conjugate, random_reduced_word, syl_word_reference, t1_specialize
+from oracles import (
+    conjugate,
+    max_root_reference,
+    random_reduced_word,
+    syl_word_reference,
+    t1_specialize,
+)
 
 T1_DOC = {"base_rank": 2, "steps": [{"g": "a", "n": 1}]}
 T3_DOC = {
@@ -344,6 +350,21 @@ def test_syl_word_matches_reference(t, letters, cyclic):
         level = level.lower()
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([T3] + PREFIX),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=16),
+    st.sampled_from((2, 3, -2)),
+)
+def test_max_root_matches_reference(t, letters, e):
+    # the words of test_syl_word_matches_reference and a power of each,
+    # which has a period; the word problem asks about each word first
+    w = Word.make(x // abs(x) * ((abs(x) - 1) % t.rank + 1) for x in letters)
+    for u in (w, w**e):
+        if not wp_ice(t, u) and _classify(t, u).kind == "hyperbolic":
+            assert _max_root(t, u) == max_root_reference(t, u), (t, u)
+
+
 def test_centralizer_outputs_are_pinned():
     """sha256 over wp_ice answers and centralizer_ice bases of seeded
     words, with powers among them for the root search, on the height-three
@@ -374,7 +395,8 @@ def test_centralizer_outputs_are_pinned():
 def test_centralizer_pinches_a_hyperbolic_word_once(monkeypatch):
     # classification reduces w to its cyclic normal form over the top
     # amalgam, and the root step starts from that form; the word problem
-    # may pinch w once more, without cyclic reduction
+    # reduces w without the cyclic step and keeps its syllables, and the
+    # cyclic pinch starts from them
     w = ice.parse_word("a*u*b*u^-1*t", ice.tower_names(HEIGHT_THREE))
     pinched = []
     pinch = ice._pinch

@@ -379,6 +379,49 @@ def test_base_rank_one_edge_needs_no_commutator(monkeypatch):
         assert ice._in_edge(t, u.ints) is wp_ice(low, commutator(u, g)), u
 
 
+def _memo_batch(monkeypatch):
+    """wp_ice and then centralizer_ice on the nontrivial pinch words of
+    fresh towers.  Yields each (tower, word, whether the word was new to
+    the tower's memo, the top-level reductions of its letters)."""
+    reduced = []
+    reduce = ice.amalgam_reduce
+
+    def counting(ints, bound, edge):
+        reduced.append((ints, bound))
+        return reduce(ints, bound, edge)
+
+    monkeypatch.setattr(ice, "amalgam_reduce", counting)
+    rng = random.Random(20261020)
+    for t in _fresh_towers():
+        top = (t.rank - t.steps[-1].n,)
+        for w in _pinch_words(t, rng, 60):
+            new = w.ints not in t._wp_memo
+            reduced.clear()
+            if not wp_ice(t, w):
+                centralizer_ice(t, w)
+                yield t, w, new, reduced.count((w.ints,) + top)
+
+
+def test_word_problem_and_centralizer_reduce_a_word_once(monkeypatch):
+    # the word problem keeps a nontrivial word's syllables over the top
+    # amalgam, and the centralizer's cyclic pinch starts from them
+    seen = [(new, count) for _, _, new, count in _memo_batch(monkeypatch)]
+    assert any(new for new, _ in seen)
+    assert [count for _, count in seen] == [int(new) for new, _ in seen]
+
+
+def test_cyclic_pinch_leaves_the_memoized_form_as_reduced(monkeypatch):
+    # a fresh copy of each tower, whose word-problem memo nothing fills,
+    # reduces the word anew
+    rotated = 0
+    fresh = {}
+    for t, w, _, _ in _memo_batch(monkeypatch):
+        copy = fresh.setdefault(id(t), tower_from_json(tower_to_json(t)))
+        assert t._wp_memo[w.ints] == tuple(_pinch(copy, w, cyclic=False)[0]), w
+        rotated += bool(_pinch(t, w, cyclic=True)[1])
+    assert rotated
+
+
 def _tower_doc_reference(t):
     """A tower's file, each step word written over the names of the
     levels below it."""

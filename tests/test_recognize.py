@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import Lattice, exponent_vector
 from limitforge.cli import CORPUS, corpus_verdict
-from limitforge.ice import ice_oracle, tower_from_json
+from limitforge.ice import LimitGroupEmission, ice_oracle, tower_from_json
 from limitforge.oracles import (
     WordOracle,
     dovetail_oracle,
@@ -548,6 +548,54 @@ def test_recognize_klein_is_not_limit():
     assert isinstance(v, NotLimit)
     assert v.witness.kind == "inversion"
     assert v.reverify(klein_oracle(KLEIN)) is True
+
+
+# Tampered verdicts, each built through the value classes' constructors
+# from a real corpus verdict: reverify refuses every one.
+
+
+def _corpus_verdict(name):
+    """The corpus row's verdict and the oracle it was reached with."""
+    row = next(r for r in CORPUS if r[0] == name)
+    p = parse(row[1])
+    return corpus_verdict(row, 10**7), oracle_from(p, row[2])
+
+
+def test_not_limit_reverify_rejects_a_premise_the_oracle_refutes():
+    v, wp = _corpus_verdict("product with center")
+    assert isinstance(v, NotLimit) and v.reverify(wp) is True
+    a, b, z = (Word((k,)) for k in (1, 2, 3))
+    # [a, b] has the zero vector, so only the oracle can refuse it
+    bad = Witness((b, commutator(a, z)), "commutation-transitivity", {"a": a, "b": b, "c": z})
+    assert wp(commutator(a, b)) is False
+    assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+def test_not_limit_reverify_rejects_a_witness_only_a_lying_oracle_passes():
+    v, wp = _corpus_verdict("free rank 2")
+    p = v.presentation
+    a, b = Word((1,)), Word((2,))
+    g = commutator(a, b)
+    premise = a * g * a.inv() * g
+    lying = WordOracle(lambda w: True if w == premise else wp(w), True, "lying")
+    bad = Witness((g,), "inversion", {"g": g, "h": a})
+    assert check_witness(p, lying, bad) is True
+    # a -> a, b -> b keeps [a, b] alive, so the sentence is false over F2
+    assert refute_sentence(witness_sentence(p, bad), 3) is not None
+    assert NotLimit(p, bad, v.report).reverify(lying) is False
+
+
+def test_limit_reverify_rejects_a_match_that_is_no_renaming():
+    v, _ = _corpus_verdict("free abelian rank 2")
+    assert isinstance(v, Limit) and v.reverify() is True
+    assert Limit(v.presentation, F2, v.emission, v.report).reverify() is False
+
+
+def test_limit_reverify_rejects_an_emission_with_torsion():
+    v, _ = _corpus_verdict("free abelian rank 2")
+    em = v.emission
+    torsion = LimitGroupEmission(parse("< a, b | [a,b], a^2 >"), em.tower, em.s_words, em.result)
+    assert Limit(v.presentation, v.matched, torsion, v.report).reverify() is False
 
 
 def test_recognize_unknown_under_tiny_budget():
