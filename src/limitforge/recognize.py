@@ -211,7 +211,7 @@ def check_witness(p: Presentation, wp: WordOracle, w: Witness):
 
 
 class CertifySearch(Metered):
-    """Resumable fair hunt for a witness.
+    """Resumable fair hunt for a witness, asking a total oracle.
 
     Candidates are ordered by total certificate length and charged that
     length in budget units, so deep tiers cannot starve a competing
@@ -222,19 +222,21 @@ class CertifySearch(Metered):
     the relator exponent vectors.  If g**n = 1 then n*ab(g) lies in L,
     and if h*g*h^-1*g = 1 then 2*ab(g) does, whatever h is.  A candidate
     that fails its test could never have a trivial premise under any
-    correct oracle, total or partial, so it is charged as usual but
-    asks the oracle nothing.  The test is exact: it skips no candidate
-    the oracle could accept, so every charge, run() boundary and
-    witness is what the plain loops over every candidate give.
+    correct oracle, so it is charged as usual but asks the oracle
+    nothing.  The test is exact: it skips no candidate the oracle could
+    accept, so every charge, run() boundary and witness is what the
+    plain loops over every candidate give.
     """
 
     def __init__(self, p: Presentation, wp: WordOracle):
+        if not isinstance(wp, WordOracle) or not wp.total:
+            raise ValueError("the witness search requires a total word-problem oracle")
         self.p = p
         self.wp = wp
         self._lattice = relator_lattice(p)
         self._counted = 0  # candidates handed to the meter, owed ones too
         # (lb, lc) -> b's index among the words of length lb -> bitmask of
-        # the c of length lc for which [b, c] was not False
+        # the c of length lc for which [b, c] was trivial
         self._live: dict[tuple[int, int], dict[int, int]] = {}
         self.max_cost = 0
         super().__init__()
@@ -247,8 +249,8 @@ class CertifySearch(Metered):
     def _stream(self):
         # a tier's cost is the price of each of its candidates; with no
         # generators there is no candidate, and each item costs 1.  Where
-        # the candidates ahead are known dead without the oracle, their
-        # count is yielded as one dead run.
+        # the candidates ahead are known dead, by the abelianization or a
+        # failed premise, their count is yielded as one dead run.
         rank = self.p.rank
         if rank == 0:
             yield from itertools.repeat(None)
@@ -277,58 +279,44 @@ class CertifySearch(Metered):
                     live = self._live.setdefault((lb, lc), {})
                     for a in pools[la]:
                         for ib, b in enumerate(pools[lb]):
-                            # the premises on (a, b) do not depend on c
-                            pair = self._ct_pair(a, b)
-                            if pair is True:
-                                # [b, c] does not depend on a: a c for which
-                                # an earlier full pass got False is dead for
-                                # every a, and the rest are asked again
-                                known = live.get(ib)
-                                keep = done = 0
-                                for k in range(len(pool)) if known is None else set_bits(known):
-                                    if k > done:
-                                        self._counted += k - done
-                                        yield k - done
-                                    self._counted += 1
-                                    c = pool[k]
-                                    bc = self.wp(commutator(b, c))
-                                    if bc is not False:
-                                        keep |= 1 << k
-                                    yield self._ct_tail(a, b, c) if bc else None
-                                    done = k + 1
-                                if len(pool) > done:
-                                    self._counted += len(pool) - done
-                                    yield len(pool) - done
-                                live[ib] = keep
+                            # the premises on (a, b) do not depend on c: b
+                            # must be nontrivial and commute with a
+                            if self.wp(b) or not self.wp(commutator(a, b)):
+                                self._counted += len(pool)
+                                yield len(pool)
                                 continue
-                            # an undecided premise is asked again for the
-                            # next c, as a semi-decision may decide it later,
-                            # and a failed one kills the rest; such a pass
-                            # asks [b, c] only for some c, so keeps nothing
-                            for k, c in enumerate(pool):
-                                if pair is None and k:
-                                    pair = self._ct_pair(a, b)
-                                if pair is False:
-                                    self._counted += len(pool) - k
-                                    yield len(pool) - k
-                                    break
+                            # [b, c] does not depend on a: a c for which an
+                            # earlier pass got False is dead for every a
+                            known = live.get(ib)
+                            keep = done = 0
+                            for k in range(len(pool)) if known is None else set_bits(known):
+                                if k > done:
+                                    self._counted += k - done
+                                    yield k - done
                                 self._counted += 1
-                                yield self._ct(a, b, c) if pair else None
+                                c = pool[k]
+                                if self.wp(commutator(b, c)):
+                                    keep |= 1 << k
+                                    yield self._ct_tail(a, b, c)
+                                else:
+                                    yield None
+                                done = k + 1
+                            if len(pool) > done:
+                                self._counted += len(pool) - done
+                                yield len(pool) - done
+                            live[ib] = keep
             for lg in range(1, cost):
                 pool = pools[cost - lg]
                 for g in pools[lg]:
-                    # as pair above, for the premise on g; h*g*h^-1*g = 1
-                    # needs 2*ab(g) in L, so a g that fails is never alive
-                    alive = None if self._may_die(g, 2) else False
-                    for k, h in enumerate(pool):
-                        if alive is None:
-                            alive = self._nontrivial(g)
-                        if alive is False:
-                            self._counted += len(pool) - k
-                            yield len(pool) - k
-                            break
+                    # h*g*h^-1*g = 1 needs 2*ab(g) in L, and g must be
+                    # nontrivial: a g that fails either is a dead run
+                    if not self._may_die(g, 2) or self.wp(g):
+                        self._counted += len(pool)
+                        yield len(pool)
+                        continue
+                    for h in pool:
                         self._counted += 1
-                        yield self._inversion(g, h) if alive else None
+                        yield self._inversion(g, h)
 
     def _may_die(self, g: Word, n: int) -> bool:
         """Whether n*ab(g) lies in L, as g**n = 1 requires."""
@@ -336,32 +324,15 @@ class CertifySearch(Metered):
 
     def _torsion(self, g: Word, n: int):
         wp = self.wp
-        if wp(g) is not False or wp(g**n) is not True:
+        if wp(g) or not wp(g**n):
             return None
         return self._accept(Witness((g,), "torsion", {"g": g, "n": n}))
 
-    def _nontrivial(self, g: Word) -> bool | None:
-        v = self.wp(g)
-        return None if v is None else not v
-
-    def _ct_pair(self, a: Word, b: Word) -> bool | None:
-        """Whether b is nontrivial and commutes with a; None when the
-        oracle leaves either undecided."""
-        alive = self._nontrivial(b)
-        if not alive:
-            return alive
-        return self.wp(commutator(a, b))
-
-    def _ct(self, a: Word, b: Word, c: Word):
-        # the caller has checked the premises on (a, b)
-        if self.wp(commutator(b, c)) is not True:
-            return None
-        return self._ct_tail(a, b, c)
-
     def _ct_tail(self, a: Word, b: Word, c: Word):
-        # the caller has also checked that [b, c] is trivial
+        # the caller has checked the premises on (a, b) and that [b, c]
+        # is trivial
         gac = commutator(a, c)
-        if self.wp(gac) is not False:
+        if self.wp(gac):
             return None
         witness = Witness(
             (b, gac), "commutation-transitivity", {"a": a, "b": b, "c": c}
@@ -370,7 +341,7 @@ class CertifySearch(Metered):
 
     def _inversion(self, g: Word, h: Word):
         # the caller has checked that g is nontrivial
-        if self.wp(h * g * h.inv() * g) is not True:
+        if not self.wp(h * g * h.inv() * g):
             return None
         return self._accept(Witness((g,), "inversion", {"g": g, "h": h}))
 
@@ -596,9 +567,7 @@ def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict
 # Recognition drivers
 
 
-def _check_inputs(wp: WordOracle, budget: int | None, caller: str) -> None:
-    if not isinstance(wp, WordOracle) or not wp.total:
-        raise ValueError(f"{caller} requires a total word-problem oracle")
+def _check_budget(budget: int | None) -> None:
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
 
@@ -639,10 +608,10 @@ def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7)
     halts, which on a group that is neither enumerable-early nor
     witnessed never happens.
     """
-    _check_inputs(wp, budget, "recognize_limit")
+    _check_budget(budget)
+    b = CertifySearch(p, wp)
     target, _ = tietze_simplify(p)
     a = _MatchBranch(target)
-    b = CertifySearch(p, wp)
     hit, w, used = _race(a, b, budget)
     report = _report(budget, used, a, b)
     if hit is not None:
@@ -661,7 +630,8 @@ def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
     abelianization rank at least 2, mean NotFree.  Otherwise a hunt for
     a relator-free Tietze variant races the witness search.
     """
-    _check_inputs(wp, budget, "recognize_free")
+    _check_budget(budget)
+    b = CertifySearch(p, wp)
     simplified, _ = tietze_simplify(p)
     if not simplified.relators:
         report = {"budget": budget, "used": 0, "certificate": "tietze"}
@@ -676,7 +646,6 @@ def recognize_free(p: Presentation, wp: WordOracle, budget: int | None = 10**6):
     # the Tietze expansion of the input, hunting a relator-free variant
     a = _Expansion(lambda _, v: None if v.relators else v)
     a.expanders.append((None, enumerate_presentations(simplified)))
-    b = CertifySearch(p, wp)
     free, w, used = _race(a, b, budget)
     if free is not None:
         report = {"budget": budget, "used": used, "certificate": "tietze"}

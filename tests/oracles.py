@@ -16,8 +16,9 @@ reference keeps the package's rounds and searches and changes only which
 towers get pairs; the retraction-presentation reference builds and
 simplifies the quotient afresh for every retraction and asserts that the
 retraction is idempotent.  The witness-search
-reference keeps the package's candidate checks and asks the oracle about
-every candidate.  The metering references at the end are the resumable
+reference keeps the package's candidate checks, with its premise checks
+as they read when the search also took semi-decisions, and asks the
+oracle about every candidate.  The metering references at the end are the resumable
 searches as they ran before they shared one meter, each with its own run
 loop; the retraction search's keeps its old branch building, candidate
 stream and lattice test as well.
@@ -881,7 +882,30 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
 # the oracle.
 
 
-class CertifySearchReference(CertifySearch):
+class _TriStateChecks:
+    """The witness search's premise checks as they read when it also took
+    semi-decisions: None stands for an answer left undecided."""
+
+    def _nontrivial(self, g: Word) -> bool | None:
+        v = self.wp(g)
+        return None if v is None else not v
+
+    def _ct_pair(self, a: Word, b: Word) -> bool | None:
+        """Whether b is nontrivial and commutes with a; None when the
+        oracle leaves either undecided."""
+        alive = self._nontrivial(b)
+        if not alive:
+            return alive
+        return self.wp(commutator(a, b))
+
+    def _ct(self, a: Word, b: Word, c: Word):
+        # the caller has checked the premises on (a, b)
+        if self.wp(commutator(b, c)) is not True:
+            return None
+        return self._ct_tail(a, b, c)
+
+
+class CertifySearchReference(_TriStateChecks, CertifySearch):
     # this stream, like CertifySearchLoop's, counts its candidates one at a
     # time and never yields a dead run, so nothing is ever owed
     candidates = CertifySearch.candidates.setter(lambda self, n: setattr(self, "_counted", n))
@@ -1041,7 +1065,7 @@ def _combine_reference(coeffs, vecs, rank: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CertifySearchLoop(CertifySearch):
+class CertifySearchLoop(_TriStateChecks, CertifySearch):
     candidates = CertifySearchReference.candidates
 
     def __init__(self, p: Presentation, wp):
