@@ -15,7 +15,8 @@ import itertools
 
 from .abelian import exponent_vector
 from .freegroup import eval_hom, standard_names
-from .ice import LimitEnumeration, LimitGroupEmission, ice_oracle
+from .coset import rs_presentation
+from .ice import LimitEnumeration, LimitGroupEmission, ice_oracle, presentation_of
 from .oracles import WordOracle, pinched_oracle
 from .presentation import (
     NormalizeCapError,
@@ -26,7 +27,7 @@ from .presentation import (
     relator_lattice,
     tietze_simplify,
 )
-from .retracts import _REPRICE, Metered, set_bits
+from .retracts import _REPRICE, Metered, RetractionFound, present_from_retraction, set_bits
 from .words import EMPTY, Value, Word, _set, commutator, validate_word, words_of_length, words_upto
 
 _QUANTUM = 128
@@ -378,11 +379,38 @@ class Limit(Value):
         _set(self, "report", report)
 
     def reverify(self) -> bool:
-        """Re-check the witness chain: the retraction equations against a
-        fresh tower oracle, the torsion-free abelianization, and the
-        renaming match against the simplified input."""
+        """Re-check the witness chain, tied to the emission's tower and S.
+
+        The coset table is complete over the tower's rank and every
+        relator of the tower's presentation fixes every coset; the
+        subgroup presentation is the table's Reidemeister-Schreier one;
+        the retraction equations hold under a fresh tower oracle; each
+        word of S is the tower element its expression embeds as; and the
+        retraction presents the emission.  Then the abelianization is
+        torsion-free and `matched` is a renaming of the simplified
+        input.  A chain that fails any check gives False.
+        """
         em = self.emission
-        if em.result.witness.verify(ice_oracle(em.tower)) is not True:
+        tower, found = em.tower, em.result.witness
+        pres, table, rs = presentation_of(tower), found.table, found.rs
+        if table.ngens != tower.rank or not table.is_complete():
+            return False
+        if any(table.trace(c, r) != c for r in pres.relators for c in range(table.index)):
+            return False
+        if rs_presentation(pres, table) != rs or found.retraction.k_pres != rs.presentation:
+            return False
+        wp = ice_oracle(tower)
+        if found.verify(wp) is not True:
+            return False
+        s_exprs = found.retraction.s_exprs
+        if len(em.s_words) != len(s_exprs):
+            return False
+        for s, e in zip(em.s_words, s_exprs):
+            if s.max_index() > tower.rank or not wp(s * rs.embed(e).inv()):
+                return False
+        # a fresh result, so no quotient memo of the search is trusted
+        fresh = RetractionFound(table, rs, found.retraction, found.cost)
+        if present_from_retraction(em.s_words, fresh).presentation != em.presentation:
             return False
         if abelianization(em.presentation)[1]:
             return False

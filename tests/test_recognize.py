@@ -500,8 +500,8 @@ def test_recognize_klein_is_not_limit():
 def _corpus_verdict(name):
     """The corpus row's verdict and the oracle it was reached with."""
     row = next(r for r in CORPUS if r[0] == name)
-    p = parse(row[1])
-    return corpus_verdict(row, 10**7), oracle_from(p, row[2])
+    _, make_oracle = _corpus_case(row)
+    return corpus_verdict(row, 10**7), make_oracle()
 
 
 def test_not_limit_reverify_rejects_a_premise_the_oracle_refutes():
@@ -539,6 +539,45 @@ def test_limit_reverify_rejects_an_emission_with_torsion():
     em = v.emission
     torsion = LimitGroupEmission(parse("< a, b | [a,b], a^2 >"), em.tower, em.s_words, em.result)
     assert Limit(v.presentation, v.matched, torsion, v.report).reverify() is False
+
+
+LIMIT_NAMES = [row[0] for row in CORPUS if row[4] == ("Limit",)]
+
+
+def _with_emission(v, **fields):
+    """v with its emission's fields replaced, through the constructors."""
+    em = v.emission
+    parts = {"presentation": em.presentation, "tower": em.tower,
+             "s_words": em.s_words, "result": em.result, **fields}
+    return Limit(v.presentation, v.matched, LimitGroupEmission(**parts), v.report)
+
+
+@pytest.mark.parametrize("tower", [
+    # Z^3, of the table's rank, whose subgroup presentation is another
+    {"base_rank": 1, "steps": [{"g": "a", "n": 2}]},
+    # F2, of a lower rank than the table
+    {"base_rank": 2, "steps": []},
+])
+def test_limit_reverify_rejects_a_tower_the_retraction_does_not_hold_in(tower):
+    v, _ = _corpus_verdict("centralizer extension")
+    assert isinstance(v, Limit) and v.reverify() is True
+    assert _with_emission(v, tower=tower_from_json(tower)).reverify() is False
+
+
+@pytest.mark.parametrize("name", LIMIT_NAMES)
+def test_limit_reverify_rejects_an_s_the_retraction_does_not_fix(name):
+    v, _ = _corpus_verdict(name)
+    assert isinstance(v, Limit) and v.reverify() is True
+    s = v.emission.s_words
+    assert _with_emission(v, s_words=(s[0] * s[0],) + s[1:]).reverify() is False
+
+
+def test_limit_reverify_rejects_an_emission_the_retraction_does_not_present():
+    v, _ = _corpus_verdict("centralizer extension")
+    assert isinstance(v, Limit) and v.reverify() is True
+    other = parse("< a, b, t | [a,b] >")
+    assert abelianization(other) == abelianization(v.emission.presentation)
+    assert _with_emission(v, presentation=other).reverify() is False
 
 
 def test_recognize_unknown_under_tiny_budget():
