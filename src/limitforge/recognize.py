@@ -324,8 +324,7 @@ class CertifySearch(Metered):
         return [n * x for x in exponent_vector(g, self.p.rank)] in self._lattice
 
     def _torsion(self, g: Word, n: int):
-        wp = self.wp
-        if wp(g) or not wp(g**n):
+        if self.wp(g) or not self.wp(g**n):
             return None
         return self._accept(Witness((g,), "torsion", {"g": g, "n": n}))
 
@@ -379,23 +378,23 @@ class Limit(Value):
         _set(self, "report", report)
 
     def reverify(self) -> bool:
-        """Re-check the witness chain, tied to the emission's tower and S.
-
-        The coset table is complete over the tower's rank and every
-        relator of the tower's presentation fixes every coset; the
-        subgroup presentation is the table's Reidemeister-Schreier one;
-        the retraction equations hold under a fresh tower oracle; each
-        word of S is the tower element its expression embeds as; and the
-        retraction presents the emission.  Then the abelianization is
-        torsion-free and `matched` is a renaming of the simplified
-        input.  A chain that fails any check gives False.
-        """
+        """Re-check the witness chain, tied to the emission's tower and S:
+        the coset table is a complete table of the tower's presentation,
+        whose Reidemeister-Schreier presentation is the stored one; the
+        retraction equations hold under a fresh tower oracle; each word of
+        S is the element its expression embeds as; and the retraction
+        presents the emission.  Then the abelianization is torsion-free
+        and `matched` is a renaming of the simplified input.  A chain that
+        fails any check gives False."""
         em = self.emission
         tower, found = em.tower, em.result.witness
         pres, table, rs = presentation_of(tower), found.table, found.rs
-        if table.ngens != tower.rank or not table.is_complete():
+        cosets = range(table.index)
+        if table.ngens != tower.rank or any(
+            len(row) != 2 * table.ngens or any(e not in cosets for e in row) for row in table.rows
+        ):
             return False
-        if any(table.trace(c, r) != c for r in pres.relators for c in range(table.index)):
+        if any(table.trace(c, r) != c for r in pres.relators for c in cosets):
             return False
         if rs_presentation(pres, table) != rs or found.retraction.k_pres != rs.presentation:
             return False

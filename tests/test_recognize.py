@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import Lattice, exponent_vector
 from limitforge.cli import CORPUS, corpus_verdict
+from limitforge.coset import CosetTable
 from limitforge.ice import LimitGroupEmission, ice_oracle, tower_from_json
 from limitforge.oracles import (
     WordOracle,
@@ -51,7 +52,7 @@ from limitforge.recognize import (
     refute_sentence,
     witness_sentence,
 )
-from limitforge.retracts import _REPRICE
+from limitforge.retracts import _REPRICE, RetractionFound, SubgroupPresentationResult
 from limitforge.words import Word, commutator
 
 from oracles import (
@@ -570,6 +571,17 @@ def test_limit_reverify_rejects_an_s_the_retraction_does_not_fix(name):
     assert isinstance(v, Limit) and v.reverify() is True
     s = v.emission.s_words
     assert _with_emission(v, s_words=(s[0] * s[0],) + s[1:]).reverify() is False
+
+
+def test_limit_reverify_rejects_a_table_entry_that_is_no_coset():
+    v, _ = _corpus_verdict("centralizer extension")
+    assert isinstance(v, Limit) and v.reverify() is True
+    found = v.emission.result.witness
+    rows = ((0, 0, 0, 0, found.table.index, 0),) + found.table.rows[1:]
+    bad = RetractionFound(CosetTable(3, rows), found.rs, found.retraction, found.cost)
+    result = SubgroupPresentationResult(v.emission.result.presentation,
+                                        v.emission.result.gens_ambient, bad)
+    assert _with_emission(v, result=result).reverify() is False
 
 
 def test_limit_reverify_rejects_an_emission_the_retraction_does_not_present():
