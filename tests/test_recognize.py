@@ -571,6 +571,8 @@ def test_limit_reverify_rejects_an_s_the_retraction_does_not_fix(name):
     assert isinstance(v, Limit) and v.reverify() is True
     s = v.emission.s_words
     assert _with_emission(v, s_words=(s[0] * s[0],) + s[1:]).reverify() is False
+    # one word more than the retraction has expressions
+    assert _with_emission(v, s_words=s + (s[0],)).reverify() is False
 
 
 def test_limit_reverify_rejects_a_table_entry_that_is_no_coset():
