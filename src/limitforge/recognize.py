@@ -28,7 +28,18 @@ from .presentation import (
     tietze_simplify,
 )
 from .retracts import _REPRICE, Metered, RetractionFound, present_from_retraction, set_bits
-from .words import EMPTY, Value, Word, _set, commutator, validate_word, words_of_length, words_upto
+from .words import (
+    EMPTY,
+    Value,
+    Word,
+    _set,
+    commutator,
+    concat,
+    invert_ints,
+    validate_word,
+    words_of_length,
+    words_upto,
+)
 
 _QUANTUM = 128
 _CROSSCHECK_BOUND = 2
@@ -75,45 +86,72 @@ def refute_sentence(s: Sentence, bound: int, target_rank: int = 2):
     tuple of the others it uses, the set of pool indices of its highest
     variable that pass it.  A check that uses every earlier variable
     meets each tuple once and keeps nothing.
+
+    A check's word is cut at the occurrences of its highest variable.
+    Its bound segments are evaluated once per set of candidates, and
+    each candidate, or its inverse where the variable occurs inverted,
+    is joined between them, reducing only where two pieces meet.  A
+    word and its conjugates are trivial together, so the segment after
+    the last cut is joined to the one before the first.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if not all(s.inequations):
+        return None  # an empty inequation is trivial under every assignment
     pool = list(words_upto(target_rank, bound))
+    # each pool word's letters, and its inverse's once some check word
+    # has its highest variable inverted
+    letters = {1: [w.ints for w in pool]}
     n = len(s.variables)
-    # checks[k]: (word, must be trivial, its other variables, memo or
-    # None) for the words whose highest variable is k, memoized first
+    # checks[k]: (the candidate letters at each cut, the segment after
+    # each cut, must be trivial, its other variables, memo or None) for
+    # the words whose highest variable is k, memoized first
     checks = [[] for _ in range(n + 1)]
     for words, trivial in ((s.equations, True), (s.inequations, False)):
         for w in words:
             k = w.max_index()
+            if k == 0:
+                continue  # an empty equation
+            cuts = [j for j, x in enumerate(w.ints) if abs(x) == k]
+            signs = [1 if w.ints[j] > 0 else -1 for j in cuts]
+            if -1 in signs and -1 not in letters:
+                letters[-1] = [invert_ints(x) for x in letters[1]]
+            at = [letters[e] for e in signs]
+            # the segment after the last cut runs round to the first cut
+            ends = cuts[1:] + [len(w.ints) + cuts[0]]
+            ints = w.ints + w.ints
+            segs = [Word.make(ints[j + 1 : e]) for j, e in zip(cuts, ends)]
             others = tuple(sorted({abs(x) - 1 for x in w.ints} - {k - 1}))
             memo = {} if len(others) < k - 1 else None
-            checks[k].append((w, trivial, others, memo))
+            checks[k].append((at, segs, trivial, others, memo))
     for level in checks:
-        level.sort(key=lambda check: check[3] is None)
-    if any(bool(eval_hom((), w).ints) == trivial for w, trivial, _, _ in checks[0]):
-        return None
+        level.sort(key=lambda check: check[4] is None)
     assign: list[Word] = []
     picked: list[int] = []  # pool index of each bound variable
 
-    def select(w: Word, trivial: bool, candidates) -> list[int]:
-        # the candidate pool indices for the next variable that pass w
-        images = assign + [EMPTY]
+    def select(check, candidates) -> list[int]:
+        # the candidate pool indices for the next variable that pass check
+        at, segs, trivial = check[:3]
+        pieces = [(a, eval_hom(assign, seg).ints if seg else ()) for a, seg in zip(at, segs)]
         out = []
         for i in candidates:
-            images[-1] = pool[i]
-            if bool(eval_hom(images, w).ints) != trivial:
+            v = ()
+            for a, seg in pieces:
+                v = concat(v, a[i]) if v else a[i]
+                if seg:
+                    v = concat(v, seg)
+            if bool(v) != trivial:
                 out.append(i)
         return out
 
     def passing(check, candidates) -> list[int]:
-        w, trivial, others, memo = check
+        memo = check[4]
         if memo is None:
-            return select(w, trivial, candidates)
-        key = tuple(picked[v] for v in others)
+            return select(check, candidates)
+        key = tuple(picked[v] for v in check[3])
         hits = memo.get(key)
         if hits is None:
-            hits = memo[key] = set(select(w, trivial, range(len(pool))))
+            hits = memo[key] = set(select(check, range(len(pool))))
         return [i for i in candidates if i in hits]
 
     def walk(k: int):
@@ -211,6 +249,12 @@ def check_witness(p: Presentation, wp: WordOracle, w: Witness):
     return out
 
 
+def _join(p: tuple, q: tuple, r: tuple, s: tuple) -> Word:
+    """The Word p*q*r*s of four reduced letter tuples, reduced only
+    where two of them meet: [a, b] is _join(a^-1, b^-1, a, b)."""
+    return Word(concat(concat(concat(p, q), r), s))
+
+
 class CertifySearch(Metered):
     """Resumable fair hunt for a witness, asking a total oracle.
 
@@ -227,6 +271,11 @@ class CertifySearch(Metered):
     nothing.  The test is exact: it skips no candidate the oracle could
     accept, so every charge, run() boundary and witness is what the
     plain loops over every candidate give.
+
+    Each tier's word pool is kept beside the letters of its words'
+    inverses, so the premises [a, b] and [b, c] are joined from those
+    pieces with `_join` instead of inverting two pool words per
+    candidate.  The oracle is asked the same words in the same order.
     """
 
     def __init__(self, p: Presentation, wp: WordOracle):
@@ -256,11 +305,15 @@ class CertifySearch(Metered):
         if rank == 0:
             yield from itertools.repeat(None)
         pools = [(EMPTY,)]  # pools[n]: the reduced words of length n
+        # invs[n]: the letters of the inverses of pools[n], one tier late,
+        # since a commutation candidate's words are at most cost - 2 long
+        invs = []
         for cost in itertools.count(2):
             self.price = cost
             yield _REPRICE
             self.max_cost = cost
             pools.append(tuple(words_of_length(rank, cost - 1)))
+            invs.append(tuple([invert_ints(w.ints) for w in pools[cost - 2]]))
             for lg in range(1, cost):
                 n = cost - lg + 1
                 runs = itertools.groupby(pools[lg], lambda g: self._may_die(g, n))
@@ -276,13 +329,13 @@ class CertifySearch(Metered):
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
-                    pool = pools[lc]
+                    pool, pool_inv = pools[lc], invs[lc]
                     live = self._live.setdefault((lb, lc), {})
-                    for a in pools[la]:
-                        for ib, b in enumerate(pools[lb]):
+                    for a, ai in zip(pools[la], invs[la]):
+                        for ib, (b, bi) in enumerate(zip(pools[lb], invs[lb])):
                             # the premises on (a, b) do not depend on c: b
                             # must be nontrivial and commute with a
-                            if self.wp(b) or not self.wp(commutator(a, b)):
+                            if self.wp(b) or not self.wp(_join(ai, bi, a.ints, b.ints)):
                                 self._counted += len(pool)
                                 yield len(pool)
                                 continue
@@ -296,7 +349,7 @@ class CertifySearch(Metered):
                                     yield k - done
                                 self._counted += 1
                                 c = pool[k]
-                                if self.wp(commutator(b, c)):
+                                if self.wp(_join(bi, pool_inv[k], b.ints, c.ints)):
                                     keep |= 1 << k
                                     yield self._ct_tail(a, b, c)
                                 else:
@@ -341,7 +394,7 @@ class CertifySearch(Metered):
 
     def _inversion(self, g: Word, h: Word):
         # the caller has checked that g is nontrivial
-        if not self.wp(h * g * h.inv() * g):
+        if not self.wp(_join(h.ints, g.ints, invert_ints(h.ints), g.ints)):
             return None
         return self._accept(Witness((g,), "inversion", {"g": g, "h": h}))
 
@@ -431,7 +484,15 @@ class NotLimit(Value):
         _set(self, "report", report)
 
     def reverify(self, wp: WordOracle) -> bool:
-        if check_witness(self.presentation, wp, self.witness) is not True:
+        """Re-check the witness against the oracle, then look for a
+        counterexample to its sentence up to the crosscheck bound.  A
+        malformed witness gives False: one of unknown kind, missing a
+        field of its certificate, with a torsion exponent below 2 or with
+        a word beyond the rank, on which check_witness raises."""
+        try:
+            if check_witness(self.presentation, wp, self.witness) is not True:
+                return False
+        except (KeyError, ValueError):
             return False
         s = witness_sentence(self.presentation, self.witness)
         return refute_sentence(s, _CROSSCHECK_BOUND) is None

@@ -44,6 +44,7 @@ from limitforge.recognize import (
     Unknown,
     Witness,
     _Expansion,
+    _join,
     _MatchBranch,
     check_witness,
     recognize_cyclically_pinched,
@@ -53,7 +54,7 @@ from limitforge.recognize import (
     witness_sentence,
 )
 from limitforge.retracts import _REPRICE, RetractionFound, SubgroupPresentationResult
-from limitforge.words import Word, commutator
+from limitforge.words import Word, commutator, words_upto
 
 from oracles import (
     CertifySearchLoop,
@@ -125,6 +126,46 @@ def test_refute_matches_brute_force(parts, bound):
     assert refute_sentence(s, bound) == refute_sentence_reference(s, bound)
 
 
+# Words whose highest variable (y = 2 or z = 3) occurs two or three times
+# with both signs, so refute_sentence cuts them there; the bound segments
+# before, between and after the cuts are empty in some and not in others.
+CUT_WORDS = [
+    (1, 2, 1, -2),  # x y x y^-1: x before and between, nothing after
+    (2, 1, -2, -1),  # y x y^-1 x^-1: nothing before, x^-1 after
+    (-1, 2, 1, -2),  # x^-1 y x y^-1: x^-1 before, nothing after
+    (2, 2, 1, -2),  # y y x y^-1: nothing between the first two cuts
+    (1, -2, 1, 1, 2, -1),  # x y^-1 x x y x^-1: a segment everywhere
+    (3, 2, -3, -3, 2),  # z y z^-1 z^-1 y: leaves out x, so memoized
+    (1, 3, 2, -3, -1, 3),  # x z y z^-1 x^-1 z: nothing after
+    (1, 3, 2, -3, 2),  # x z y z^-1 y: different letters before and after
+    (3, 1, 2, -3, -2, -1, 3),  # z x y z^-1 y^-1 x^-1 z: two-letter segments
+]
+
+
+@pytest.mark.parametrize("ints", CUT_WORDS)
+@pytest.mark.parametrize("bound", [1, 2])
+def test_refute_cut_words_match_brute_force(ints, bound):
+    w = Word(ints)
+    top = W(w.max_index())
+    names = ("x", "y", "z")
+    for equations, inequations in (
+        ((w,), ()),
+        ((), (w,)),
+        ((w,), (top,)),
+        ((w, commutator(W(1), top)), (top, w * w)),
+    ):
+        s = Sentence(names, equations, inequations)
+        assert refute_sentence(s, bound) == refute_sentence_reference(s, bound)
+
+
+@pytest.mark.parametrize("name", ["order two", "product with center", "klein bottle"])
+def test_refute_corpus_witness_sentences_match_brute_force(name):
+    v, _ = _corpus_verdict(name)
+    s = witness_sentence(v.presentation, v.witness)
+    assert refute_sentence(s, 2) is None
+    assert refute_sentence_reference(s, 2) is None
+
+
 def test_sentence_validates_variables():
     with pytest.raises(ValueError):
         Sentence(("x",), (W(2),), ())
@@ -189,6 +230,15 @@ def test_witness_sentence_shape():
 
 
 # --- certificate search -----------------------------------------------------
+
+
+def test_join_builds_commutators_and_inversion_premises():
+    """For every pair of reduced words of length <= 3 over two letters,
+    the empty word included, _join gives [a, b] and h*g*h^-1*g."""
+    pool = list(words_upto(2, 3))
+    for a, b in itertools.product(pool, repeat=2):
+        assert _join(a.inv().ints, b.inv().ints, a.ints, b.ints) == commutator(a, b)
+        assert _join(a.ints, b.ints, a.inv().ints, b.ints) == a * b * a.inv() * b
 
 
 def test_certify_torsion():
@@ -527,6 +577,38 @@ def test_not_limit_reverify_rejects_a_witness_only_a_lying_oracle_passes():
     # a -> a, b -> b keeps [a, b] alive, so the sentence is false over F2
     assert refute_sentence(witness_sentence(p, bad), 3) is not None
     assert NotLimit(p, bad, v.report).reverify(lying) is False
+
+
+def test_not_limit_reverify_rejects_a_torsion_exponent_below_two():
+    v, wp = _corpus_verdict("order two")
+    assert isinstance(v, NotLimit) and v.reverify(wp) is True
+    g = v.witness.data["g"]
+    for n in (1, 0, -2):
+        bad = Witness((g,), "torsion", {"g": g, "n": n})
+        assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+def test_not_limit_reverify_rejects_an_unknown_witness_kind():
+    v, wp = _corpus_verdict("order two")
+    assert isinstance(v, NotLimit) and v.reverify(wp) is True
+    bad = Witness(v.witness.elements, "periodic", v.witness.data)
+    assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+def test_not_limit_reverify_rejects_a_certificate_missing_a_field():
+    v, wp = _corpus_verdict("order two")
+    assert isinstance(v, NotLimit) and v.reverify(wp) is True
+    for field in v.witness.data:
+        data = {k: x for k, x in v.witness.data.items() if k != field}
+        bad = Witness(v.witness.elements, v.witness.kind, data)
+        assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+def test_not_limit_reverify_rejects_a_word_beyond_the_rank():
+    v, wp = _corpus_verdict("order two")
+    g = W(2)
+    bad = Witness((g,), "torsion", {"g": g, "n": 2})
+    assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
 
 
 def test_limit_reverify_rejects_a_match_that_is_no_renaming():
