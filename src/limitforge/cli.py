@@ -7,9 +7,10 @@ invocation reproduces the same bytes.
 
 Exit codes: 0 for success (Limit, Free, or a trivial word), 1 for a
 negative verdict (NotLimit, NotFree, nontrivial word), 2 when a budget
-ran out undecided, and 3 for malformed input or oracle protocol
-violations.  The LIMITFORGE_BUDGET environment variable overrides the
-default budget of any subcommand; an explicit --budget flag wins.
+ran out undecided, and 3 for malformed input, input too large to hold
+in memory, or oracle protocol violations.  The LIMITFORGE_BUDGET
+environment variable overrides the default budget of any subcommand;
+an explicit --budget flag wins.
 """
 
 from __future__ import annotations
@@ -557,6 +558,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, NotImplementedError, OSError, OracleProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: input too large to hold in memory", file=sys.stderr)
         return 3
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import repeat
+from math import comb
 
 from .abelian import Lattice, exponent_vector, solve
 from .freegroup import (
@@ -648,20 +650,42 @@ def _towers_rec(t: IceTower, rem: int):
                 yield from _towers_rec(extend_centralizer(t, g, n), rem - s)
 
 
-def _subset_stream(rank: int, pool: list[Word]):
+def _subset_stream(rank: int, pool: list[Word], min_words: int = 0):
     """All finite sets of nonempty words, by total length, then count
     descending (many short generators before few long ones), then pool
-    order.  The streams of one rank may share `pool`: a stream extends it
-    only by a length it lacks, and `_pick_words` stops at the first word
-    too long, so what another stream adds never changes what this yields."""
-    yield ()
+    order.  A set of fewer than `min_words` words is counted, not built:
+    the stream yields None in its place.  The streams of one rank may
+    share `pool`: a stream extends it only by a length it lacks, up to
+    the longest word of a set it builds, and `_pick_words` stops at the
+    first word too long, so what another stream adds never changes what
+    this yields."""
+    least = max(min_words, 1)
+    yield None if min_words else ()
     total = 0
     while True:
         total += 1
-        if not pool or len(pool[-1].ints) < total:
-            pool.extend(words_of_length(rank, total))
-        for count in range(total, 0, -1):
+        longest = total - least + 1
+        if longest > 0 and (not pool or len(pool[-1].ints) < longest):
+            pool.extend(words_of_length(rank, longest))
+        for count in range(total, least - 1, -1):
             yield from _pick_words(pool, 0, count, total)
+        # counts descend, so the short sets close each total
+        yield from repeat(None, sum(_block_size(rank, c, total) for c in range(1, least)))
+
+
+def _block_size(rank: int, count: int, total: int, length: int = 1) -> int:
+    """How many sets of `count` distinct reduced words, each at least
+    `length` long, have total length `total`: there are 2r(2r-1)^(L-1)
+    reduced words of length L."""
+    if count == 0:
+        return int(total == 0)
+    words = 2 * rank * (2 * rank - 1) ** (length - 1)
+    size = 0
+    for k in range(min(count, total // length) + 1):  # k words of this length
+        rest = total - k * length
+        if rest >= (count - k) * (length + 1):
+            size += comb(words, k) * _block_size(rank, count - k, rest, length + 1)
+    return size
 
 
 def _pick_words(pool, start: int, count: int, total: int):
@@ -717,8 +741,9 @@ class LimitEnumeration:
     search.  Both rules are exact:
 
     - An S with fewer words than b1, the target's first Betti number,
-      is drawn but opens no search: the group it emits is generated by
-      |S| elements, so its b1 is at most |S|.
+      is counted in its stream but not built, and opens no search: the
+      group it emits is generated by |S| elements, so its b1 is at most
+      |S|.
     - When the target has as many generators as its b1 and at least one
       relator, a tower with no steps is not admitted, though its round
       is used as for a repeated presentation.  Every subgroup of that
@@ -764,14 +789,15 @@ class LimitEnumeration:
         if p not in self._presented:
             self._presented.add(p)
             if t.steps or self._free_ok:
-                subsets = _subset_stream(t.rank, self._pools.setdefault(t.rank, []))
+                pool = self._pools.setdefault(t.rank, [])
+                subsets = _subset_stream(t.rank, pool, self._min_words)
                 self._towers.append((t, ice_oracle(t), SubgroupAtlas(p), subsets))
             else:
                 self.skipped_towers += 1
         for tower, oracle, atlas, subsets in self._towers:
             for _ in range(1 if tower is t else self.S_PER_UNIT):
                 s = next(subsets)
-                if len(s) < self._min_words:
+                if s is None:
                     self.skipped_pairs += 1
                     continue
                 search = RetractionSearch(atlas.p, s, oracle, atlas)

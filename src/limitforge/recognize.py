@@ -51,7 +51,9 @@ _CROSSCHECK_BOUND = 2
 
 class Sentence(Value):
     """A universal sentence over free groups: whenever every equation
-    word evaluates to 1, at least one inequation word must too."""
+    word evaluates to 1, at least one inequation word must too.  The
+    variables follow the rules for generator names: distinct, and each
+    a letter followed by letters, digits or underscores."""
 
     __slots__ = ("variables", "equations", "inequations")
 
@@ -62,6 +64,7 @@ class Sentence(Value):
         inequations: tuple[Word, ...],
     ):
         variables, equations, inequations = tuple(variables), tuple(equations), tuple(inequations)
+        Presentation(variables)  # raises PresentationError on a duplicate or malformed name
         for w in equations + inequations:
             validate_word(w, len(variables))
         _set(self, "variables", variables)

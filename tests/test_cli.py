@@ -191,6 +191,22 @@ def test_refute_exit_codes(capsys):
     assert code == 1
 
 
+def test_refute_duplicate_variables_is_exit_3(capsys):
+    code, out, err = run(capsys, "refute", "--vars", "x,x", "--ineq", "x^-1", "--bound", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_word_too_large_for_memory_is_exit_3(capsys):
+    """The exponent asks for a tuple of 10^11 letters, which the
+    allocator refuses at once."""
+    code, out, err = run(capsys, "words", "--word", "a^99999999999")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_recognize_pinched(capsys):
     code, out, _ = run(
         capsys, "recognize-pinched", "--rank1", "2", "--rank2", "2",

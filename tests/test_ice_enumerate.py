@@ -8,6 +8,8 @@ import pytest
 from limitforge.freegroup import eval_hom
 from limitforge.ice import (
     LimitEnumeration,
+    _block_size,
+    _pick_words,
     _subset_stream,
     enumerate_ice,
     enumerate_limit_groups,
@@ -263,14 +265,17 @@ def test_free_towers_are_skipped_only_for_non_free_targets(text, fires):
 # --- one subset-stream pool per rank ---------------------------------------------
 
 
+@pytest.mark.parametrize("min_words", [0, 2, 4])
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_streams_sharing_a_pool_yield_the_unshared_sets(rank):
-    """Streams of one rank drawn round-robin over one pool, as the rounds
-    draw them (a tower's first round draws one set, later rounds
-    S_PER_UNIT each), some joining late, each yield exactly the first
-    3,000 sets of a stream with a pool of its own."""
+def test_streams_sharing_a_pool_yield_the_unshared_sets(rank, min_words):
+    """Streams of one rank and one `min_words` drawn round-robin over one
+    pool, as the rounds draw them (a tower's first round draws one set,
+    later rounds S_PER_UNIT each), some joining late, each yield exactly
+    the first 3,000 sets of a stream with a pool of its own, and the
+    shared pool grows no longer than that stream's."""
     n, per_round = 3000, LimitEnumeration.S_PER_UNIT
-    want = list(itertools.islice(_subset_stream(rank, []), n))
+    own = []
+    want = list(itertools.islice(_subset_stream(rank, own, min_words), n))
     pool = []
     joins = (0, 0, 5, 40)  # the round in which each stream starts
     streams = [None] * len(joins)
@@ -281,13 +286,40 @@ def test_streams_sharing_a_pool_yield_the_unshared_sets(rank):
             if r < start:
                 continue
             if streams[k] is None:
-                streams[k] = _subset_stream(rank, pool)
+                streams[k] = _subset_stream(rank, pool, min_words)
             draws = 1 if r == start else per_round
             got[k] += itertools.islice(streams[k], min(draws, n - len(got[k])))
         r += 1
     assert got == [want] * len(joins)
     longest = len(pool[-1])
     assert pool == [w for k in range(1, longest + 1) for w in words_of_length(rank, k)]
+    assert pool == own
+
+
+# --- short sets are counted, not built --------------------------------------------
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_short_sets_are_counted_not_built(rank):
+    """With `min_words` m, a stream yields the first 4,000 sets of the
+    unfiltered stream, with None in place of each set of fewer than m
+    words."""
+    n = 4000
+    want = list(itertools.islice(_subset_stream(rank, []), n))
+    for m in range(6):
+        got = list(itertools.islice(_subset_stream(rank, [], m), n))
+        assert got == [s if len(s) >= m else None for s in want], m
+
+
+@pytest.mark.parametrize("rank, most", [(1, 8), (2, 6), (3, 5), (4, 4)])
+def test_block_sizes_count_the_picked_sets(rank, most):
+    """`_block_size` counts the sets that `_pick_words` builds for each
+    count and total, from a pool of every reduced word the block needs."""
+    for total in range(most + 1):
+        pool = [w for k in range(1, total + 1) for w in words_of_length(rank, k)]
+        for count in range(total + 2):
+            built = sum(1 for _ in _pick_words(pool, 0, count, total))
+            assert _block_size(rank, count, total) == built, (count, total)
 
 
 def test_enumeration_holds_one_pool_per_rank():

@@ -171,6 +171,12 @@ def test_sentence_validates_variables():
         Sentence(("x",), (W(2),), ())
 
 
+@pytest.mark.parametrize("variables", [("x", "x"), ("x", "2y"), ("",), ("x y",)])
+def test_sentence_rejects_duplicate_or_malformed_variables(variables):
+    with pytest.raises(ValueError):
+        Sentence(variables, (), (W(1),))
+
+
 # --- witness schemas --------------------------------------------------------
 
 
