@@ -265,35 +265,35 @@ def test_free_towers_are_skipped_only_for_non_free_targets(text, fires):
 # --- one subset-stream pool per rank ---------------------------------------------
 
 
-@pytest.mark.parametrize("min_words", [0, 2, 4])
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_streams_sharing_a_pool_yield_the_unshared_sets(rank, min_words):
+def test_streams_sharing_a_pool_yield_the_unshared_sets(rank):
     """Streams of one rank and one `min_words` drawn round-robin over one
     pool, as the rounds draw them (a tower's first round draws one set,
     later rounds S_PER_UNIT each), some joining late, each yield exactly
     the first 3,000 sets of a stream with a pool of its own, and the
     shared pool grows no longer than that stream's."""
     n, per_round = 3000, LimitEnumeration.S_PER_UNIT
-    own = []
-    want = list(itertools.islice(_subset_stream(rank, own, min_words), n))
-    pool = []
-    joins = (0, 0, 5, 40)  # the round in which each stream starts
-    streams = [None] * len(joins)
-    got = [[] for _ in joins]
-    r = 0
-    while any(len(sets) < n for sets in got):
-        for k, start in enumerate(joins):
-            if r < start:
-                continue
-            if streams[k] is None:
-                streams[k] = _subset_stream(rank, pool, min_words)
-            draws = 1 if r == start else per_round
-            got[k] += itertools.islice(streams[k], min(draws, n - len(got[k])))
-        r += 1
-    assert got == [want] * len(joins)
-    longest = len(pool[-1])
-    assert pool == [w for k in range(1, longest + 1) for w in words_of_length(rank, k)]
-    assert pool == own
+    for min_words in (0, 2, 4):
+        own = []
+        want = list(itertools.islice(_subset_stream(rank, own, min_words), n))
+        pool = []
+        joins = (0, 0, 5, 40)  # the round in which each stream starts
+        streams = [None] * len(joins)
+        got = [[] for _ in joins]
+        r = 0
+        while any(len(sets) < n for sets in got):
+            for k, start in enumerate(joins):
+                if r < start:
+                    continue
+                if streams[k] is None:
+                    streams[k] = _subset_stream(rank, pool, min_words)
+                draws = 1 if r == start else per_round
+                got[k] += itertools.islice(streams[k], min(draws, n - len(got[k])))
+            r += 1
+        assert got == [want] * len(joins), min_words
+        longest = len(pool[-1])
+        assert pool == [w for k in range(1, longest + 1) for w in words_of_length(rank, k)]
+        assert pool == own, min_words
 
 
 # --- short sets are counted, not built --------------------------------------------
