@@ -182,7 +182,7 @@ def _verdict_out(args, command: str, inputs: dict, p: Presentation, verdict) -> 
 
 def _cmd_words(args) -> int:
     if args.names:
-        names = tuple(n.strip() for n in args.names.split(","))
+        names = Presentation(tuple(n.strip() for n in args.names.split(","))).names
     else:
         names = standard_names(args.rank)
     w = parse_word(args.word, names)
@@ -272,6 +272,8 @@ def _cmd_retract(args) -> int:
 
 def _cmd_ice(args) -> int:
     if args.ice_cmd == "enumerate":
+        if args.count < 0:
+            raise _CliError("--count must be nonnegative")
         stream = enumerate_ice()
         payload_items = []
         lines = []

@@ -340,78 +340,66 @@ def graph_rank_index(t: CosetTable) -> tuple[int, float]:
 
 
 def low_index(p: Presentation, n: int):
-    """All subgroups of index <= n, one standardized complete table each."""
+    """All subgroups of index <= n, one standardized complete table each,
+    in lexicographic order of their rows: a depth-first search over the
+    first missing entry, closed by deduction, backed out by an undo log."""
     if n < 1:
         raise ValueError("index bound must be at least 1")
     n2 = 2 * p.rank
-    rel_slots = [r.slots() for r in p.relators]
+    # rots[s]: the distinct relator rotations that start with slot s
+    rots: list[list[tuple[int, ...]]] = [[] for _ in range(n2)]
+    for rot in sorted({w[i:] + w[:i] for w in map(Word.slots, p.relators) for i in range(len(w))}):
+        rots[rot[0]].append(rot)
     rows: list[list[int | None]] = [[None] * n2]
+    log: list[tuple[int, int]] = []
 
-    def set_entry(c: int, s: int, d: int) -> bool:
-        if rows[c][s] is not None:
-            return rows[c][s] == d
-        rows[c][s] = d
-        r = rows[d][s ^ 1]
-        if r is None:
-            rows[d][s ^ 1] = c
-            return True
-        return r == c
-
-    def scan_once(alpha: int, slots) -> str:
-        f, i = alpha, 0
-        b, j = alpha, len(slots) - 1
-        while i <= j and rows[f][slots[i]] is not None:
-            f, i = rows[f][slots[i]], i + 1
-        if i > j:
-            return "ok" if f == b else "fail"
-        while j >= i and rows[b][slots[j] ^ 1] is not None:
-            b, j = rows[b][slots[j] ^ 1], j - 1
-        if j < i:
-            return "ok" if f == b else "fail"
-        if j == i:
-            if not set_entry(f, slots[i], b):
-                return "fail"
-            return "set"
-        return "ok"
-
-    def propagate() -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for c in range(len(rows)):
-                for ws in rel_slots:
-                    r = scan_once(c, ws)
-                    if r == "fail":
-                        return False
-                    if r == "set":
-                        changed = True
+    def deduce(c: int, s: int, d: int) -> bool:
+        # set c --s--> d, then what it forces; False on a clash.  Each entry
+        # set, and its inverse, is scanned on the relator rotations at its slot
+        rows[c][s], rows[d][s ^ 1] = d, c
+        log.append((c, s))
+        todo = [(c, s, d)]
+        while todo:
+            c, s, d = todo.pop()
+            for a, t in ((c, s), (d, s ^ 1)):
+                for w in rots[t]:
+                    f, i, b, j = a, 0, a, len(w) - 1
+                    while i <= j and rows[f][w[i]] is not None:
+                        f, i = rows[f][w[i]], i + 1
+                    if i > j:
+                        if f != a:
+                            return False
+                        continue
+                    while j > i and rows[b][w[j] ^ 1] is not None:
+                        b, j = rows[b][w[j] ^ 1], j - 1
+                    if j == i:  # one entry missing: f --w[i]--> b
+                        if rows[b][w[i] ^ 1] is not None:
+                            return False
+                        rows[f][w[i]], rows[b][w[i] ^ 1] = b, f
+                        log.append((f, w[i]))
+                        todo.append((f, w[i], b))
         return True
 
-    def first_undefined():
-        for c in range(len(rows)):
-            for s in range(n2):
-                if rows[c][s] is None:
-                    return c, s
-        return None
-
-    def dfs():
-        spot = first_undefined()
-        if spot is None:
+    def dfs(pos: int):
+        # every entry before pos, in row-major order, is set
+        while pos < len(rows) * n2 and rows[pos // n2][pos % n2] is not None:
+            pos += 1
+        if pos == len(rows) * n2:
             yield CosetTable(p.rank, tuple(tuple(r) for r in rows))
             return
-        c, s = spot
-        limit = len(rows) + (1 if len(rows) < n else 0)
-        for d in range(limit):
-            saved = [row[:] for row in rows]
-            if d == len(rows):
+        c, s = divmod(pos, n2)
+        m, mark = len(rows), len(log)
+        for d in range(min(m + 1, n)):
+            if d == m:
                 rows.append([None] * n2)
-            if set_entry(c, s, d) and propagate():
-                yield from dfs()
-            del rows[:]
-            rows.extend(saved)
+            if rows[d][s ^ 1] is None and deduce(c, s, d):
+                yield from dfs(pos + 1)
+            while len(log) > mark:
+                e, t = log.pop()
+                rows[rows[e][t]][t ^ 1] = rows[e][t] = None
+        del rows[m:]
 
-    if propagate():
-        yield from dfs()
+    yield from dfs(0)
 
 
 def subgroups_of_index(p: Presentation, n: int):

@@ -287,7 +287,6 @@ class CertifySearch(Metered):
         self.p = p
         self.wp = wp
         self._lattice = relator_lattice(p)
-        self._counted = 0  # candidates handed to the meter, owed ones too
         # (lb, lc) -> b's index among the words of length lb -> bitmask of
         # the c of length lc for which [b, c] was trivial
         self._live: dict[tuple[int, int], dict[int, int]] = {}
@@ -296,8 +295,8 @@ class CertifySearch(Metered):
 
     @property
     def candidates(self) -> int:
-        """Candidates charged so far."""
-        return self._counted - self._owed
+        """Candidates charged so far: with no generators, none."""
+        return self.items if self.p.rank else 0
 
     def _stream(self):
         # a tier's cost is the price of each of its candidates; with no
@@ -323,12 +322,9 @@ class CertifySearch(Metered):
                 for may_die, run in runs:
                     if may_die:
                         for g in run:
-                            self._counted += 1
                             yield self._torsion(g, n)
                     else:
-                        dead = sum(1 for _ in run)
-                        self._counted += dead
-                        yield dead
+                        yield sum(1 for _ in run)
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
                     lc = cost - la - lb
@@ -339,7 +335,6 @@ class CertifySearch(Metered):
                             # the premises on (a, b) do not depend on c: b
                             # must be nontrivial and commute with a
                             if self.wp(b) or not self.wp(_join(ai, bi, a.ints, b.ints)):
-                                self._counted += len(pool)
                                 yield len(pool)
                                 continue
                             # [b, c] does not depend on a: a c for which an
@@ -348,9 +343,7 @@ class CertifySearch(Metered):
                             keep = done = 0
                             for k in range(len(pool)) if known is None else set_bits(known):
                                 if k > done:
-                                    self._counted += k - done
                                     yield k - done
-                                self._counted += 1
                                 c = pool[k]
                                 if self.wp(_join(bi, pool_inv[k], b.ints, c.ints)):
                                     keep |= 1 << k
@@ -359,7 +352,6 @@ class CertifySearch(Metered):
                                     yield None
                                 done = k + 1
                             if len(pool) > done:
-                                self._counted += len(pool) - done
                                 yield len(pool) - done
                             live[ib] = keep
             for lg in range(1, cost):
@@ -368,11 +360,9 @@ class CertifySearch(Metered):
                     # h*g*h^-1*g = 1 needs 2*ab(g) in L, and g must be
                     # nontrivial: a g that fails either is a dead run
                     if not self._may_die(g, 2) or self.wp(g):
-                        self._counted += len(pool)
                         yield len(pool)
                         continue
                     for h in pool:
-                        self._counted += 1
                         yield self._inversion(g, h)
 
     def _may_die(self, g: Word, n: int) -> bool:
@@ -417,9 +407,11 @@ class CertifySearch(Metered):
 class Limit(Value):
     """Positive verdict: the input matches an enumerated limit-group
     presentation.  `matched` is the Tietze variant of the emission that
-    equals the simplified input up to renaming."""
+    equals the simplified input up to renaming, and `position` is where
+    it stands in `enumerate_presentations(emission.presentation)`: 0 for
+    the emission itself."""
 
-    __slots__ = ("presentation", "matched", "emission", "report")
+    __slots__ = ("presentation", "matched", "emission", "report", "position")
 
     def __init__(
         self,
@@ -427,11 +419,13 @@ class Limit(Value):
         matched: Presentation,
         emission: LimitGroupEmission,
         report: dict,
+        position: int = 0,
     ):
         _set(self, "presentation", presentation)
         _set(self, "matched", matched)
         _set(self, "emission", emission)
         _set(self, "report", report)
+        _set(self, "position", position)
 
     def reverify(self) -> bool:
         """Re-check the witness chain, tied to the emission's tower and S:
@@ -439,9 +433,10 @@ class Limit(Value):
         whose Reidemeister-Schreier presentation is the stored one; the
         retraction equations hold under a fresh tower oracle; each word of
         S is the element its expression embeds as; and the retraction
-        presents the emission.  Then the abelianization is torsion-free
-        and `matched` is a renaming of the simplified input.  A chain that
-        fails any check gives False."""
+        presents the emission.  Then the abelianization is torsion-free,
+        `matched` is the emission's Tietze variant at `position`, and it
+        is a renaming of the simplified input.  A chain that fails any
+        check gives False."""
         em = self.emission
         tower, found = em.tower, em.result.witness
         pres, table, rs = presentation_of(tower), found.table, found.rs
@@ -468,6 +463,11 @@ class Limit(Value):
         if present_from_retraction(em.s_words, fresh).presentation != em.presentation:
             return False
         if abelianization(em.presentation)[1]:
+            return False
+        if self.position < 0:
+            return False
+        variants = enumerate_presentations(em.presentation)
+        if next(itertools.islice(variants, self.position, None)) != self.matched:
             return False
         target, _ = tietze_simplify(self.presentation)
         try:
@@ -544,7 +544,8 @@ class NotFree(Value):
 class _Expansion(Metered):
     """Tietze expanders advanced round-robin, one node per item, each
     node charged `price` steps.  `hit(tag, node)` turns a node of the
-    expander filed under `tag` into the item: a hit, or None."""
+    expander filed under `tag` into the item: a hit, or None.  `items`
+    counts the nodes expanded."""
 
     price = 8  # one presentation-enumeration node ~ this many steps
 
@@ -600,7 +601,7 @@ class _MatchBranch:
     def run(self, limit: int | None):
         """One enumeration round plus expander work up to _QUANTUM, never
         past `limit` units (None: no limit); returns the hit, (emission,
-        matched), or None."""
+        matched, its position in the emission's expansion), or None."""
         if self._key is None:
             return None
         before = self.enum.steps
@@ -611,9 +612,10 @@ class _MatchBranch:
                 return hit
         return self.expansion.run(limit, self.enum.steps - before)
 
-    def _match(self, em: LimitGroupEmission, v: Presentation):
+    def _match(self, em: LimitGroupEmission, node: tuple[int, Presentation]):
+        k, v = node
         if v.rank <= 6 and normalize_key(v) == self._key:
-            return (em, v)
+            return em, v, k
         return None
 
     def _admit(self, em: LimitGroupEmission):
@@ -622,9 +624,9 @@ class _MatchBranch:
         if pres in self._seen:
             return None
         self._seen.add(pres)
-        hit = self._match(em, pres)
+        hit = self._match(em, (0, pres))
         if hit is None and abelianization(pres) == self._ab:
-            gen = enumerate_presentations(pres)
+            gen = enumerate(enumerate_presentations(pres))
             next(gen)  # the first yield is pres itself, checked above
             self.expansion.expanders.append((em, gen))
         return hit
@@ -646,7 +648,7 @@ def _report(budget, used: int, a: _MatchBranch | None, b: CertifySearch) -> dict
             "steps": a.enum.steps,
             "emissions": a.emissions,
             "expanders": len(a.expansion.expanders),
-            "expanded": a.expansion.spent // a.expansion.price,
+            "expanded": a.expansion.items,
             "matchable": a.matchable,
             "skipped_pairs": a.enum.skipped_pairs,
             "skipped_towers": a.enum.skipped_towers,
@@ -706,8 +708,8 @@ def recognize_limit(p: Presentation, wp: WordOracle, budget: int | None = 10**7)
     hit, w, used = _race(a, b, budget)
     report = _report(budget, used, a, b)
     if hit is not None:
-        em, matched = hit
-        return Limit(p, matched, em, report)
+        em, matched, position = hit
+        return Limit(p, matched, em, report, position)
     if w is not None:
         return NotLimit(p, w, report)
     return Unknown(p, report)

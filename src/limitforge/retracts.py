@@ -300,16 +300,18 @@ class Metered:
     units.  A positive int n stands for the next n items, all dead: each
     is charged as a None would be, and those that do not fit in a call
     stay owed to the next one, so the stream is resumed only once they
-    are all paid.  To change the price the stream sets `self.price`, then
-    yields _REPRICE before any work at the new price, so run() knows what
-    the next item costs before it resumes the stream.  An item that does
-    not fit in what is left of a call waits for the next call.
+    are all paid, and `items` counts the items charged so far.  To change
+    the price the stream sets `self.price`, then yields _REPRICE before
+    any work at the new price, so run() knows what the next item costs
+    before it resumes the stream.  An item that does not fit in what is
+    left of a call waits for the next call.
     """
 
     price = 1
 
     def __init__(self):
         self.spent = 0
+        self.items = 0
         self.found = None
         self._owed = 0  # items of a dead run not charged yet
         self._gen = self._stream()
@@ -320,6 +322,7 @@ class Metered:
             return self.found
         gen = self._gen
         spent = self.spent
+        items = self.items
         owed = self._owed
         price = self.price
         stop = spent + units
@@ -328,21 +331,25 @@ class Metered:
                 if owed:
                     paid = min(owed, (stop - spent) // price)
                     spent += paid * price
+                    items += paid
                     owed -= paid
                     continue
                 item = next(gen)
                 if item is None:
                     spent += price
+                    items += 1
                 elif item is _REPRICE:
                     price = self.price
                 elif item.__class__ is int:
                     owed = item
                 else:
                     spent += price
+                    items += 1
                     self.found = item
                     break
         finally:  # an oracle error leaves what was charged before it
             self.spent = spent
+            self.items = items
             self._owed = owed
         return self.found
 

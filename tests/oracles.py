@@ -8,7 +8,7 @@ references at the end use only Word arithmetic, except the tower
 syllable reduction, which keeps the tower word problem for its edge
 tests, and the root reference, which keeps the package's pinch, edge
 equation and word problem and builds every syllable as a word.  The Stallings folder shares only the breadth-first renumbering
-with the package; the subgroup rewriting reference takes only the
+with the package; the low-index reference shares only CosetTable; the subgroup rewriting reference takes only the
 Schreier basis of the table from it.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
 stream bookkeeping that the package does lazily.  The limit-enumeration
@@ -709,6 +709,87 @@ def rewrite_in_subgroup(t: CosetTable, w: Word) -> Word | None:
 
 
 # ---------------------------------------------------------------------------
+# Low-index subgroups as the package first walked them: after each choice
+# every relator is re-scanned at every coset until nothing changes, and
+# each choice copies the whole table so that backing out restores it.
+
+
+def low_index_reference(p: Presentation, n: int):
+    """All subgroups of index <= n, one standardized complete table each."""
+    if n < 1:
+        raise ValueError("index bound must be at least 1")
+    n2 = 2 * p.rank
+    rel_slots = [r.slots() for r in p.relators]
+    rows: list[list[int | None]] = [[None] * n2]
+
+    def set_entry(c: int, s: int, d: int) -> bool:
+        if rows[c][s] is not None:
+            return rows[c][s] == d
+        rows[c][s] = d
+        r = rows[d][s ^ 1]
+        if r is None:
+            rows[d][s ^ 1] = c
+            return True
+        return r == c
+
+    def scan_once(alpha: int, slots) -> str:
+        f, i = alpha, 0
+        b, j = alpha, len(slots) - 1
+        while i <= j and rows[f][slots[i]] is not None:
+            f, i = rows[f][slots[i]], i + 1
+        if i > j:
+            return "ok" if f == b else "fail"
+        while j >= i and rows[b][slots[j] ^ 1] is not None:
+            b, j = rows[b][slots[j] ^ 1], j - 1
+        if j < i:
+            return "ok" if f == b else "fail"
+        if j == i:
+            if not set_entry(f, slots[i], b):
+                return "fail"
+            return "set"
+        return "ok"
+
+    def propagate() -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for c in range(len(rows)):
+                for ws in rel_slots:
+                    r = scan_once(c, ws)
+                    if r == "fail":
+                        return False
+                    if r == "set":
+                        changed = True
+        return True
+
+    def first_undefined():
+        for c in range(len(rows)):
+            for s in range(n2):
+                if rows[c][s] is None:
+                    return c, s
+        return None
+
+    def dfs():
+        spot = first_undefined()
+        if spot is None:
+            yield CosetTable(p.rank, tuple(tuple(r) for r in rows))
+            return
+        c, s = spot
+        limit = len(rows) + (1 if len(rows) < n else 0)
+        for d in range(limit):
+            saved = [row[:] for row in rows]
+            if d == len(rows):
+                rows.append([None] * n2)
+            if set_entry(c, s, d) and propagate():
+                yield from dfs()
+            del rows[:]
+            rows.extend(saved)
+
+    if propagate():
+        yield from dfs()
+
+
+# ---------------------------------------------------------------------------
 # Tietze expansion and the consequence stream as they were first written:
 # every single conjugate of a relator is built before any product is
 # offered, every factor of a cost before any product of that cost is
@@ -906,10 +987,8 @@ class _TriStateChecks:
 
 
 class CertifySearchReference(_TriStateChecks, CertifySearch):
-    # this stream, like CertifySearchLoop's, counts its candidates one at a
-    # time and never yields a dead run, so nothing is ever owed
-    candidates = CertifySearch.candidates.setter(lambda self, n: setattr(self, "_counted", n))
-
+    # this stream never yields a dead run: the meter charges, and counts,
+    # each candidate on its own
     def _stream(self):
         rank = self.p.rank
         if rank == 0:
@@ -923,7 +1002,6 @@ class CertifySearchReference(_TriStateChecks, CertifySearch):
             for lg in range(1, cost):
                 n = cost - lg + 1
                 for g in pools[lg]:
-                    self.candidates += 1
                     yield self._torsion(g, n)
             for la in range(1, cost - 1):
                 for lb in range(1, cost - la):
@@ -932,7 +1010,6 @@ class CertifySearchReference(_TriStateChecks, CertifySearch):
                         for b in pools[lb]:
                             pair = None
                             for c in pools[lc]:
-                                self.candidates += 1
                                 if pair is None:
                                     pair = self._ct_pair(a, b)
                                 yield self._ct(a, b, c) if pair else None
@@ -941,7 +1018,6 @@ class CertifySearchReference(_TriStateChecks, CertifySearch):
                 for g in pools[lg]:
                     alive = None
                     for h in pools[lh]:
-                        self.candidates += 1
                         if alive is None:
                             alive = self._nontrivial(g)
                         yield self._inversion(g, h) if alive else None
@@ -1066,7 +1142,7 @@ def _combine_reference(coeffs, vecs, rank: int) -> tuple[int, ...]:
 
 
 class CertifySearchLoop(_TriStateChecks, CertifySearch):
-    candidates = CertifySearchReference.candidates
+    candidates = 0  # this loop charges, so counts, its candidates itself
 
     def __init__(self, p: Presentation, wp):
         self._tier = 0  # cost of the next candidate the stream charges

@@ -198,6 +198,21 @@ def test_refute_duplicate_variables_is_exit_3(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("names", ["a,a", "a,,b"])
+def test_words_bad_generator_names_is_exit_3(capsys, names):
+    code, out, err = run(capsys, "words", "--names", names, "--word", "a*a")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ice_enumerate_negative_count_is_exit_3(capsys):
+    code, out, err = run(capsys, "ice", "enumerate", "--count", "-3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_word_too_large_for_memory_is_exit_3(capsys):
     """The exponent asks for a tuple of 10^11 letters, which the
     allocator refuses at once."""

@@ -1,6 +1,7 @@
 """Coset enumeration, low-index search, subgroup rewriting."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from limitforge.coset import (
     subgroups_of_index,
     todd_coxeter,
 )
+from limitforge.ice import enumerate_ice
 from limitforge.presentation import parse
 from limitforge.oracles import oracle_from
 from limitforge.retracts import RetractionSearch, SubgroupAtlas
@@ -25,6 +27,7 @@ from limitforge.words import Word
 from oracles import (
     FINITE_CORPUS,
     hall_counts,
+    low_index_reference,
     perm_group_order,
     rewrite_in_subgroup,
     schreier_basis_reference,
@@ -81,6 +84,36 @@ def test_low_index_tables_are_distinct_and_valid():
         assert key not in seen
         seen.add(key)
         assert t.is_complete()
+
+
+LOW_INDEX_CASES = {
+    "Z2": ("< a, b | [a,b] >", 30),
+    "genus2": ("< a, b, c, d | [a,b]*[c,d]^-1 >", 4),
+    "a^2": ("< a, b | a^2 >", 8),
+    "Z3": ("< a, b, c | [a,b], [a,c], [b,c] >", 10),
+    "Z2-by-t": ("< a, b, t | [a,b], [t,a*b] >", 7),
+    "F1": ("< a | >", 8),
+    "F2": ("< a, b | >", 4),
+    "klein": ("< a, b | b*a*b^-1*a >", 8),
+    "F2xZ": ("< a, b, z | [a,z], [b,z] >", 4),
+    "a": ("< a | a >", 4),
+    "trivial": ("< | >", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(LOW_INDEX_CASES))
+def test_low_index_matches_its_rescanning_reference(name):
+    """Deductions and the undo log reach the same tables, in the same
+    order, as re-scanning every relator at every coset after each choice
+    and restoring a copied table."""
+    text, n = LOW_INDEX_CASES[name]
+    p = parse(text)
+    assert [t.rows for t in low_index(p, n)] == [t.rows for t in low_index_reference(p, n)]
+
+
+def test_low_index_matches_its_reference_on_tower_presentations():
+    for _, p in itertools.islice(enumerate_ice(), 40):
+        assert [t.rows for t in low_index(p, 4)] == [t.rows for t in low_index_reference(p, 4)]
 
 
 def test_low_index_respects_relators():

@@ -257,6 +257,23 @@ def test_dovetail_oracle_answers_off_lattice_words_at_once(n, k):
     assert wp(Word((1,) * n)) is None
 
 
+def test_dovetail_oracle_refutes_by_a_finite_quotient():
+    """[a, b] is on F2's relator lattice and no consequence reaches it,
+    so the walk refutes it with the first table it acts on, of index 3.
+    A later query that the same table refutes is answered from the
+    tables already pulled, with no new pull."""
+    f2 = parse("< a, b | >")
+    wp = dovetail_oracle(f2, 1000)
+    engine = wp.fn.__self__
+    assert wp(w("[a,b]", f2)) is False
+    *earlier, last = engine.tables
+    assert last.index == 3
+    assert all(t.trace(c, w("[a,b]", f2)) == c for t in earlier for c in range(t.index))
+    pulled = len(engine.tables)
+    assert wp(w("[b,a]", f2)) is False
+    assert len(engine.tables) == pulled
+
+
 def test_auto_oracle_dispatch():
     assert auto_oracle(parse("< a, b | >")).total
     assert auto_oracle(parse("< a | a^2 >")).total

@@ -623,6 +623,32 @@ def test_limit_reverify_rejects_a_match_that_is_no_renaming():
     assert Limit(v.presentation, F2, v.emission, v.report).reverify() is False
 
 
+@pytest.mark.parametrize("name, other", [
+    ("free abelian rank 2", "free rank 1"),
+    ("centralizer extension", "free rank 2"),
+])
+def test_limit_reverify_rejects_a_match_from_another_emission(name, other):
+    """`matched` must be the emission's own Tietze variant at `position`,
+    not only a renaming of the input."""
+    v, _ = _corpus_verdict(name)
+    em = _corpus_verdict(other)[0].emission
+    assert isinstance(v, Limit) and v.reverify() is True
+    assert Limit(v.presentation, v.matched, em, v.report).reverify() is False
+
+
+def test_limit_found_by_an_expander_reverifies():
+    """< a, b | [a,b], [a,b]^2 > is Z^2: it is matched at node 1 of the
+    expansion of the emission < a, b | [a,b] >, and that node is checked,
+    not the emission itself."""
+    p = parse("< a, b | [a,b], [a,b]*[a,b] >")
+    wp = WordOracle(lambda w: not any(exponent_vector(w, 2)), True, "exponents")
+    v = recognize_limit(p, wp, 10**5)
+    assert isinstance(v, Limit)
+    assert v.emission.presentation == Z2 and v.matched == p and v.position == 1
+    assert v.reverify() is True
+    assert Limit(v.presentation, v.matched, v.emission, v.report).reverify() is False
+
+
 def test_limit_reverify_rejects_an_emission_with_torsion():
     v, _ = _corpus_verdict("free abelian rank 2")
     em = v.emission

@@ -235,8 +235,8 @@ VALUE_CLASSES = [
      (("x", "y"), (_B,), (_B,))),
     (Witness, ("elements", "kind", "data"), ((_A,), "torsion", {"g": _A, "n": 2}),
      ((_A,), "torsion", {"g": _A, "n": 3})),
-    (Limit, ("presentation", "matched", "emission", "report"), (_P, _P, _EMISSION, {}),
-     (_P, _Q, _EMISSION, {})),
+    (Limit, ("presentation", "matched", "emission", "report", "position"),
+     (_P, _P, _EMISSION, {}, 0), (_P, _Q, _EMISSION, {}, 0)),
     (NotLimit, ("presentation", "witness", "report"), (_P, _WITNESS, {}), (_Q, _WITNESS, {})),
     (Unknown, ("presentation", "report"), (_P, {"used": 1}), (_P, {"used": 2})),
     (Free, ("presentation", "free_presentation", "report"), (_P, _Q, {}), (_Q, _Q, {})),
