@@ -9,14 +9,23 @@ metrics from the last line of its output.
 
     python3 scripts/bench.py --label edge-memo
     python3 scripts/bench.py --label baseline --root DIR --commit SHA
+    python3 scripts/bench.py --pairs 10 --parent DIR --workload tower-wp --seed 9
 
 --commit names the commit for a checkout with no .git (a `git archive`
 copy, say), where run.py cannot read it.
+
+With --pairs N it writes no BENCH file.  It runs N pairs of one workload
+instead, the checkout at --parent and the one at --root in each pair, the
+parent first in every other pair, and prints for each end-to-end metric
+the median of each side, the interquartile range of the parent's runs
+and the number of pairs that the --root checkout won; a tie wins for
+neither side.
 """
 
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -73,14 +82,59 @@ def write_bench(path: pathlib.Path, label: str, outputs: dict, commit=None) -> d
     return record
 
 
+def _metrics(stdout: str) -> dict:
+    return {k: m["value"] for k, m in json.loads(stdout.strip().splitlines()[-1])["metrics"].items()}
+
+
+def compare_pairs(pairs) -> list:
+    """One row per end-to-end metric of BENCHMARK.json for run.py outputs
+    paired as (parent, change): the metric, each side's median, the
+    parent's interquartile range and the pairs the change won."""
+    runs = [(_metrics(parent), _metrics(change)) for parent, change in pairs]
+    rows = []
+    for spec in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]:
+        name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
+        old = [p[name] for p, _ in runs]
+        new = [c[name] for _, c in runs]
+        q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1 else old * 3
+        won = sum(sign * (c - p) > 0 for p, c in zip(old, new))
+        rows.append((name, statistics.median(old), statistics.median(new), q3 - q1, won))
+    return rows
+
+
+def run_pairs(parent: pathlib.Path, change: pathlib.Path, workload: str, seed: int, n: int) -> list:
+    """n (parent, change) pairs of run.py outputs; the parent runs first
+    in the even pairs."""
+    pairs = []
+    for i in range(n):
+        first, second = (parent, change) if i % 2 == 0 else (change, parent)
+        outs = [run_workload(first, workload, seed), run_workload(second, workload, seed)]
+        pairs.append(tuple(outs if i % 2 == 0 else outs[::-1]))
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label")
     ap.add_argument("--root", type=pathlib.Path, default=REPO,
                     help="checkout whose perfbench/run.py and src/ are measured")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--commit", help="commit of a checkout with no .git")
+    ap.add_argument("--pairs", type=int, help="run this many pairs against --parent")
+    ap.add_argument("--parent", type=pathlib.Path, help="the checkout that --pairs compares with")
+    ap.add_argument("--workload", choices=WORKLOADS, help="the workload that --pairs runs")
     args = ap.parse_args(argv)
+    if args.pairs is not None:
+        if args.parent is None or args.workload is None or args.pairs < 1:
+            ap.error("--pairs needs a positive count, --parent and --workload")
+        pairs = run_pairs(args.parent.resolve(), args.root.resolve(), args.workload, args.seed, args.pairs)
+        print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
+        print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won")
+        for name, old, new, iqr, won in compare_pairs(pairs):
+            print(f"{name:<14} {old:>10.7g} {new:>10.7g} {iqr:>11.3g}  {won}/{args.pairs}")
+        return 0
+    if args.label is None:
+        ap.error("--label is required without --pairs")
     outputs = {w: run_workload(args.root.resolve(), w, args.seed) for w in WORKLOADS}
     path = REPO / f"BENCH_{args.label}.json"
     record = write_bench(path, args.label, outputs, args.commit)

@@ -176,10 +176,29 @@ class Lattice:
         diag, U = self._smith
         return [U[i] for i in range(self._n) if i >= len(diag) or not diag[i]]
 
+    @cached_property
+    def _packed(self) -> dict[int, int]:
+        # each signed letter's dot products with zero_rows, row k in the
+        # 32-bit lane at bit 32k; a letter past the rank has no entry
+        table = {}
+        for x in range(1, self._n + 1):
+            table[x] = sum(u[x - 1] << (32 * k) for k, u in enumerate(self.zero_rows))
+            table[-x] = -table[x]
+        return table
+
+    def rules_out(self, ints) -> bool:
+        """Whether the zero rows alone put the exponent vector of the word
+        with these letters outside the lattice.  Packing is linear, so the
+        letters sum to the packed dot products, which are all 0 in the
+        lattice; a nonzero sum is exact, and False leaves it to `in`."""
+        return sum(map(self._packed.__getitem__, ints)) != 0
+
     def __contains__(self, vec) -> bool:
         key = tuple(vec)
         got = self._memo.get(key)
         if got is None:
+            if len(key) != self._n:
+                raise ValueError(f"a vector of length {len(key)} for a lattice in Z^{self._n}")
             if not self.rows:
                 got = not any(key)
             else:

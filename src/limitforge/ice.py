@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import repeat
-from math import comb
+from math import comb, gcd
 
 from .abelian import Lattice, exponent_vector, solve
 from .freegroup import (
@@ -234,7 +234,7 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
         u = Word(ints)
         if len(t.steps) == 1:
             got = is_power_of(u, t.steps[-1].basis[0]) is not None
-        elif exponent_vector(u, t.rank) not in t._edge_lattice:
+        elif t._edge_lattice.rules_out(ints) or exponent_vector(u, t.rank) not in t._edge_lattice:
             got = False
         else:
             got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints) is True
@@ -321,7 +321,8 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", sub.level, conj * sub.conjugator)
     # a one-element basis is the root of a hyperbolic g, and a conjugate
     # of u inside its group has u's exponent vector
-    if len(top.basis) == 1 and exponent_vector(u, t.rank) in t._edge_lattice:
+    lat = t._edge_lattice
+    if len(top.basis) == 1 and not lat.rules_out(u.ints) and exponent_vector(u, t.rank) in lat:
         c = _conj_into(low, u, top.basis[0])
         if c is not None:
             return Classification("parabolic", k, conj * c)
@@ -526,8 +527,11 @@ def _max_root(t: IceTower, w: Word, pinched=None) -> tuple[Word, int]:
     # between neighbouring syllables.  So syllable vectors d apart differ
     # by a vector in the edge basis's span, and the root is s1...sd*c for
     # the one c in E that the edge equation at the first lower syllable
-    # allows.  The least such d gives the maximal root.
+    # allows.  The least such d gives the maximal root.  Its e-th power
+    # has e times its vector, so e = count / d divides the gcd of w's.
     periods = [d for d in range(2, count, 2) if not count % d]
+    g = gcd(*exponent_vector(core, t.rank)) if periods else 0
+    periods = [d for d in periods if not g % (count // d)]
     vecs = [exponent_vector(Word(body), t.rank) for _, body in syls] if periods else []
     i = 1 if syls[0][0] else 0
     words = None

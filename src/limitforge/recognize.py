@@ -366,8 +366,10 @@ class CertifySearch(Metered):
                         yield self._inversion(g, h)
 
     def _may_die(self, g: Word, n: int) -> bool:
-        """Whether n*ab(g) lies in L, as g**n = 1 requires."""
-        return [n * x for x in exponent_vector(g, self.p.rank)] in self._lattice
+        """Whether n*ab(g) lies in L, as g**n = 1 requires; it does only
+        if ab(g) passes every zero lane of L."""
+        lat = self._lattice
+        return not lat.rules_out(g.ints) and [n * x for x in exponent_vector(g, self.p.rank)] in lat
 
     def _torsion(self, g: Word, n: int):
         if self.wp(g) or not self.wp(g**n):

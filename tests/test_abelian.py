@@ -136,3 +136,80 @@ def test_lattice_matches_solve(rows, coeffs, vec):
     inside = got is not None or not any(vec)
     assert (vec in lat) is inside
     assert (tuple(vec) in lat) is inside  # the memo answers the same
+
+
+def test_lattice_refuses_a_vector_of_another_length():
+    # zip would truncate both to the lattice's length and answer True
+    lat = Lattice([[1, 0]], 2)
+    for vec in ([1, 0, 5], []):
+        with pytest.raises(ValueError):
+            vec in lat
+    with pytest.raises(ValueError):
+        [0, 0] in Lattice([], 3)
+
+
+def test_rules_out_refuses_a_letter_past_the_rank():
+    # a list indexed by letter would read another letter's entry here
+    lat = Lattice([[1, 0]], 2)
+    for x in (3, -3, 0):
+        with pytest.raises(KeyError):
+            lat.rules_out((2, x))
+
+
+# Lattices of Z^3, each with whether it has a Smith entry of 2 or more:
+# empty, rank-deficient, full rank, and with torsion (the Klein bottle's
+# relator, Z/2 + Z, Z/6 + Z, Z/2 + Z^2).  The zero rows of [2, 3, 5] and
+# [4, 2, 6] meet two or three letters each, so each lane sums letters.
+_PACKED_LATTICES = [
+    ([], False),
+    ([[0, 0, 0]], False),
+    ([[1, 2, 0]], False),
+    ([[2, 3, 5]], False),
+    ([[1, -1, 0], [2, -2, 0]], False),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+    ([[2, 1, 0], [1, 1, 0], [0, 3, 1]], False),
+    ([[2, 0, 0]], True),
+    ([[2, 0, 0], [0, 0, 1]], True),
+    ([[2, 4, 0], [0, 3, 3]], True),
+    ([[4, 2, 6]], True),
+]
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.sampled_from(_PACKED_LATTICES),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.lists(st.sampled_from([1, 2, 3, -1, -2, -3]), max_size=10),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_rules_out_matches_the_exact_test(lattice, coeffs, letters, inside, rng):
+    # an inside word is a combination of the rows, its letters shuffled
+    # among those of a word and its inverse, so both answers of `in` occur
+    rows, torsion = lattice
+    lat = Lattice(rows, 3)
+    ints = list(letters)
+    if inside:
+        for c, row in zip(coeffs, rows):
+            for i, r in enumerate(row):
+                ints += [(i + 1) * (1 if c * r > 0 else -1)] * abs(c * r)
+        ints += [-x for x in letters]
+        rng.shuffle(ints)
+    vec = exponent_vector(Word.make(ints), 3)
+    assert not inside or vec in lat
+    # ruled out exactly when a zero lane is off, and then outside; with no
+    # Smith entry of 2 or more the zero lanes decide alone
+    off = any(sum(a * b for a, b in zip(u, vec)) for u in lat.zero_rows)
+    assert lat.rules_out(ints) is off
+    assert off <= (vec not in lat)
+    assert torsion or off is (vec not in lat)
+
+
+def test_rules_out_leaves_an_overflowed_sum_to_the_exact_test():
+    # the zero rows give a the packed value -2^32 and c the value 2^32, so
+    # a*c sums to 0 though its lanes are -2^32 and 1
+    lat = Lattice([[1, 2**32, 0]], 3)
+    assert lat.zero_rows == [[-(2**32), 1, 0], [0, 0, 1]]
+    assert lat.rules_out((1, 3)) is False
+    assert [1, 0, 1] not in lat
+    assert lat.rules_out((1,)) and lat.rules_out((3,))

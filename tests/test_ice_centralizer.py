@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from limitforge import ice
-from limitforge.abelian import exponent_vector
+from limitforge.abelian import Lattice, exponent_vector
 from limitforge.coset import low_index
 from limitforge.ice import (
     _classify,
@@ -172,13 +172,15 @@ def _answers(towers):
 
 
 def test_pretests_keep_every_answer(monkeypatch):
-    # zero exponent vectors lie in every span, so they pass the edge
-    # membership, period and conjugator tests, which recovers the unpruned
-    # paths: a commutator or power test for every edge question and an
-    # edge equation for every period
+    # zero exponent vectors lie in every span and have gcd 0, so they pass
+    # the edge membership, period and conjugator tests, and with the packed
+    # zero-lane test, which reads letters, ruling nothing out, the unpruned
+    # paths come back: a commutator or power test for every edge question
+    # and an edge equation for every period
     towers = _pretest_towers()
     pruned = _answers(towers)
     monkeypatch.setattr(ice, "exponent_vector", lambda w, n: [0] * n)
+    monkeypatch.setattr(Lattice, "rules_out", lambda self, ints: False)
     unpruned_towers = _pretest_towers()
     assert unpruned_towers == towers
     assert _answers(unpruned_towers) == pruned
@@ -207,6 +209,21 @@ def test_step_vectors_of_a_power_repeat_with_the_root_period(t, letters):
         vecs = [exponent_vector(Word(body), t.rank)[lo:] for _, body in syls]
         assert len(vecs) == e * d
         assert vecs[d:] == vecs[:-d], (t, r, e)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.sampled_from([T3] + PREFIX),
+    st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=12),
+)
+def test_root_exponent_of_a_power_is_a_multiple_of_the_power(t, letters):
+    # r^e = w gives vec(w) = e*vec(r), so the gcd bound on root periods
+    # keeps the period whose power is e, and the maximal root of r^e is
+    # the root of r with e times its exponent
+    r = Word.make(x // abs(x) * ((abs(x) - 1) % t.rank + 1) for x in letters)
+    assume(not wp_ice(t, r) and _classify(t, r).kind == "hyperbolic")
+    for e in (2, 3):
+        assert _max_root(t, r**e)[1] % e == 0, (t, r, e)
 
 
 def test_top_free_word_off_the_edge_line_skips_the_conjugator_search(monkeypatch):

@@ -256,13 +256,15 @@ def _end_to_end_metrics() -> list:
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _canned_run_output(workload: str, digest: str) -> str:
-    """The context line and the last line of a run.py --trace 0 run."""
+def _canned_run_output(workload: str, digest: str, values=None) -> str:
+    """The context line and the last line of a run.py --trace 0 run, each
+    metric 1.5 unless `values` gives it."""
     context = {"workload": workload, "seed": 1, "seconds": 30, "trace": 0,
                "python": "3.12.0", "nproc": 2, "commit": "0" * 40,
                "src_sha256": digest, "passes": 3}
+    values = values or {}
     last = {"correct": True, "attempted": 9, "failed": 0,
-            "metrics": {m["name"]: {"value": 1.5, "unit": m["unit"]}
+            "metrics": {m["name"]: {"value": values.get(m["name"], 1.5), "unit": m["unit"]}
                         for m in _end_to_end_metrics()}}
     return f"# {json.dumps(context)}\n# untraced pass: wall 1.5 s\n{json.dumps(last)}\n"
 
@@ -288,6 +290,43 @@ def test_bench_script_writes_its_schema(tmp_path):
     assert (record["label"], record["commit"]) == ("x", "0" * 40)
     assert record["src_sha256"] == "abcdef0123456789"
     assert bench.write_bench(path, "x", outputs, commit="f" * 40)["commit"] == "f" * 40
+
+
+def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
+    # wall_s is lower-better, decided_frac higher-better; the change wins
+    # the first pair, ties the second and loses the third on each
+    bench = _load_script("bench")
+    parent = [{"wall_s": 1.0, "decided_frac": 0.5}, {"wall_s": 2.0, "decided_frac": 0.5},
+              {"wall_s": 3.0, "decided_frac": 0.9}]
+    change = [{"wall_s": 0.5, "decided_frac": 0.6}, {"wall_s": 2.0, "decided_frac": 0.5},
+              {"wall_s": 4.0, "decided_frac": 0.7}]
+    pairs = [(_canned_run_output("tower-wp", "a", p), _canned_run_output("tower-wp", "b", c))
+             for p, c in zip(parent, change)]
+    rows = {row[0]: row[1:] for row in bench.compare_pairs(pairs)}
+    assert list(rows) == [m["name"] for m in _end_to_end_metrics()]
+    assert rows["wall_s"] == (2.0, 2.0, 1.0, 1)
+    assert rows["decided_frac"] == pytest.approx((0.5, 0.6, 0.2, 1))
+    assert rows["steps"] == (1.5, 1.5, 0.0, 0)
+    # the runs alternate which side goes first, and the pairs come back
+    # as (parent, change) whatever the order
+    order = []
+
+    def run_workload(root, workload, seed):
+        order.append(root.name)
+        return _canned_run_output(workload, root.name, {"wall_s": 1.0 if root.name == "old" else 0.5})
+
+    monkeypatch.setattr(bench, "run_workload", run_workload)
+    old, new = pathlib.Path("old"), pathlib.Path("new")
+    got = bench.run_pairs(old, new, "tower-wp", 9, 3)
+    assert order == ["old", "new", "new", "old", "old", "new"]
+    assert [(bench._metrics(p)["wall_s"], bench._metrics(c)["wall_s"]) for p, c in got] == [(1.0, 0.5)] * 3
+    # the printed table has one line per metric, and no BENCH file is new
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert bench.main(["--pairs", "3", "--parent", "old", "--workload", "tower-wp"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3"]
+    assert len(lines) == 2 + len(rows)
+    assert sorted(ROOT.glob("BENCH_*.json")) == records
 
 
 def _readme_bench_records() -> list:
