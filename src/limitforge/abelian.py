@@ -6,6 +6,8 @@ from functools import cached_property
 
 from .words import Word
 
+LANE_BITS = 32  # width of one lane of a packed zero-lane test
+
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -179,10 +181,10 @@ class Lattice:
     @cached_property
     def _packed(self) -> dict[int, int]:
         # each signed letter's dot products with zero_rows, row k in the
-        # 32-bit lane at bit 32k; a letter past the rank has no entry
+        # lane at bit LANE_BITS*k; a letter past the rank has no entry
         table = {}
         for x in range(1, self._n + 1):
-            table[x] = sum(u[x - 1] << (32 * k) for k, u in enumerate(self.zero_rows))
+            table[x] = sum(u[x - 1] << (LANE_BITS * k) for k, u in enumerate(self.zero_rows))
             table[-x] = -table[x]
         return table
 
@@ -192,6 +194,11 @@ class Lattice:
         letters sum to the packed dot products, which are all 0 in the
         lattice; a nonzero sum is exact, and False leaves it to `in`."""
         return sum(map(self._packed.__getitem__, ints)) != 0
+
+    def contains_word(self, w: Word) -> bool:
+        """Whether w's exponent vector lies in the lattice: the packed test
+        first, then the memoized exact test."""
+        return not self.rules_out(w.ints) and exponent_vector(w, self._n) in self
 
     def __contains__(self, vec) -> bool:
         key = tuple(vec)

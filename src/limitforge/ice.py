@@ -234,7 +234,7 @@ def _in_edge(t: IceTower, ints: tuple[int, ...]) -> bool:
         u = Word(ints)
         if len(t.steps) == 1:
             got = is_power_of(u, t.steps[-1].basis[0]) is not None
-        elif t._edge_lattice.rules_out(ints) or exponent_vector(u, t.rank) not in t._edge_lattice:
+        elif not t._edge_lattice.contains_word(u):
             got = False
         else:
             got = _wp_uncached(t.lower(), commutator(u, t.steps[-1].g).ints) is True
@@ -321,8 +321,7 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
         return Classification("parabolic", sub.level, conj * sub.conjugator)
     # a one-element basis is the root of a hyperbolic g, and a conjugate
     # of u inside its group has u's exponent vector
-    lat = t._edge_lattice
-    if len(top.basis) == 1 and not lat.rules_out(u.ints) and exponent_vector(u, t.rank) in lat:
+    if len(top.basis) == 1 and t._edge_lattice.contains_word(u):
         c = _conj_into(low, u, top.basis[0])
         if c is not None:
             return Classification("parabolic", k, conj * c)

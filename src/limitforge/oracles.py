@@ -340,7 +340,7 @@ class _Dovetail:
     def query(self, w: Word):
         if w.ints in self.trivial_seen:
             return True
-        if self.lattice.rules_out(w.ints) or exponent_vector(w, self.p.rank) not in self.lattice:
+        if exponent_vector(w, self.p.rank) not in self.lattice:
             return False
         if any(self._acts_nontrivially(t, w) for t in self.tables):
             return False

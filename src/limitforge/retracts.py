@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .abelian import Lattice, exponent_vector, matvec
+from .abelian import LANE_BITS, Lattice, exponent_vector, matvec
 from .coset import CosetTable, RSResult, rs_presentation, subgroups_of_index
 from .freegroup import eval_hom, standard_names
 from .oracles import DOVETAIL_QUERY_CAP, WordOracle, dovetail_oracle
@@ -93,9 +93,6 @@ class SearchExhausted(Value):
 
     def __init__(self, steps: int):
         _set(self, "steps", steps)
-
-
-_LANE_BITS = 32  # width of one lane of the packed zero-lane test
 
 
 class _Subgroup:
@@ -222,9 +219,9 @@ class _Branch:
         # S row in 0 holds on every candidate and gets no lane
         lanes = [matvec(self.s_rows, u) for u in self.sub.lattice.zero_rows]
         lanes = [row for row in lanes if any(row)]
-        block = _LANE_BITS * len(lanes)
+        block = LANE_BITS * len(lanes)
         s_packed = [
-            sum(row[k] << (_LANE_BITS * i) for i, row in enumerate(lanes))
+            sum(row[k] << (LANE_BITS * i) for i, row in enumerate(lanes))
             for k in range(len(self.s_rows))
         ]
         coeffs = [

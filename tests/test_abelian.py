@@ -203,6 +203,7 @@ def test_rules_out_matches_the_exact_test(lattice, coeffs, letters, inside, rng)
     assert lat.rules_out(ints) is off
     assert off <= (vec not in lat)
     assert torsion or off is (vec not in lat)
+    assert lat.contains_word(Word.make(ints)) is (vec in lat)
 
 
 def test_rules_out_leaves_an_overflowed_sum_to_the_exact_test():
@@ -212,4 +213,5 @@ def test_rules_out_leaves_an_overflowed_sum_to_the_exact_test():
     assert lat.zero_rows == [[-(2**32), 1, 0], [0, 0, 1]]
     assert lat.rules_out((1, 3)) is False
     assert [1, 0, 1] not in lat
+    assert not lat.contains_word(Word.make([1, 3]))
     assert lat.rules_out((1,)) and lat.rules_out((3,))

@@ -173,14 +173,14 @@ def _answers(towers):
 
 def test_pretests_keep_every_answer(monkeypatch):
     # zero exponent vectors lie in every span and have gcd 0, so they pass
-    # the edge membership, period and conjugator tests, and with the packed
-    # zero-lane test, which reads letters, ruling nothing out, the unpruned
-    # paths come back: a commutator or power test for every edge question
-    # and an edge equation for every period
+    # the period tests, and with every word's vector in the edge lattice,
+    # which reads letters, the edge membership and conjugator tests pass
+    # too: the unpruned paths come back, a commutator or power test for
+    # every edge question and an edge equation for every period
     towers = _pretest_towers()
     pruned = _answers(towers)
     monkeypatch.setattr(ice, "exponent_vector", lambda w, n: [0] * n)
-    monkeypatch.setattr(Lattice, "rules_out", lambda self, ints: False)
+    monkeypatch.setattr(Lattice, "contains_word", lambda self, w: True)
     unpruned_towers = _pretest_towers()
     assert unpruned_towers == towers
     assert _answers(unpruned_towers) == pruned
