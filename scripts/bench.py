@@ -10,16 +10,19 @@ metrics from the last line of its output.
     python3 scripts/bench.py --label edge-memo
     python3 scripts/bench.py --label baseline --root DIR --commit SHA
     python3 scripts/bench.py --pairs 10 --parent DIR --workload tower-wp --seed 9
+    python3 scripts/bench.py --pairs 5 --parent DIR
 
 --commit names the commit for a checkout with no .git (a `git archive`
 copy, say), where run.py cannot read it.
 
-With --pairs N it writes no BENCH file.  It runs N pairs of one workload
-instead, the checkout at --parent and the one at --root in each pair, the
-parent first in every other pair, and prints for each end-to-end metric
-the median of each side, the interquartile range of the parent's runs
-and the number of pairs that the --root checkout won; a tie wins for
-neither side.
+With --pairs N it writes no BENCH file.  It runs N pairs of --workload,
+or of each workload in turn when it is omitted, the checkout at --parent
+and the one at --root in each pair, the parent first in every other pair.
+For each end-to-end metric it prints the median of each side, the
+interquartile range of the parent's runs, the number of pairs that the
+--root checkout won (a tie wins for neither side) and whether the --root
+median is within the metric's BENCHMARK.json bound of the parent's: worse
+by at most that fraction of the parent's median.
 """
 
 import argparse
@@ -89,7 +92,9 @@ def _metrics(stdout: str) -> dict:
 def compare_pairs(pairs) -> list:
     """One row per end-to-end metric of BENCHMARK.json for run.py outputs
     paired as (parent, change): the metric, each side's median, the
-    parent's interquartile range and the pairs the change won."""
+    parent's interquartile range, the pairs the change won and whether
+    the change's median is worse than the parent's by at most the
+    metric's bound, read as a fraction of the parent's median."""
     runs = [(_metrics(parent), _metrics(change)) for parent, change in pairs]
     rows = []
     for spec in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]:
@@ -98,7 +103,9 @@ def compare_pairs(pairs) -> list:
         new = [c[name] for _, c in runs]
         q1, _, q3 = statistics.quantiles(old, n=4, method="inclusive") if len(old) > 1 else old * 3
         won = sum(sign * (c - p) > 0 for p, c in zip(old, new))
-        rows.append((name, statistics.median(old), statistics.median(new), q3 - q1, won))
+        old_med, new_med = statistics.median(old), statistics.median(new)
+        within = sign * (new_med - old_med) >= -spec["bound"] * abs(old_med)
+        rows.append((name, old_med, new_med, q3 - q1, won, within))
     return rows
 
 
@@ -122,16 +129,19 @@ def main(argv=None) -> int:
     ap.add_argument("--commit", help="commit of a checkout with no .git")
     ap.add_argument("--pairs", type=int, help="run this many pairs against --parent")
     ap.add_argument("--parent", type=pathlib.Path, help="the checkout that --pairs compares with")
-    ap.add_argument("--workload", choices=WORKLOADS, help="the workload that --pairs runs")
+    ap.add_argument("--workload", choices=WORKLOADS,
+                    help="the workload that --pairs runs (default: each in turn)")
     args = ap.parse_args(argv)
     if args.pairs is not None:
-        if args.parent is None or args.workload is None or args.pairs < 1:
-            ap.error("--pairs needs a positive count, --parent and --workload")
-        pairs = run_pairs(args.parent.resolve(), args.root.resolve(), args.workload, args.seed, args.pairs)
-        print(f"{args.workload} seed {args.seed}, {args.pairs} pairs")
-        print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won")
-        for name, old, new, iqr, won in compare_pairs(pairs):
-            print(f"{name:<14} {old:>10.7g} {new:>10.7g} {iqr:>11.3g}  {won}/{args.pairs}")
+        if args.parent is None or args.pairs < 1:
+            ap.error("--pairs needs a positive count and --parent")
+        for workload in [args.workload] if args.workload else WORKLOADS:
+            pairs = run_pairs(args.parent.resolve(), args.root.resolve(), workload, args.seed, args.pairs)
+            print(f"{workload} seed {args.seed}, {args.pairs} pairs")
+            print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won  in bound")
+            for name, old, new, iqr, won, within in compare_pairs(pairs):
+                print(f"{name:<14} {old:>10.7g} {new:>10.7g} {iqr:>11.3g}  "
+                      f"{won}/{args.pairs}  {'yes' if within else 'no'}")
         return 0
     if args.label is None:
         ap.error("--label is required without --pairs")

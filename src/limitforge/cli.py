@@ -256,13 +256,13 @@ def _cmd_retract(args) -> int:
     snames = tuple(f"S{i + 1}" for i in range(len(s_words)))
     payload = {
         "cost": found.cost,
-        "index": found.table.index,
+        "index": found.rs.table.index,
         "subgroup_presentation": serialize(found.rs.presentation),
-        "images": [format_word(y, snames) for y in found.retraction.y_words],
-        "s_in_subgroup": [format_word(e, knames) for e in found.retraction.s_exprs],
+        "images": [format_word(y, snames) for y in found.y_words],
+        "s_in_subgroup": [format_word(e, knames) for e in found.s_exprs],
     }
     lines = [
-        f"cost {found.cost}, subgroup of index {found.table.index}",
+        f"cost {found.cost}, subgroup of index {found.rs.table.index}",
         f"  subgroup: {serialize(found.rs.presentation)}",
     ]
     for j, y in enumerate(payload["images"]):

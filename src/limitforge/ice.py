@@ -280,10 +280,12 @@ def ice_oracle(t: IceTower) -> WordOracle:
 
 
 class Classification(Value):
-    __slots__ = ("kind", "level", "conjugator")
+    """A parabolic word's level and conjugator; a hyperbolic word has
+    level None."""
 
-    def __init__(self, kind: str, level: int | None = None, conjugator: Word | None = None):
-        _set(self, "kind", kind)  # "parabolic" | "hyperbolic"
+    __slots__ = ("level", "conjugator")
+
+    def __init__(self, level: int | None = None, conjugator: Word | None = None):
         _set(self, "level", level)  # 1-based step index of the abelian subgroup
         _set(self, "conjugator", conjugator)  # h with h^-1 g h inside that subgroup
 
@@ -292,13 +294,13 @@ def _classify(t: IceTower, w: Word, pinched=None) -> Classification:
     """w's classification; pinched is _pinch(t, w, cyclic=True) when the
     caller has it already."""
     if not t.steps:
-        return Classification("hyperbolic")
+        return Classification()
     syls, conj = _pinch(t, w, cyclic=True) if pinched is None else pinched
     if len(syls) >= 2:
-        return Classification("hyperbolic")
+        return Classification()
     f, body = syls[0]
     if f:
-        return Classification("parabolic", len(t.steps), conj)
+        return Classification(len(t.steps), conj)
     return _under_top(t, Word(body), conj)
 
 
@@ -309,23 +311,23 @@ def _under_top(t: IceTower, u: Word, conj: Word) -> Classification:
     k = len(t.steps)
     if _in_edge(t, u.ints):
         # u centralizes g, so it sits inside the extended subgroup itself
-        return Classification("parabolic", k, conj)
+        return Classification(k, conj)
     sub = _classify(low, u)
-    if sub.kind == "parabolic":
+    if sub.level is not None:
         edge = _classify(low, top.g)
-        if edge.kind == "parabolic" and edge.level == sub.level:
+        if edge.level == sub.level:
             # u and g lie in conjugates of one maximal abelian subgroup,
             # and the edge group is g's conjugate of it
             h = conj * sub.conjugator * edge.conjugator.inv()
-            return Classification("parabolic", k, h)
-        return Classification("parabolic", sub.level, conj * sub.conjugator)
+            return Classification(k, h)
+        return Classification(sub.level, conj * sub.conjugator)
     # a one-element basis is the root of a hyperbolic g, and a conjugate
     # of u inside its group has u's exponent vector
     if len(top.basis) == 1 and t._edge_lattice.contains_word(u):
         c = _conj_into(low, u, top.basis[0])
         if c is not None:
-            return Classification("parabolic", k, conj * c)
-    return Classification("hyperbolic")
+            return Classification(k, conj * c)
+    return Classification()
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,7 @@ def centralizer_ice(t: IceTower, w: Word) -> tuple[Word, ...]:
     # the root step starts from classification's cyclic normal form
     pinched = _pinch(t, w, cyclic=True) if t.steps else None
     cls = _classify(t, w, pinched)
-    if cls.kind == "hyperbolic":
+    if cls.level is None:
         root, _ = _max_root(t, w, pinched)
         return (root,)
     step = t.steps[cls.level - 1]
@@ -705,19 +707,22 @@ def _pick_words(pool, start: int, count: int, total: int):
 
 
 class LimitGroupEmission(Value):
-    __slots__ = ("presentation", "tower", "s_words", "result")
+    """The presentation of the span of S in a tower, with the retraction
+    it was computed from."""
+
+    __slots__ = ("presentation", "tower", "s_words", "found")
 
     def __init__(
         self,
         presentation: Presentation,
         tower: IceTower,
         s_words: tuple[Word, ...],
-        result: SubgroupPresentationResult,
+        found: RetractionFound,
     ):
         _set(self, "presentation", presentation)
         _set(self, "tower", tower)
         _set(self, "s_words", s_words)
-        _set(self, "result", result)
+        _set(self, "found", found)
 
 
 class LimitEnumeration:
@@ -833,7 +838,7 @@ class LimitEnumeration:
                 self._kept.append(pair)
                 continue
             res = present_from_retraction(search.s_words, found)
-            out.append(LimitGroupEmission(res.presentation, tower, search.s_words, res))
+            out.append(LimitGroupEmission(res.presentation, tower, search.s_words, found))
         return out
 
 

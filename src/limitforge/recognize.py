@@ -12,6 +12,7 @@ win; exhausting the budget yields Unknown.
 from __future__ import annotations
 
 import itertools
+import sys
 
 from .abelian import exponent_vector
 from .freegroup import eval_hom, standard_names
@@ -198,20 +199,28 @@ class Witness(Value):
         _set(self, "data", {} if data is None else data)
 
 
+def _words(*ws) -> tuple[Word, ...]:
+    """ws, checked to be Words: a witness read back from elsewhere may
+    hold anything."""
+    if not all(isinstance(x, Word) for x in ws):
+        raise ValueError("witness words must be Words")
+    return ws
+
+
 def _witness_checks(w: Witness):
     """The (must-be-trivial, must-be-nontrivial) word lists for a witness."""
     kind = w.kind
     data = w.data
     if kind == "torsion":
-        g, n = data["g"], data["n"]
-        if n < 2:
-            raise ValueError("torsion certificate needs an exponent >= 2")
+        (g,), n = _words(data["g"]), data["n"]
+        if not isinstance(n, int) or n < 2:
+            raise ValueError("torsion certificate needs an int exponent >= 2")
         return (g**n,), (g,)
     if kind == "inversion":
-        g, h = data["g"], data["h"]
+        g, h = _words(data["g"], data["h"])
         return (h * g * h.inv() * g,), (g,)
     if kind == "commutation-transitivity":
-        a, b, c = data["a"], data["b"], data["c"]
+        a, b, c = _words(data["a"], data["b"], data["c"])
         return (commutator(a, b), commutator(b, c)), (b, commutator(a, c))
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
@@ -227,9 +236,10 @@ def check_witness(p: Presentation, wp: WordOracle, w: Witness):
     premises are trivial and the elements nontrivial; None if the
     oracle cannot decide some check.  A premise whose exponent vector
     is outside the relator lattice is nontrivial, so its witness is
-    refused before the oracle is asked."""
+    refused before the oracle is asked.  A malformed witness raises
+    KeyError or ValueError."""
     triv, nontriv = _witness_checks(w)
-    if {x.ints for x in w.elements} != {x.ints for x in nontriv}:
+    if {x.ints for x in _words(*w.elements)} != {x.ints for x in nontriv}:
         return False
     for x in triv + nontriv:
         validate_word(x, p.rank)
@@ -440,8 +450,8 @@ class Limit(Value):
         is a renaming of the simplified input.  A chain that fails any
         check gives False."""
         em = self.emission
-        tower, found = em.tower, em.result.witness
-        pres, table, rs = presentation_of(tower), found.table, found.rs
+        tower, found = em.tower, em.found
+        pres, rs, table = presentation_of(tower), found.rs, found.rs.table
         cosets = range(table.index)
         if table.ngens != tower.rank or any(
             len(row) != 2 * table.ngens or any(e not in cosets for e in row) for row in table.rows
@@ -449,24 +459,24 @@ class Limit(Value):
             return False
         if any(table.trace(c, r) != c for r in pres.relators for c in cosets):
             return False
-        if rs_presentation(pres, table) != rs or found.retraction.k_pres != rs.presentation:
+        if rs_presentation(pres, table) != rs:
             return False
         wp = ice_oracle(tower)
         if found.verify(wp) is not True:
             return False
-        s_exprs = found.retraction.s_exprs
+        s_exprs = found.s_exprs
         if len(em.s_words) != len(s_exprs):
             return False
         for s, e in zip(em.s_words, s_exprs):
             if s.max_index() > tower.rank or not wp(s * rs.embed(e).inv()):
                 return False
         # a fresh result, so no quotient memo of the search is trusted
-        fresh = RetractionFound(table, rs, found.retraction, found.cost)
+        fresh = RetractionFound(rs, found.y_words, s_exprs, found.cost)
         if present_from_retraction(em.s_words, fresh).presentation != em.presentation:
             return False
         if abelianization(em.presentation)[1]:
             return False
-        if self.position < 0:
+        if type(self.position) is not int or not 0 <= self.position <= sys.maxsize:
             return False
         variants = enumerate_presentations(em.presentation)
         if next(itertools.islice(variants, self.position, None)) != self.matched:
@@ -492,8 +502,9 @@ class NotLimit(Value):
         """Re-check the witness against the oracle, then look for a
         counterexample to its sentence up to the crosscheck bound.  A
         malformed witness gives False: one of unknown kind, missing a
-        field of its certificate, with a torsion exponent below 2 or with
-        a word beyond the rank, on which check_witness raises."""
+        field of its certificate, with an element or certificate word that
+        is not a Word, a torsion exponent that is not an int of at least 2
+        or a word beyond the rank, on which check_witness raises."""
         try:
             if check_witness(self.presentation, wp, self.witness) is not True:
                 return False

@@ -22,20 +22,36 @@ from .presentation import Presentation, compositions, tietze_simplify
 from .words import EMPTY, Value, Word, _set, validate_word, words_of_length
 
 
-class Retraction(Value):
-    """A verified retraction of K onto the subgroup generated by S.
+class RetractionFound(Value):
+    """A verified retraction of a finite-index K onto the subgroup
+    generated by S, as the search found it.
 
-    k_pres: presentation of K on generators X;
+    rs: the Reidemeister-Schreier result of K's coset table, whose
+    presentation is K's on generators X;
     y_words[j]: image of X_j as a word over the abstract S alphabet;
-    s_exprs[i]: the i-th element of S expressed as a word over X.
+    s_exprs[i]: the i-th element of S expressed as a word over X;
+    cost: the search cost at which it was found.
     """
 
-    __slots__ = ("k_pres", "y_words", "s_exprs")
+    __slots__ = ("rs", "y_words", "s_exprs", "cost", "quotients")
+    # quotients holds the subgroup's presented quotients
+    # (_Subgroup.quotients), which present_from_retraction reads and
+    # fills; not part of the result
+    _fields = __slots__[:4]
 
-    def __init__(self, k_pres: Presentation, y_words: tuple[Word, ...], s_exprs: tuple[Word, ...]):
-        _set(self, "k_pres", k_pres)
+    def __init__(
+        self,
+        rs: RSResult,
+        y_words: tuple[Word, ...],
+        s_exprs: tuple[Word, ...],
+        cost: int,
+        quotients: dict | None = None,
+    ):
+        _set(self, "rs", rs)
         _set(self, "y_words", y_words)
         _set(self, "s_exprs", s_exprs)
+        _set(self, "cost", cost)
+        _set(self, "quotients", {} if quotients is None else quotients)
 
     def rho_images(self) -> tuple[Word, ...]:
         """Images of K's generators under the retraction, as words over X."""
@@ -48,38 +64,14 @@ class Retraction(Value):
         (the retraction fixes S pointwise).
         """
         rho = self.rho_images()
-        eqs = [eval_hom(rho, r) for r in self.k_pres.relators]
+        eqs = [eval_hom(rho, r) for r in self.rs.presentation.relators]
         eqs += [eval_hom(rho, e) * e.inv() for e in self.s_exprs]
         return tuple(eqs)
-
-
-class RetractionFound(Value):
-    """Search result: the subgroup table, its presentation, the retraction."""
-
-    __slots__ = ("table", "rs", "retraction", "cost", "quotients")
-    # quotients holds the subgroup's presented quotients
-    # (_Subgroup.quotients), which present_from_retraction reads and
-    # fills; not part of the result
-    _fields = __slots__[:4]
-
-    def __init__(
-        self,
-        table: CosetTable,
-        rs: RSResult,
-        retraction: Retraction,
-        cost: int,
-        quotients: dict | None = None,
-    ):
-        _set(self, "table", table)
-        _set(self, "rs", rs)
-        _set(self, "retraction", retraction)
-        _set(self, "cost", cost)
-        _set(self, "quotients", {} if quotients is None else quotients)
 
     def verify(self, oracle: WordOracle):
         """Re-check every defining equation through the ambient oracle."""
         out = True
-        for w in self.retraction.check_words():
+        for w in self.check_words():
             v = oracle(self.rs.embed(w))
             if v is False:
                 return False
@@ -211,8 +203,9 @@ class _Branch:
         their packed sum is sum_j C_j * sigma(Y_j), where sigma(w) packs
         u . ab(w) over the rows.  When every lane equals its target the
         packed integers are equal, whatever the lane width, so a candidate
-        whose sum is not T fails check_vectors.  A lane that overflows, or
-        a Smith entry of 2 or more, only lets more candidates through.
+        whose sum is not T fails the exact lattice test in `_admit`.  A
+        lane that overflows, or a Smith entry of 2 or more, only lets more
+        candidates through.
         """
         rows = self.sub.lattice.rows
         # lanes[i][k] = u_i . (S row k); a zero row u_i that meets every
@@ -244,39 +237,6 @@ class _Branch:
                 sum([letters[x] for x in w.ints]) for w in pool
             )
         return got
-
-    def check_vectors(self, y: tuple[Word, ...]):
-        """Exponent vectors of Retraction.check_words(), in the same order.
-
-        Abelianization is a homomorphism, so each vector is an integer
-        combination of the exponent rows of the S expressions; no word is
-        built.
-        """
-        rank = self.rank
-        s_rows = self.s_rows
-        rho = []
-        for yj in y:
-            v = [0] * rank
-            for x in yj.ints:
-                sign, row = (1, s_rows[x - 1]) if x > 0 else (-1, s_rows[-x - 1])
-                for i in range(rank):
-                    v[i] += sign * row[i]
-            rho.append(v)
-        for row in self.sub.lattice.rows:
-            yield _combine(row, rho, rank)
-        for e_row in s_rows:
-            v = _combine(e_row, rho, rank)
-            yield tuple(a - b for a, b in zip(v, e_row))
-
-
-def _combine(coeffs, vecs, rank: int) -> tuple[int, ...]:
-    """The integer combination sum_j coeffs[j] * vecs[j]."""
-    out = [0] * rank
-    for c, v in zip(coeffs, vecs):
-        if c:
-            for i in range(rank):
-                out[i] += c * v[i]
-    return tuple(out)
 
 
 _REPRICE = object()  # Metered stream marker: `price` has just changed
@@ -443,30 +403,24 @@ class RetractionSearch(Metered):
                 yield dead
 
     def _admit(self, branch: _Branch, y: tuple[Word, ...]) -> RetractionFound | None:
-        # the abelian lattice test rejects almost every candidate, so it
-        # runs on integer vectors and words are built only for survivors
-        for vec in branch.check_vectors(y):
-            if vec not in branch.sub.lattice:
+        # y has passed the packed test; the exact lattice test runs on every
+        # check word before the oracle is asked about any
+        found = RetractionFound(branch.rs, y, branch.s_exprs, self.cost, branch.sub.quotients)
+        checks = found.check_words()
+        lattice = branch.sub.lattice
+        for w in checks:
+            if exponent_vector(w, branch.rank) not in lattice:
                 return None
-        retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
-        for w in retraction.check_words():
+        for w in checks:
             if w.ints and self.oracle(branch.rs.embed(w)) is not True:
                 return None
-        return RetractionFound(
-            branch.rs.table, branch.rs, retraction, self.cost, branch.sub.quotients
-        )
+        return found
 
     def _candidates(self, branch: _Branch, total: int):
         """One item per candidate Y of this total length on the branch; a
         run of candidates that the packed test rejects comes as its count."""
         for y in self._y_tuples(branch, total):
-            if y.__class__ is int:
-                yield y
-                continue
-            found = self._admit(branch, y)
-            if found is not None:
-                yield found
-            yield None
+            yield y if y.__class__ is int else self._admit(branch, y)
 
     def _stream(self):
         branches: list[_Branch] = []
@@ -567,7 +521,7 @@ def present_from_retraction(s_words, found: RetractionFound):
     """
     s_words = tuple(s_words)
     rs = found.rs
-    images = found.retraction.rho_images()
+    images = found.rho_images()
     got = found.quotients.get(images)
     if got is None:
         k_pres = rs.presentation
@@ -577,5 +531,5 @@ def present_from_retraction(s_words, found: RetractionFound):
         out = Presentation(standard_names(simplified.rank), simplified.relators)
         got = found.quotients[images] = (out, trace.kept)
     out, kept = got
-    gens = tuple(eval_hom(s_words, found.retraction.y_words[k]) for k in kept)
+    gens = tuple(eval_hom(s_words, found.y_words[k]) for k in kept)
     return SubgroupPresentationResult(out, gens, found)

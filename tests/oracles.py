@@ -63,7 +63,6 @@ from limitforge.presentation import (
 from limitforge.recognize import CertifySearch
 from limitforge.retracts import (
     _REPRICE,
-    Retraction,
     RetractionFound,
     RetractionSearch,
     SubgroupAtlas,
@@ -943,7 +942,7 @@ class LimitEnumerationReference(LimitEnumeration):
 def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     s_words = tuple(s_words)
     rs = found.rs
-    images = found.retraction.rho_images()
+    images = found.rho_images()
     for j, w in enumerate(images):
         v = oracle(rs.embed(eval_hom(images, w) * w.inv()))
         assert v is True, f"images are not idempotent at generator {j}: {v}"
@@ -952,7 +951,7 @@ def present_from_retraction_reference(s_words, found: RetractionFound, oracle):
     quotient = Presentation(k_pres.names, list(k_pres.relators) + extra)
     simplified, trace = tietze_simplify(quotient)
     out = Presentation(standard_names(simplified.rank), simplified.relators)
-    gens_in_s = tuple(found.retraction.y_words[k] for k in trace.kept)
+    gens_in_s = tuple(found.y_words[k] for k in trace.kept)
     gens_ambient = tuple(eval_hom(s_words, y) for y in gens_in_s)
     return SubgroupPresentationResult(out, gens_ambient, found), gens_in_s
 
@@ -1083,11 +1082,11 @@ class RetractionSearchLoop(RetractionSearch):
         for vec in check_vectors_reference(branch, y):
             if vec not in branch.sub.lattice:
                 return None
-        retraction = Retraction(branch.rs.presentation, y, branch.s_exprs)
-        for w in retraction.check_words():
+        found = RetractionFound(branch.rs, y, branch.s_exprs, self.cost)
+        for w in found.check_words():
             if w.ints and self.oracle(branch.rs.embed(w)) is not True:
                 return None
-        return RetractionFound(branch.rs.table, branch.rs, retraction, self.cost)
+        return found
 
     def _stream(self):
         branches = []

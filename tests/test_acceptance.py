@@ -166,7 +166,7 @@ def test_criterion_05():
     assert res.presentation.rank == 2
     assert res.presentation.relators == ()
     assert res.witness.verify(wp) is True
-    for i, e in enumerate(res.witness.retraction.s_exprs):
+    for i, e in enumerate(res.witness.s_exprs):
         assert res.witness.rs.embed(e) == (Word((1, 1)), Word((2,)))[i]
 
 

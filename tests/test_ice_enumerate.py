@@ -23,6 +23,7 @@ from limitforge.presentation import (
     serialize,
     tietze_simplify,
 )
+from limitforge.retracts import present_from_retraction
 from limitforge.words import words_of_length
 from oracles import LimitEnumerationReference, present_from_retraction_reference
 
@@ -75,8 +76,8 @@ def test_emission_witnesses_verify():
         emissions.extend(enum.next_round())
     assert emissions
     for e in emissions[:20]:
-        assert e.result.presentation == e.presentation
-        assert e.result.witness.verify(ice_oracle(e.tower)) is True
+        assert present_from_retraction(e.s_words, e.found).presentation == e.presentation
+        assert e.found.verify(ice_oracle(e.tower)) is True
 
 
 def test_emitted_presentations_have_torsion_free_abelianization():
@@ -134,7 +135,7 @@ def _emissions_by_round(enum, last):
     while enum.round < last:
         rounds.append(
             [
-                (e.presentation, e.tower, e.s_words, e.result.witness.retraction.rho_images())
+                (e.presentation, e.tower, e.s_words, e.found.rho_images())
                 for e in enum.next_round()
             ]
         )
@@ -181,12 +182,13 @@ def test_emissions_match_unmemoized_presentations():
         emissions.extend(enum.next_round())
     memos = {}
     for e in emissions:
-        found = e.result.witness
+        found = e.found
         memos[id(found.quotients)] = found.quotients
         want, gens_in_s = present_from_retraction_reference(e.s_words, found, ice_oracle(e.tower))
-        assert e.presentation == e.result.presentation == want.presentation
-        assert e.result.gens_ambient == want.gens_ambient
-        assert e.result.gens_ambient == tuple(eval_hom(e.s_words, y) for y in gens_in_s)
+        got = present_from_retraction(e.s_words, found)
+        assert e.presentation == got.presentation == want.presentation
+        assert got.gens_ambient == want.gens_ambient
+        assert got.gens_ambient == tuple(eval_hom(e.s_words, y) for y in gens_in_s)
     # the memo was read: fewer quotients were built than emitted
     assert sum(map(len, memos.values())) < len(emissions)
 

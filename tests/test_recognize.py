@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitforge.abelian import Lattice, exponent_vector
 from limitforge.cli import CORPUS, corpus_verdict
-from limitforge.coset import CosetTable
+from limitforge.coset import CosetTable, RSResult
 from limitforge.ice import LimitGroupEmission, ice_oracle, tower_from_json
 from limitforge.oracles import (
     WordOracle,
@@ -53,7 +53,7 @@ from limitforge.recognize import (
     refute_sentence,
     witness_sentence,
 )
-from limitforge.retracts import _REPRICE, RetractionFound, SubgroupPresentationResult
+from limitforge.retracts import _REPRICE, RetractionFound
 from limitforge.words import Word, commutator, words_upto
 
 from oracles import (
@@ -617,6 +617,42 @@ def test_not_limit_reverify_rejects_a_word_beyond_the_rank():
     assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
 
 
+@pytest.mark.parametrize("name, kind, data", [
+    ("order two", "torsion", {"n": "2"}),
+    ("order two", "torsion", {"n": 2.0}),
+    ("order two", "torsion", {"g": "a"}),
+    ("klein bottle", "inversion", {"h": 5}),
+    ("klein bottle", "inversion", {"g": "a"}),
+])
+def test_not_limit_reverify_rejects_a_certificate_field_of_the_wrong_type(name, kind, data):
+    """A witness read back from JSON may hold a string or a float where a
+    Word or an int belongs: check_witness raises ValueError, and reverify
+    answers False."""
+    v, wp = _corpus_verdict(name)
+    assert isinstance(v, NotLimit) and v.witness.kind == kind and v.reverify(wp) is True
+    bad = Witness(v.witness.elements, kind, {**v.witness.data, **data})
+    with pytest.raises(ValueError):
+        check_witness(v.presentation, wp, bad)
+    assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+def test_not_limit_reverify_rejects_an_element_that_is_no_word():
+    v, wp = _corpus_verdict("order two")
+    bad = Witness(("a",), v.witness.kind, v.witness.data)
+    with pytest.raises(ValueError):
+        check_witness(v.presentation, wp, bad)
+    assert NotLimit(v.presentation, bad, v.report).reverify(wp) is False
+
+
+@pytest.mark.parametrize("position", ["0", None, 0.0, True, -1, 2**70],
+                         ids=["str", "None", "float", "bool", "negative", "2**70"])
+def test_limit_reverify_rejects_a_position_outside_the_ints_islice_takes(position):
+    v, _ = _corpus_verdict("free abelian rank 2")
+    assert isinstance(v, Limit) and v.position == 0 and v.reverify() is True
+    bad = Limit(v.presentation, v.matched, v.emission, v.report, position)
+    assert bad.reverify() is False
+
+
 def test_limit_reverify_rejects_a_match_that_is_no_renaming():
     v, _ = _corpus_verdict("free abelian rank 2")
     assert isinstance(v, Limit) and v.reverify() is True
@@ -652,7 +688,7 @@ def test_limit_found_by_an_expander_reverifies():
 def test_limit_reverify_rejects_an_emission_with_torsion():
     v, _ = _corpus_verdict("free abelian rank 2")
     em = v.emission
-    torsion = LimitGroupEmission(parse("< a, b | [a,b], a^2 >"), em.tower, em.s_words, em.result)
+    torsion = LimitGroupEmission(parse("< a, b | [a,b], a^2 >"), em.tower, em.s_words, em.found)
     assert Limit(v.presentation, v.matched, torsion, v.report).reverify() is False
 
 
@@ -663,7 +699,7 @@ def _with_emission(v, **fields):
     """v with its emission's fields replaced, through the constructors."""
     em = v.emission
     parts = {"presentation": em.presentation, "tower": em.tower,
-             "s_words": em.s_words, "result": em.result, **fields}
+             "s_words": em.s_words, "found": em.found, **fields}
     return Limit(v.presentation, v.matched, LimitGroupEmission(**parts), v.report)
 
 
@@ -692,12 +728,12 @@ def test_limit_reverify_rejects_an_s_the_retraction_does_not_fix(name):
 def test_limit_reverify_rejects_a_table_entry_that_is_no_coset():
     v, _ = _corpus_verdict("centralizer extension")
     assert isinstance(v, Limit) and v.reverify() is True
-    found = v.emission.result.witness
-    rows = ((0, 0, 0, 0, found.table.index, 0),) + found.table.rows[1:]
-    bad = RetractionFound(CosetTable(3, rows), found.rs, found.retraction, found.cost)
-    result = SubgroupPresentationResult(v.emission.result.presentation,
-                                        v.emission.result.gens_ambient, bad)
-    assert _with_emission(v, result=result).reverify() is False
+    found = v.emission.found
+    rs = found.rs
+    rows = ((0, 0, 0, 0, rs.table.index, 0),) + rs.table.rows[1:]
+    bad_rs = RSResult(CosetTable(3, rows), rs.presentation, rs.gens_ambient, rs.trace)
+    bad = RetractionFound(bad_rs, found.y_words, found.s_exprs, found.cost)
+    assert _with_emission(v, found=bad).reverify() is False
 
 
 def test_limit_reverify_rejects_an_emission_the_retraction_does_not_present():

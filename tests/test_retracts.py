@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import limitforge.retracts as retracts
 from limitforge.abelian import Lattice, abelian_invariants, exponent_vector
 from limitforge.cli import CORPUS, oracle_from
+from limitforge.coset import rs_presentation, subgroups_of_index
 from limitforge.ice import (
     LimitGroupEmission,
     _subset_stream,
@@ -21,6 +22,7 @@ from limitforge.ice import (
 )
 from limitforge.oracles import (
     DOVETAIL_QUERY_CAP,
+    WordOracle,
     dovetail_oracle,
     finite_oracle,
     free_abelian_oracle,
@@ -31,7 +33,6 @@ from limitforge.freegroup import eval_hom
 from limitforge.presentation import parse
 from limitforge.recognize import Limit, recognize_limit
 from limitforge.retracts import (
-    Retraction,
     RetractionFound,
     RetractionSearch,
     SearchExhausted,
@@ -64,10 +65,11 @@ def W(*ints):
 
 def test_retraction_check_words():
     # rho fixing both generators of a free presentation checks out trivially
-    r = Retraction(F2, (W(1), W(2)), (W(1), W(2)))
+    rs = rs_presentation(F2, next(subgroups_of_index(F2, 1)))
+    r = RetractionFound(rs, (W(1), W(2)), (W(1), W(2)), 0)
     assert all(w == EMPTY for w in r.check_words())
     # rho sending b to 1 must still fix the S side
-    r = Retraction(F2, (W(1), EMPTY), (W(1),))
+    r = RetractionFound(rs, (W(1), EMPTY), (W(1),), 0)
     assert all(w == EMPTY for w in r.check_words())
 
 
@@ -76,7 +78,7 @@ def test_find_retraction_square_and_free_generator():
     found = find_retraction(F2, (W(1, 1), W(2)), oracle=wp)
     assert isinstance(found, RetractionFound)
     assert found.cost == 4
-    assert found.table.index == 2
+    assert found.rs.table.index == 2
     assert found.verify(wp) is True
 
 
@@ -85,7 +87,7 @@ def test_identity_retraction_on_full_generating_set():
     found = find_retraction(F2, (W(1), W(2)), oracle=wp)
     assert isinstance(found, RetractionFound)
     # whole group at index 1, each generator its own image
-    assert found.table.index == 1
+    assert found.rs.table.index == 1
     assert found.cost == 3
     assert found.verify(wp) is True
 
@@ -247,8 +249,8 @@ def test_retraction_search_is_deterministic():
     a = find_retraction(F2, (W(1, 1), W(2)), oracle=free_oracle(F2))
     b = find_retraction(F2, (W(1, 1), W(2)), oracle=free_oracle(F2))
     assert a.cost == b.cost
-    assert a.table.rows == b.table.rows
-    assert a.retraction == b.retraction
+    assert a.rs.table.rows == b.rs.table.rows
+    assert (a.y_words, a.s_exprs) == (b.y_words, b.s_exprs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +265,13 @@ def _changed_image(found: RetractionFound) -> RetractionFound:
     """found with one image y_j replaced by y_j * S1, the first such
     change under which some check word has an exponent vector outside
     the lattice of K's relators, so that it is nontrivial in K."""
-    r = found.retraction
-    k = r.k_pres
+    k = found.rs.presentation
     lattice = Lattice([exponent_vector(w, k.rank) for w in k.relators], k.rank)
-    for j, y in enumerate(r.y_words):
-        y_words = r.y_words[:j] + (y * W(1),) + r.y_words[j + 1:]
-        bad = Retraction(k, y_words, r.s_exprs)
+    for j, y in enumerate(found.y_words):
+        y_words = found.y_words[:j] + (y * W(1),) + found.y_words[j + 1:]
+        bad = RetractionFound(found.rs, y_words, found.s_exprs, found.cost)
         if any(exponent_vector(w, k.rank) not in lattice for w in bad.check_words()):
-            return RetractionFound(found.table, found.rs, bad, found.cost)
+            return bad
     raise AssertionError("no changed image breaks a check word")
 
 
@@ -284,11 +285,10 @@ def test_a_changed_image_fails_verify_and_reverify(row):
     v = recognize_limit(p, oracle_from(p, strategy, tower=tower))
     assert isinstance(v, Limit) and v.reverify() is True
     em = v.emission
-    bad = _changed_image(em.result.witness)
-    assert em.result.witness.verify(ice_oracle(em.tower)) is True
+    bad = _changed_image(em.found)
+    assert em.found.verify(ice_oracle(em.tower)) is True
     assert bad.verify(ice_oracle(em.tower)) is False
-    result = SubgroupPresentationResult(em.result.presentation, em.result.gens_ambient, bad)
-    emission = LimitGroupEmission(em.presentation, em.tower, em.s_words, result)
+    emission = LimitGroupEmission(em.presentation, em.tower, em.s_words, bad)
     assert Limit(v.presentation, v.matched, emission, v.report).reverify() is False
 
 
@@ -296,7 +296,7 @@ def test_verify_is_unknown_when_the_oracle_runs_out():
     """A dovetail oracle with no units left decides no nonempty check
     word, so verify answers None where a total oracle answers True."""
     found = find_retraction(Z2, (W(1), W(2)), oracle=free_abelian_oracle(Z2))
-    assert any(w.ints for w in found.retraction.check_words())
+    assert any(w.ints for w in found.check_words())
     assert found.verify(free_abelian_oracle(Z2)) is True
     assert found.verify(dovetail_oracle(Z2, 0)) is None
 
@@ -317,7 +317,7 @@ def test_random_small_sets_verify():
             continue
         found_count += 1
         assert got.verify(wp) is True
-        for i, e in enumerate(got.retraction.s_exprs):
+        for i, e in enumerate(got.s_exprs):
             assert got.rs.embed(e) == s_words[i]
     assert found_count >= 10
 
@@ -342,8 +342,7 @@ SHARED_CASES = (
 def _outcome(search: RetractionSearch, found):
     if found is None:
         return None, search.steps
-    r = found.retraction
-    return (found.table, r.y_words, r.s_exprs, found.cost), search.steps
+    return (found.rs.table, found.y_words, found.s_exprs, found.cost), search.steps
 
 
 def test_shared_atlas_matches_private_atlases(monkeypatch):
@@ -415,27 +414,61 @@ def _branch_and_y(draw):
 
 def _admit_with_words(search: RetractionSearch, br: _Branch, y):
     """The lattice test on exponent vectors of built words."""
-    retraction = Retraction(br.rs.presentation, y, br.s_exprs)
-    checks = retraction.check_words()
+    found = RetractionFound(br.rs, y, br.s_exprs, search.cost)
+    checks = found.check_words()
     for w in checks:
         if exponent_vector(w, br.rank) not in br.sub.lattice:
             return None
     for w in checks:
         if w.ints and search.oracle(br.rs.embed(w)) is not True:
             return None
-    return RetractionFound(br.rs.table, br.rs, retraction, search.cost)
+    return found
 
 
 @settings(max_examples=300, deadline=None)
 @given(_branch_and_y())
-def test_check_vectors_match_check_word_exponents(drawn):
+def test_admit_matches_the_lattice_test_on_built_words(drawn):
+    """_admit answers as the lattice test on the check words' exponent
+    vectors, which are the reference's integer combinations of S rows."""
     case, br, y = drawn
-    words = Retraction(br.rs.presentation, y, br.s_exprs).check_words()
+    words = RetractionFound(br.rs, y, br.s_exprs, 0).check_words()
     expected = [tuple(exponent_vector(w, br.rank)) for w in words]
-    assert list(br.check_vectors(y)) == expected
+    assert list(check_vectors_reference(br, y)) == expected
     p, wp = PREFILTER_CASES[case]
     search = RetractionSearch(p, (), wp, PREFILTER_ATLASES[case])
     assert search._admit(br, y) == _admit_with_words(search, br, y)
+
+
+def _packed_passes(atlas: SubgroupAtlas, br: _Branch, y) -> bool:
+    """Whether y's packed sum meets the branch's target."""
+    coeffs, _, target = br.packing
+    m = len(br.s_exprs)
+    total = 0
+    for j, w in enumerate(y):
+        pool = atlas.pool(m, len(w))
+        total += coeffs[j] * br.images(len(w), pool)[pool.index(w)]
+    return total == target
+
+
+def test_the_torsion_lane_spares_the_oracle():
+    """On the Klein bottle the a lane has Smith entry 2, so the packed test
+    passes Y = (S1, S1*S2) although rho(b) * b^-1 = a is outside the
+    lattice.  The exact test rejects Y before the oracle hears any of its
+    check words, the trivial relator image included."""
+    calls = []
+    klein = klein_oracle(KLEIN)
+    wp = WordOracle(lambda w: calls.append(w) or klein.fn(w), True, "counting")
+    atlas = SubgroupAtlas(KLEIN)
+    search = RetractionSearch(KLEIN, (W(1), W(2)), wp, atlas)
+    (table,) = atlas.tables(1)
+    br = search._make_branch(table)
+    y = (W(1), W(1, 2))
+    assert _packed_passes(atlas, br, y)
+    assert not _lattice_admits(br, y)
+    words = RetractionFound(br.rs, y, br.s_exprs, 0).check_words()
+    assert any(w.ints and exponent_vector(w, br.rank) in br.sub.lattice for w in words)
+    assert search._admit(br, y) is None
+    assert calls == []
 
 
 def _lattice_admits(br: _Branch, y) -> bool:
@@ -453,14 +486,7 @@ def test_packed_test_rejects_only_what_the_lattice_rejects(drawn):
     """A candidate whose packed sum misses the target fails the lattice
     test; with no Smith entry above 1, the two tests agree."""
     case, br, y = drawn
-    atlas = PREFILTER_ATLASES[case]
-    coeffs, _, target = br.packing
-    m = len(br.s_exprs)
-    total = 0
-    for j, w in enumerate(y):
-        pool = atlas.pool(m, len(w))
-        total += coeffs[j] * br.images(len(w), pool)[pool.index(w)]
-    packed = total == target
+    packed = _packed_passes(PREFILTER_ATLASES[case], br, y)
     exact = _lattice_admits(br, y)
     if not packed:
         assert not exact

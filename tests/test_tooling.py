@@ -294,38 +294,58 @@ def test_bench_script_writes_its_schema(tmp_path):
 
 def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
     # wall_s is lower-better, decided_frac higher-better; the change wins
-    # the first pair, ties the second and loses the third on each
+    # the first pair, ties the second and loses the third on each.
+    # peak_rss_mib is lower-better with a bound of 0.1: a change median of
+    # 23 against 20 is outside it
     bench = _load_script("bench")
-    parent = [{"wall_s": 1.0, "decided_frac": 0.5}, {"wall_s": 2.0, "decided_frac": 0.5},
-              {"wall_s": 3.0, "decided_frac": 0.9}]
-    change = [{"wall_s": 0.5, "decided_frac": 0.6}, {"wall_s": 2.0, "decided_frac": 0.5},
-              {"wall_s": 4.0, "decided_frac": 0.7}]
+    parent = [{"wall_s": 1.0, "decided_frac": 0.5, "peak_rss_mib": 20.0},
+              {"wall_s": 2.0, "decided_frac": 0.5, "peak_rss_mib": 20.0},
+              {"wall_s": 3.0, "decided_frac": 0.9, "peak_rss_mib": 20.0}]
+    change = [{"wall_s": 0.5, "decided_frac": 0.6, "peak_rss_mib": 25.0},
+              {"wall_s": 2.0, "decided_frac": 0.5, "peak_rss_mib": 21.0},
+              {"wall_s": 4.0, "decided_frac": 0.7, "peak_rss_mib": 23.0}]
     pairs = [(_canned_run_output("tower-wp", "a", p), _canned_run_output("tower-wp", "b", c))
              for p, c in zip(parent, change)]
     rows = {row[0]: row[1:] for row in bench.compare_pairs(pairs)}
     assert list(rows) == [m["name"] for m in _end_to_end_metrics()]
-    assert rows["wall_s"] == (2.0, 2.0, 1.0, 1)
-    assert rows["decided_frac"] == pytest.approx((0.5, 0.6, 0.2, 1))
-    assert rows["steps"] == (1.5, 1.5, 0.0, 0)
+    assert rows["wall_s"] == (2.0, 2.0, 1.0, 1, True)
+    assert rows["decided_frac"] == pytest.approx((0.5, 0.6, 0.2, 1, True))
+    assert rows["steps"] == (1.5, 1.5, 0.0, 0, True)
+    assert rows["peak_rss_mib"] == (20.0, 23.0, 0.0, 0, False)
+    # 21.9 is inside the same bound, and a higher-better metric may fall
+    # by its bound but no further
+    inside = [(_canned_run_output("tower-wp", "a", {"peak_rss_mib": 20.0, "decided_frac": 1.0}),
+               _canned_run_output("tower-wp", "b", {"peak_rss_mib": 21.9, "decided_frac": 0.96}))]
+    rows = {row[0]: row[1:] for row in bench.compare_pairs(inside)}
+    assert rows["peak_rss_mib"][-1] is True and rows["decided_frac"][-1] is True
+    outside = [(inside[0][0], _canned_run_output("tower-wp", "b", {"decided_frac": 0.9}))]
+    assert {row[0]: row[-1] for row in bench.compare_pairs(outside)}["decided_frac"] is False
     # the runs alternate which side goes first, and the pairs come back
     # as (parent, change) whatever the order
     order = []
 
     def run_workload(root, workload, seed):
-        order.append(root.name)
+        order.append((root.name, workload))
         return _canned_run_output(workload, root.name, {"wall_s": 1.0 if root.name == "old" else 0.5})
 
     monkeypatch.setattr(bench, "run_workload", run_workload)
     old, new = pathlib.Path("old"), pathlib.Path("new")
     got = bench.run_pairs(old, new, "tower-wp", 9, 3)
-    assert order == ["old", "new", "new", "old", "old", "new"]
+    assert [root for root, _ in order] == ["old", "new", "new", "old", "old", "new"]
     assert [(bench._metrics(p)["wall_s"], bench._metrics(c)["wall_s"]) for p, c in got] == [(1.0, 0.5)] * 3
     # the printed table has one line per metric, and no BENCH file is new
     records = sorted(ROOT.glob("BENCH_*.json"))
     assert bench.main(["--pairs", "3", "--parent", "old", "--workload", "tower-wp"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3"]
+    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3", "yes"]
     assert len(lines) == 2 + len(rows)
+    # with no --workload, each workload runs its pairs in turn
+    order.clear()
+    assert bench.main(["--pairs", "1", "--parent", "old"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [w for _, w in order] == [w for w in bench.WORKLOADS for _ in range(2)]
+    assert [line.split()[0] for line in lines[:: 2 + len(rows)]] == list(bench.WORKLOADS)
+    assert len(lines) == len(bench.WORKLOADS) * (2 + len(rows))
     assert sorted(ROOT.glob("BENCH_*.json")) == records
 
 

@@ -17,7 +17,6 @@ from limitforge.recognize import (
     Witness,
 )
 from limitforge.retracts import (
-    Retraction,
     RetractionFound,
     SearchExhausted,
     SubgroupPresentationResult,
@@ -212,10 +211,8 @@ _TRACE = SimplifyTrace((_A, _B), (0, 1))
 _RS = RSResult(_TABLE, _P, (_A, _B), _TRACE)
 _STEP = ExtensionStep(_A, 1, ("t",), (_A,))
 _TOWER = IceTower(2, (_STEP,))
-_RETRACTION = Retraction(_P, (_A, _B), (_A, _B))
-_FOUND = RetractionFound(_TABLE, _RS, _RETRACTION, 1)
-_RESULT = SubgroupPresentationResult(_P, (_A, _B), _FOUND)
-_EMISSION = LimitGroupEmission(_P, _TOWER, (_A, _B), _RESULT)
+_FOUND = RetractionFound(_RS, (_A, _B), (_A, _B), 1)
+_EMISSION = LimitGroupEmission(_P, _TOWER, (_A, _B), _FOUND)
 _WITNESS = Witness((_A,), "torsion", {"g": _A, "n": 2})
 
 # (class, its fields in order, arguments, arguments that differ in one field)
@@ -226,9 +223,9 @@ VALUE_CLASSES = [
      (_TABLE, _Q, (_A,), _TRACE)),
     (ExtensionStep, ("g", "n", "names", "basis"), (_A, 1, ("t",), (_A,)), (_A, 2, ("t",), (_A,))),
     (IceTower, ("base_rank", "steps"), (2, (_STEP,)), (2, ())),
-    (Classification, ("kind", "level", "conjugator"), ("parabolic", 1, _B), ("parabolic", 1, _A)),
-    (LimitGroupEmission, ("presentation", "tower", "s_words", "result"),
-     (_P, _TOWER, (_A, _B), _RESULT), (_P, _TOWER, (_B, _A), _RESULT)),
+    (Classification, ("level", "conjugator"), (1, _B), (1, _A)),
+    (LimitGroupEmission, ("presentation", "tower", "s_words", "found"),
+     (_P, _TOWER, (_A, _B), _FOUND), (_P, _TOWER, (_B, _A), _FOUND)),
     (Presentation, ("names", "relators"), (("a", "b"), (_A,)), (("a", "b"), (_B,))),
     (SimplifyTrace, ("gen_images", "kept"), ((_A, _B), (0, 1)), ((_A, _B), (1, 0))),
     (Sentence, ("variables", "equations", "inequations"), (("x", "y"), (_A,), (_B,)),
@@ -242,9 +239,8 @@ VALUE_CLASSES = [
     (Free, ("presentation", "free_presentation", "report"), (_P, _Q, {}), (_Q, _Q, {})),
     (NotFree, ("presentation", "reason", "witness", "report"), (_P, "torsion", None, {}),
      (_P, "torsion", _WITNESS, {})),
-    (Retraction, ("k_pres", "y_words", "s_exprs"), (_P, (_A,), (_B,)), (_P, (_A,), (_A,))),
-    (RetractionFound, ("table", "rs", "retraction", "cost"), (_TABLE, _RS, _RETRACTION, 1),
-     (_TABLE, _RS, _RETRACTION, 2)),
+    (RetractionFound, ("rs", "y_words", "s_exprs", "cost"), (_RS, (_A,), (_B,), 1),
+     (_RS, (_A,), (_B,), 2)),
     (SearchExhausted, ("steps",), (5,), (6,)),
     (SubgroupPresentationResult, ("presentation", "gens_ambient", "witness"),
      (_P, (_B,), _FOUND), (_P, (_A,), _FOUND)),
@@ -287,7 +283,7 @@ def test_value_class_semantics(cls, fields, args, other):
 
 
 def test_retraction_found_compares_without_its_quotients():
-    a = RetractionFound(_TABLE, _RS, _RETRACTION, 1, {(_A,): "memo"})
+    a = RetractionFound(_RS, (_A, _B), (_A, _B), 1, {(_A,): "memo"})
     assert a == _FOUND and hash(a) == hash(_FOUND)
     assert repr(a) == repr(_FOUND) and "quotients" not in repr(a)
     assert a.quotients == {(_A,): "memo"} and _FOUND.quotients == {}
