@@ -22,7 +22,10 @@ For each end-to-end metric it prints the median of each side, the
 interquartile range of the parent's runs, the number of pairs that the
 --root checkout won (a tie wins for neither side) and whether the --root
 median is within the metric's BENCHMARK.json bound of the parent's: worse
-by at most that fraction of the parent's median.
+by at most that fraction of the parent's median.  Each workload's header
+line counts the runs of each side whose correctness checks failed.
+
+Either mode exits 1 when any run's checks failed.
 """
 
 import argparse
@@ -37,7 +40,8 @@ WORKLOADS = ("limit-corpus", "witness-race", "tower-wp")
 
 
 def run_workload(root: pathlib.Path, workload: str, seed: int) -> str:
-    """stdout of one run.py run; a run whose checks fail still counts."""
+    """stdout of one run.py run; a run whose checks fail (exit 1) is
+    returned too, and reports `"correct": false` on its last line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0"],
@@ -64,7 +68,7 @@ def write_bench(path: pathlib.Path, label: str, outputs: dict, commit=None) -> d
         raise ValueError(f"the runs measured different sources: {sorted(map(str, digests))}")
     workloads = {}
     for workload, out in outputs.items():
-        last = json.loads(out.strip().splitlines()[-1])
+        last = _last(out)
         workloads[workload] = {
             "seed": contexts[workload].get("seed"),
             "correct": last["correct"],
@@ -85,8 +89,18 @@ def write_bench(path: pathlib.Path, label: str, outputs: dict, commit=None) -> d
     return record
 
 
+def _last(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
 def _metrics(stdout: str) -> dict:
-    return {k: m["value"] for k, m in json.loads(stdout.strip().splitlines()[-1])["metrics"].items()}
+    return {k: m["value"] for k, m in _last(stdout)["metrics"].items()}
+
+
+def failed_checks(pairs) -> tuple[int, int]:
+    """How many runs of the parent and of the change, in pairs of run.py
+    outputs, failed their correctness checks."""
+    return tuple(sum(not _last(out)["correct"] for out in side) for side in zip(*pairs))
 
 
 def compare_pairs(pairs) -> list:
@@ -135,14 +149,18 @@ def main(argv=None) -> int:
     if args.pairs is not None:
         if args.parent is None or args.pairs < 1:
             ap.error("--pairs needs a positive count and --parent")
+        failed = False
         for workload in [args.workload] if args.workload else WORKLOADS:
             pairs = run_pairs(args.parent.resolve(), args.root.resolve(), workload, args.seed, args.pairs)
-            print(f"{workload} seed {args.seed}, {args.pairs} pairs")
+            bad = failed_checks(pairs)
+            failed = failed or any(bad)
+            print(f"{workload} seed {args.seed}, {args.pairs} pairs, "
+                  f"failed checks: parent {bad[0]}, change {bad[1]}")
             print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won  in bound")
             for name, old, new, iqr, won, within in compare_pairs(pairs):
                 print(f"{name:<14} {old:>10.7g} {new:>10.7g} {iqr:>11.3g}  "
                       f"{won}/{args.pairs}  {'yes' if within else 'no'}")
-        return 0
+        return int(failed)
     if args.label is None:
         ap.error("--label is required without --pairs")
     outputs = {w: run_workload(args.root.resolve(), w, args.seed) for w in WORKLOADS}
@@ -153,7 +171,7 @@ def main(argv=None) -> int:
         print(f"{workload:<14} wall_s {m['wall_s']:.3f}  steps {m['steps']}  "
               f"peak_rss_mib {m['peak_rss_mib']:.1f}  correct {rec['correct']}")
     print(f"wrote {path}")
-    return 0
+    return int(not all(rec["correct"] for rec in record["workloads"].values()))
 
 
 if __name__ == "__main__":

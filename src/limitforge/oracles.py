@@ -273,8 +273,30 @@ def pinched_oracle(rank1: int, rank2: int, u: Word, v: Word) -> WordOracle:
                 return c + cores[sign] * e + c_inv
         return None
 
-    # w is reduced; the free factors embed, so a lone syllable is nontrivial
-    return WordOracle(lambda w: not amalgam_reduce(w.ints, rank1, edge), True, "pinched")
+    lens = (len(u.ints), len(v.ints))
+
+    def fn(w: Word) -> bool:
+        # w is reduced, so each maximal one-factor run is a nontrivial
+        # element of its factor.  The factors embed, so one run is
+        # nontrivial; and a nontrivial power of a side is at least as long
+        # as the side (2|c| + |e||core|), so when every run is shorter than
+        # its side's word none is in the edge group and the runs are
+        # already the normal form of a nontrivial element.
+        ints = w.ints
+        runs, n, side, short = 0, 0, None, True
+        for x in ints:
+            b = x > rank1 or x < -rank1
+            if b is side:
+                n += 1
+            else:
+                side, n, runs = b, 1, runs + 1
+            if n >= lens[b]:
+                short = False
+        if runs < 2:
+            return not runs
+        return not short and not amalgam_reduce(ints, rank1, edge)
+
+    return WordOracle(fn, True, "pinched")
 
 
 def _detect_pinched(p: Presentation):

@@ -175,6 +175,32 @@ def test_pinched_oracle_matches_reference(parts):
         assert fn(acc * u * v.inv() * acc.inv()) is True
 
 
+def test_pinched_run_lengths_around_each_side_match_reference():
+    """Words whose longest run on a side has len(side) - 1, len(side) and
+    len(side) + 1 letters, one-factor words longer than their side, and
+    the empty word: the engine's run-length check must hand every run as
+    long as its side's word on to the amalgam reduction."""
+    for rank1, rank2, u, v in PINCHED:
+        fn = pinched_oracle(rank1, rank2, u, v).fn
+        trivial, other = [Word(())], []
+        for s, t in ((u, v), (v, u)):
+            # y * t^-1 * x is conjugate to s * t^-1 when s = x * y, so it is
+            # trivial with its t-run exactly len(t) letters long; cut or
+            # grow that run by one letter for its neighbours
+            last = t.inv().ints[-1]
+            for k in range(len(s) + 1):
+                x, y = Word(s.ints[:k]), Word(s.ints[k:])
+                trivial.append(y * t.inv() * x)
+                other += [y * Word(t.inv().ints[:-1]) * x, y * Word(t.inv().ints + (last,)) * x]
+            grown = Word(s.ints + (s.ints[-1],))
+            trivial.append(s**3 * t**-3)
+            other += [s**3, s**-3, grown, s**3 * t**-2, grown * t.inv()]
+        assert all(fn(w) is True for w in trivial)
+        answers = [fn(w) for w in other]
+        assert answers == [pinched_reference(rank1, u, v, w) for w in other]
+        assert answers.count(False) >= len(other) // 2
+
+
 def test_pinched_engine_agrees_with_the_tower_engine():
     """The genus-two double < a, b, c, d | [a,b] = [c,d] > embeds in the
     tower < a, b, t | [[a,b], t] > by c -> t a t^-1, d -> t b t^-1, so the

@@ -256,14 +256,15 @@ def _end_to_end_metrics() -> list:
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def _canned_run_output(workload: str, digest: str, values=None) -> str:
+def _canned_run_output(workload: str, digest: str, values=None, correct=True) -> str:
     """The context line and the last line of a run.py --trace 0 run, each
-    metric 1.5 unless `values` gives it."""
+    metric 1.5 unless `values` gives it, whose checks passed unless
+    `correct` is False."""
     context = {"workload": workload, "seed": 1, "seconds": 30, "trace": 0,
                "python": "3.12.0", "nproc": 2, "commit": "0" * 40,
                "src_sha256": digest, "passes": 3}
     values = values or {}
-    last = {"correct": True, "attempted": 9, "failed": 0,
+    last = {"correct": correct, "attempted": 9, "failed": 0,
             "metrics": {m["name"]: {"value": values.get(m["name"], 1.5), "unit": m["unit"]}
                         for m in _end_to_end_metrics()}}
     return f"# {json.dumps(context)}\n# untraced pass: wall 1.5 s\n{json.dumps(last)}\n"
@@ -347,6 +348,39 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[:: 2 + len(rows)]] == list(bench.WORKLOADS)
     assert len(lines) == len(bench.WORKLOADS) * (2 + len(rows))
     assert sorted(ROOT.glob("BENCH_*.json")) == records
+
+
+def test_bench_counts_and_fails_on_runs_that_failed_their_checks(monkeypatch, capsys, tmp_path):
+    bench = _load_script("bench")
+    pairs = [(_canned_run_output("tower-wp", "a", correct=p), _canned_run_output("tower-wp", "b", correct=c))
+             for p, c in ((True, False), (False, False), (True, True))]
+    assert bench.failed_checks(pairs) == (1, 2)
+    # the medians of a side whose checks failed are still printed, but the
+    # header counts its failed runs and the exit code is 1
+    failing = set()
+
+    def run_workload(root, workload, seed):
+        return _canned_run_output(workload, root.name, correct=(root.name, workload) not in failing)
+
+    monkeypatch.setattr(bench, "run_workload", run_workload)
+    argv = ["--pairs", "2", "--parent", "old", "--root", "new", "--workload", "tower-wp"]
+    assert bench.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("failed checks: parent 0, change 0")
+    failing.add(("new", "tower-wp"))
+    assert bench.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[0].endswith("failed checks: parent 0, change 2")
+    failing = {("old", "witness-race")}
+    assert bench.main(["--pairs", "1", "--parent", "old", "--root", "new"]) == 1
+    headers = [line for line in capsys.readouterr().out.splitlines() if "failed checks" in line]
+    assert [h.split(": ", 1)[1] for h in headers] == ["parent 0, change 0", "parent 1, change 0", "parent 0, change 0"]
+    # a BENCH record with a workload whose checks failed exits 1
+    monkeypatch.setattr(bench, "REPO", tmp_path)
+    failing = set()
+    assert bench.main(["--label", "x", "--root", "new"]) == 0
+    failing = {("new", "tower-wp")}
+    assert bench.main(["--label", "y", "--root", "new"]) == 1
+    record = json.loads((tmp_path / "BENCH_y.json").read_text())
+    assert [w for w, rec in record["workloads"].items() if not rec["correct"]] == ["tower-wp"]
 
 
 def _readme_bench_records() -> list:
