@@ -20,10 +20,13 @@ or of each workload in turn when it is omitted, the checkout at --parent
 and the one at --root in each pair, the parent first in every other pair.
 For each end-to-end metric it prints the median of each side, the
 interquartile range of the parent's runs, the number of pairs that the
---root checkout won (a tie wins for neither side) and whether the --root
-median is within the metric's BENCHMARK.json bound of the parent's: worse
-by at most that fraction of the parent's median.  Each workload's header
-line counts the runs of each side whose correctness checks failed.
+--root checkout won (a tie wins for neither side), whether the --root
+median is within the metric's BENCHMARK.json bound of the parent's (worse
+by at most that fraction of the parent's median) and whether it is a
+gain: the change won at least nine tenths of the pairs and its median is
+better than the parent's by more than the parent's interquartile range.
+Each workload's header line counts the runs of each side whose
+correctness checks failed.
 
 Either mode exits 1 when any run's checks failed.
 """
@@ -106,9 +109,11 @@ def failed_checks(pairs) -> tuple[int, int]:
 def compare_pairs(pairs) -> list:
     """One row per end-to-end metric of BENCHMARK.json for run.py outputs
     paired as (parent, change): the metric, each side's median, the
-    parent's interquartile range, the pairs the change won and whether
-    the change's median is worse than the parent's by at most the
-    metric's bound, read as a fraction of the parent's median."""
+    parent's interquartile range, the pairs the change won, whether the
+    change's median is worse than the parent's by at most the metric's
+    bound, read as a fraction of the parent's median, and whether the
+    change gained: it won at least 9 in 10 pairs and its median is better
+    by more than the parent's interquartile range."""
     runs = [(_metrics(parent), _metrics(change)) for parent, change in pairs]
     rows = []
     for spec in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]:
@@ -119,7 +124,8 @@ def compare_pairs(pairs) -> list:
         won = sum(sign * (c - p) > 0 for p, c in zip(old, new))
         old_med, new_med = statistics.median(old), statistics.median(new)
         within = sign * (new_med - old_med) >= -spec["bound"] * abs(old_med)
-        rows.append((name, old_med, new_med, q3 - q1, won, within))
+        gain = 10 * won >= 9 * len(runs) and sign * (new_med - old_med) > q3 - q1
+        rows.append((name, old_med, new_med, q3 - q1, won, within, gain))
     return rows
 
 
@@ -156,10 +162,10 @@ def main(argv=None) -> int:
             failed = failed or any(bad)
             print(f"{workload} seed {args.seed}, {args.pairs} pairs, "
                   f"failed checks: parent {bad[0]}, change {bad[1]}")
-            print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won  in bound")
-            for name, old, new, iqr, won, within in compare_pairs(pairs):
+            print(f"{'metric':<14} {'parent':>10} {'change':>10} {'parent IQR':>11}  won  in bound  gain")
+            for name, old, new, iqr, won, within, gain in compare_pairs(pairs):
                 print(f"{name:<14} {old:>10.7g} {new:>10.7g} {iqr:>11.3g}  "
-                      f"{won}/{args.pairs}  {'yes' if within else 'no'}")
+                      f"{won}/{args.pairs}  {'yes' if within else 'no'}  {'yes' if gain else 'no'}")
         return int(failed)
     if args.label is None:
         ap.error("--label is required without --pairs")

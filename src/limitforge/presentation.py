@@ -396,22 +396,26 @@ def enumerate_presentations(p: Presentation):
     for bound in itertools.count(1):
         seen = {p}
         queue = deque([(p, 0)])
+        # popped nodes still to expand, in pop order; a node is expanded
+        # only when the queue runs dry, so no child is built that this
+        # bound never pops, and children are still queued in pop order
+        parents: deque[tuple[Presentation, int]] = deque()
         nodes = 0
-        while queue and nodes < node_cap:
+        while nodes < node_cap and (queue or parents):
+            if not queue:
+                q, depth = parents.popleft()
+                for child in _children(q, bound):
+                    if child not in seen:
+                        seen.add(child)
+                        queue.append((child, depth + 1))
+                continue
             q, depth = queue.popleft()
             nodes += 1
             if q not in emitted:
                 emitted.add(q)
                 yield q
-            # every enqueue adds to seen, so the queue holds len(seen) - nodes
-            # entries; once len(seen) reaches node_cap it holds every node
-            # this bound will pop, and a child enqueued now is never dequeued
-            if depth >= bound or len(seen) >= node_cap:
-                continue
-            for child in _children(q, bound):
-                if child not in seen:
-                    seen.add(child)
-                    queue.append((child, depth + 1))
+            if depth < bound:
+                parents.append((q, depth))
         node_cap *= _NODE_GROWTH
 
 

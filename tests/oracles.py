@@ -11,7 +11,8 @@ equation and word problem and builds every syllable as a word.  The Stallings fo
 with the package; the low-index reference shares only CosetTable; the subgroup rewriting reference takes only the
 Schreier basis of the table from it.  The Tietze-expansion references at the end keep the
 package's Presentation and its single Tietze moves, and replace only the
-stream bookkeeping that the package does lazily.  The limit-enumeration
+stream bookkeeping that the package does lazily; the eager walk keeps the
+package's children too and differs only in when it expands a node.  The limit-enumeration
 reference keeps the package's rounds and searches and changes only which
 towers get pairs; the retraction-presentation reference builds and
 simplifies the quotient afresh for every retraction and asserts that the
@@ -50,6 +51,7 @@ from limitforge.presentation import (
     _NODE_GROWTH,
     NormalizeCapError,
     Presentation,
+    _children,
     _fresh_name,
     _remove_generator,
     _single_occurrence_pairs,
@@ -859,6 +861,32 @@ def enumerate_presentations_reference(p: Presentation):
                 ck = serialize(child)
                 if ck not in seen:
                     seen.add(ck)
+                    queue.append((child, depth + 1))
+        node_cap *= _NODE_GROWTH
+
+
+def enumerate_presentations_eager(p: Presentation):
+    """The package's walk as it read when it expanded a node as soon as
+    it was popped, unless the queue already held every node the bound
+    would pop.  Same children and dedup; only when a node is expanded
+    differs."""
+    emitted: set[Presentation] = set()
+    node_cap = _NODE_CAP
+    for bound in itertools.count(1):
+        seen = {p}
+        queue = deque([(p, 0)])
+        nodes = 0
+        while queue and nodes < node_cap:
+            q, depth = queue.popleft()
+            nodes += 1
+            if q not in emitted:
+                emitted.add(q)
+                yield q
+            if depth >= bound or len(seen) >= node_cap:
+                continue
+            for child in _children(q, bound):
+                if child not in seen:
+                    seen.add(child)
                     queue.append((child, depth + 1))
         node_cap *= _NODE_GROWTH
 

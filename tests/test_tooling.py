@@ -309,18 +309,18 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
              for p, c in zip(parent, change)]
     rows = {row[0]: row[1:] for row in bench.compare_pairs(pairs)}
     assert list(rows) == [m["name"] for m in _end_to_end_metrics()]
-    assert rows["wall_s"] == (2.0, 2.0, 1.0, 1, True)
-    assert rows["decided_frac"] == pytest.approx((0.5, 0.6, 0.2, 1, True))
-    assert rows["steps"] == (1.5, 1.5, 0.0, 0, True)
-    assert rows["peak_rss_mib"] == (20.0, 23.0, 0.0, 0, False)
+    assert rows["wall_s"] == (2.0, 2.0, 1.0, 1, True, False)
+    assert rows["decided_frac"] == pytest.approx((0.5, 0.6, 0.2, 1, True, False))
+    assert rows["steps"] == (1.5, 1.5, 0.0, 0, True, False)
+    assert rows["peak_rss_mib"] == (20.0, 23.0, 0.0, 0, False, False)
     # 21.9 is inside the same bound, and a higher-better metric may fall
     # by its bound but no further
     inside = [(_canned_run_output("tower-wp", "a", {"peak_rss_mib": 20.0, "decided_frac": 1.0}),
                _canned_run_output("tower-wp", "b", {"peak_rss_mib": 21.9, "decided_frac": 0.96}))]
     rows = {row[0]: row[1:] for row in bench.compare_pairs(inside)}
-    assert rows["peak_rss_mib"][-1] is True and rows["decided_frac"][-1] is True
+    assert rows["peak_rss_mib"][-2] is True and rows["decided_frac"][-2] is True
     outside = [(inside[0][0], _canned_run_output("tower-wp", "b", {"decided_frac": 0.9}))]
-    assert {row[0]: row[-1] for row in bench.compare_pairs(outside)}["decided_frac"] is False
+    assert {row[0]: row[-2] for row in bench.compare_pairs(outside)}["decided_frac"] is False
     # the runs alternate which side goes first, and the pairs come back
     # as (parent, change) whatever the order
     order = []
@@ -338,7 +338,8 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
     records = sorted(ROOT.glob("BENCH_*.json"))
     assert bench.main(["--pairs", "3", "--parent", "old", "--workload", "tower-wp"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3", "yes"]
+    assert lines[1].split()[-3:] == ["in", "bound", "gain"]
+    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3", "yes", "yes"]
     assert len(lines) == 2 + len(rows)
     # with no --workload, each workload runs its pairs in turn
     order.clear()
@@ -348,6 +349,40 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
     assert [line.split()[0] for line in lines[:: 2 + len(rows)]] == list(bench.WORKLOADS)
     assert len(lines) == len(bench.WORKLOADS) * (2 + len(rows))
     assert sorted(ROOT.glob("BENCH_*.json")) == records
+
+
+def test_bench_gain_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
+    """A gain is a change that won at least 9 of 10 pairs, ties counting
+    for neither side, and whose median is better than the parent's by
+    more than the parent's interquartile range, in the metric's better
+    direction."""
+    bench = _load_script("bench")
+
+    def gain(metric, parent, change):
+        pairs = [(_canned_run_output("witness-race", "a", {metric: p}),
+                  _canned_run_output("witness-race", "b", {metric: c}))
+                 for p, c in zip(parent, change)]
+        return {row[0]: row[-1] for row in bench.compare_pairs(pairs)}[metric]
+
+    # parent quartiles 1.0 and 1.2 (IQR 0.2), median 1.1
+    parent = [1.0, 1.2] * 5
+    # 9 of 10 won and the median 0.8 is 0.3 lower: a gain
+    assert gain("wall_s", parent, [0.8] * 9 + [1.3])
+    # 8 of 10 won is not enough, however far the medians are
+    assert not gain("wall_s", parent, [0.5] * 8 + [1.3] * 2)
+    # a tie is no win: 8 won and 2 tied is not a gain, 9 won and 1 tied is
+    assert not gain("wall_s", parent, [0.8] * 8 + [1.0, 1.2])
+    assert gain("wall_s", parent, [0.8] * 9 + [1.2])
+    # 10 of 10 won, but the median 1.05 is only 0.05 lower, inside the IQR
+    assert not gain("wall_s", parent, [0.95, 1.15] * 5)
+    # a gap of exactly the IQR (0.5) is not more than it
+    assert not gain("wall_s", [1.0, 1.5] * 5, [0.75] * 10)
+    assert gain("wall_s", [1.0, 1.5] * 5, [0.625] * 10)
+    # a higher-better metric gains by rising, and a lower-better one that
+    # rose does not gain
+    assert gain("decided_frac", [0.5, 0.6] * 5, [0.8] * 10)
+    assert not gain("decided_frac", [0.5, 0.6] * 5, [0.3] * 10)
+    assert not gain("wall_s", parent, [2.0] * 10)
 
 
 def test_bench_counts_and_fails_on_runs_that_failed_their_checks(monkeypatch, capsys, tmp_path):
