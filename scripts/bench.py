@@ -23,10 +23,10 @@ interquartile range of the parent's runs, the number of pairs that the
 --root checkout won (a tie wins for neither side), whether the --root
 median is within the metric's BENCHMARK.json bound of the parent's (worse
 by at most that fraction of the parent's median) and whether it is a
-gain: the change won at least nine tenths of the pairs and its median is
-better than the parent's by more than the parent's interquartile range.
-Each workload's header line counts the runs of each side whose
-correctness checks failed.
+gain: at least ten pairs ran, the change won at least nine tenths of
+them, and its median is better than the parent's by more than the
+parent's interquartile range.  Each workload's header line counts the
+runs of each side whose correctness checks failed.
 
 Either mode exits 1 when any run's checks failed.
 """
@@ -112,8 +112,9 @@ def compare_pairs(pairs) -> list:
     parent's interquartile range, the pairs the change won, whether the
     change's median is worse than the parent's by at most the metric's
     bound, read as a fraction of the parent's median, and whether the
-    change gained: it won at least 9 in 10 pairs and its median is better
-    by more than the parent's interquartile range."""
+    change gained: at least ten pairs ran, it won at least 9 in 10 of
+    them and its median is better by more than the parent's
+    interquartile range."""
     runs = [(_metrics(parent), _metrics(change)) for parent, change in pairs]
     rows = []
     for spec in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]:
@@ -124,7 +125,7 @@ def compare_pairs(pairs) -> list:
         won = sum(sign * (c - p) > 0 for p, c in zip(old, new))
         old_med, new_med = statistics.median(old), statistics.median(new)
         within = sign * (new_med - old_med) >= -spec["bound"] * abs(old_med)
-        gain = 10 * won >= 9 * len(runs) and sign * (new_med - old_med) > q3 - q1
+        gain = len(runs) >= 10 and 10 * won >= 9 * len(runs) and sign * (new_med - old_med) > q3 - q1
         rows.append((name, old_med, new_med, q3 - q1, won, within, gain))
     return rows
 

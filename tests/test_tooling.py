@@ -339,7 +339,7 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
     assert bench.main(["--pairs", "3", "--parent", "old", "--workload", "tower-wp"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-3:] == ["in", "bound", "gain"]
-    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3", "yes", "yes"]
+    assert lines[2].split() == ["wall_s", "1", "0.5", "0", "3/3", "yes", "no"]
     assert len(lines) == 2 + len(rows)
     # with no --workload, each workload runs its pairs in turn
     order.clear()
@@ -352,10 +352,10 @@ def test_bench_pairs_report_medians_spread_and_wins(monkeypatch, capsys):
 
 
 def test_bench_gain_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
-    """A gain is a change that won at least 9 of 10 pairs, ties counting
-    for neither side, and whose median is better than the parent's by
-    more than the parent's interquartile range, in the metric's better
-    direction."""
+    """A gain needs at least ten pairs, of which the change won at least
+    nine tenths, ties counting for neither side, and a median better than
+    the parent's by more than the parent's interquartile range, in the
+    metric's better direction."""
     bench = _load_script("bench")
 
     def gain(metric, parent, change):
@@ -383,6 +383,9 @@ def test_bench_gain_needs_nine_pairs_in_ten_and_a_gap_past_the_parent_spread():
     assert gain("decided_frac", [0.5, 0.6] * 5, [0.8] * 10)
     assert not gain("decided_frac", [0.5, 0.6] * 5, [0.3] * 10)
     assert not gain("wall_s", parent, [2.0] * 10)
+    # nine pairs, all won by far, are too few to claim a gain
+    assert gain("wall_s", parent[:10], [0.5] * 10)
+    assert not gain("wall_s", parent[:9], [0.5] * 9)
 
 
 def test_bench_counts_and_fails_on_runs_that_failed_their_checks(monkeypatch, capsys, tmp_path):
