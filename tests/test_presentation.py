@@ -141,8 +141,7 @@ def test_tietze_stream_order_is_pinned():
 
 def test_tietze_stream_is_pinned_past_full_queues():
     """The first 1,000 nodes of Z^3, as the walk that expands every
-    popped node gives them.  A walk that stops expanding one node before
-    its queue is full moves node 767; most streams do not show it."""
+    popped node gives them."""
     z3 = parse("< a, b, c | [a,b], [a,c], [b,c] >")
     digest = hashlib.sha256()
     for q in itertools.islice(enumerate_presentations(z3), 1000):
